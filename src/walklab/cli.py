@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 failed assertion/check, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Callable, Sequence
 
@@ -266,6 +265,8 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     _require_seed(args)
     g, _ = _graph_from_args(args)
     config = _walk_config_from_args(args, length=args.length)
+    if args.walks < 1:
+        raise UsageError(f"--walks must be >= 1, got {args.walks}")
     lines = []
     for i in range(args.walks):
         walk = sample_walk(g, config, start=args.start, walk_index=i)
@@ -332,21 +333,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cover_csv_row(label: str, walk: str, stats: cover_mod.CoverStats) -> str:
-    def fmt(x: float) -> str:
-        return "nan" if math.isnan(x) else f"{x:.6f}"
-
-    return (
-        f"{label},{walk},{stats.mode},{fmt(stats.mean)},{fmt(stats.std_err)},"
-        f"{stats.trials},{stats.censored}"
-    )
-
-
 def _cmd_cover(args: argparse.Namespace) -> int:
     _require_seed(args)
     g, label = _graph_from_args(args)
     config = _walk_config_from_args(args)
-    header = "graph,walk,mode,mean,std_err,trials,censored"
     if args.radius is not None:
         if args.start is None:
             raise UsageError("--radius needs --start (the ball's center)")
@@ -370,7 +360,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             g, config, args.mode, args.trials, policy,
             budget=args.budget, threads=args.threads,
         )
-    _write_out(args, header + "\n" + _cover_csv_row(label, _walk_label(config), stats) + "\n")
+    _write_out(args, cover_mod.cover_csv([(label, _walk_label(config), stats)]))
     return 0
 
 
@@ -681,6 +671,8 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         _merge_config(args, all_defaults[args.command])
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "walk" and args.length is None:
             raise UsageError("walk requires --length")
         if args.command == "reconstruct-test" and args.length is None:

@@ -1,25 +1,27 @@
 """Cover-time estimation: global, local under restarts, and the bounds.
 
-Two sampling paths produce cover times.  A scalar path follows
-``iter_walk_steps`` one trial at a time and supports every walk
-configuration, restarts included.  A vectorized path advances a whole
-chunk of restart-free trials in lockstep through precomputed transition
-tables; it exists because edge-cover tails on the larger lollipops make
-the scalar path impractical.  Both paths implement the same chain; the
-test suite cross-checks them on small graphs.
+Every sampler here reads one :class:`~walklab.walks.StepTable`, built
+per call.  A scalar path steps one trial at a time through the table's
+rows and supports every walk configuration, restarts included.  A
+lockstep path advances a whole chunk of restart-free trials at once
+through the table's padded numpy view; it exists because edge-cover
+tails on the larger lollipops make the scalar path impractical.  Both
+paths implement the same chain; the test suite cross-checks them on
+small graphs.
 
 Reproducibility contract: scalar trial ``i`` uses the Philox stream
-``(seed, i)``; the vectorized path carves trials into fixed chunks of
-``CHUNK_TRIALS`` and chunk ``j`` of experiment cell ``c`` uses stream
-``(seed, c, j)``.  Chunks are independent, so thread count never
-changes any output byte.
+``(seed, i)``.  Lockstep samplers, here and in :mod:`walklab.mixing`,
+share one chunk runner: it carves trials into fixed chunks of
+``CHUNK_TRIALS``, runs chunk ``j`` of experiment cell ``c`` on stream
+``(seed, c, j)`` and merges results in chunk order.  Chunks are
+independent, so thread count never changes any output byte.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -29,14 +31,13 @@ from .walks import (
     MDLR,
     Constant,
     Node2Vec,
+    PaddedRows,
     RestartMode,
     RestartPeriod,
     RestartProb,
+    StepTable,
     WalkConfig,
-    iter_walk_steps,
     rng_stream,
-    step_distribution_first_order,
-    step_distribution_second_order,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "batch_cover_samples",
     "local_cover_time",
     "theorem2_bound",
+    "cover_csv",
     "experiment_fig3",
     "experiment_sr16",
     "DEFAULT_BUDGET",
@@ -129,67 +131,83 @@ def _require_seed(config: WalkConfig) -> int:
 # scalar path
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _targets(
+    mode: str, vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> tuple[frozenset, dict[tuple[int, int], tuple[int, int]] | None]:
+    """What a mode covers: ``(targets, arc_target)``.
+
+    Vertex mode targets the vertices and needs no arc map.  The edge
+    modes map each arc to the target its traversal covers: the pair
+    ``(u, v)``, ``u < v``, from either direction in "edge" mode, the
+    arc itself in "edge-strict" mode.  ``edges`` come as ``u < v``.
+    """
+    if mode == "vertex":
+        return frozenset(vertices), None
+    strict = mode == "edge-strict"
+    arc_target = {}
+    for u, v in edges:
+        arc_target[(u, v)] = (u, v)
+        arc_target[(v, u)] = (v, u) if strict else (u, v)
+    return frozenset(arc_target.values()), arc_target
 
 
-def _edge_targets_for(
-    edges: frozenset[tuple[int, int]], mode: str
-) -> frozenset[tuple[int, int]] | None:
-    if mode == "edge":
-        return edges
-    if mode == "edge-strict":
-        return frozenset((u, v) for u, v in edges) | frozenset(
-            (v, u) for u, v in edges
-        )
-    return None
-
-
-def _cover_steps_scalar(
-    g: Graph,
-    config: WalkConfig,
+def _cover_time_scalar(
+    table: StepTable,
     start: int,
     rng: np.random.Generator,
-    vertex_targets: frozenset[int] | None,
-    edge_targets: frozenset[tuple[int, int]] | None,
+    targets: frozenset,
+    arc_target: dict[tuple[int, int], tuple[int, int]] | None,
     budget: int,
-    directed: bool = False,
-) -> tuple[int | None, int | None]:
-    """Steps until each requested target set is covered (None = censored).
+) -> int | None:
+    """Steps until every target is covered (None = censored).
 
-    Vertex targets count visits.  Edge targets count traversals; with
-    ``directed`` the targets are ordered pairs and each traversal only
-    covers its own direction, otherwise either direction covers the
-    (sorted) pair.  Restart jumps visit their landing vertex but
-    traverse no edge.
+    Without ``arc_target`` the targets are vertices, covered by visits
+    (the start counts).  Otherwise they are edges, and traversing arc
+    ``a`` covers ``arc_target[a]``; restart jumps visit their landing
+    vertex but traverse no edge.
     """
-    need_v = set(vertex_targets) - {start} if vertex_targets is not None else None
-    need_e = set(edge_targets) if edge_targets is not None else None
-    t_v: int | None = 0 if need_v is not None and not need_v else None
-    t_e: int | None = 0 if need_e is not None and not need_e else None
-    if not need_v and not need_e:
-        return t_v, t_e
-
+    need = set(targets)
+    if arc_target is None:
+        need.discard(start)
+    if not need:
+        return 0
     prev = start
     t = 0
-    for v, was_restart in iter_walk_steps(g, config, start, rng):
+    for v, was_restart in table.steps(start, rng):
         t += 1
-        if need_v and v in need_v:
-            need_v.discard(v)
-            if not need_v:
-                t_v = t
-        if need_e and not was_restart:
-            key = (prev, v) if directed else _edge_key(prev, v)
-            if key in need_e:
-                need_e.discard(key)
-                if not need_e:
-                    t_e = t
-        prev = v
-        if not need_v and not need_e:
-            break
+        if arc_target is None:
+            need.discard(v)
+        elif not was_restart:
+            need.discard(arc_target.get((prev, v)))
+        if not need:
+            return t
         if t >= budget:
-            break
-    return t_v, t_e
+            return None
+        prev = v
+
+
+def _scalar_samples(
+    table: StepTable,
+    seed: int,
+    trials: int,
+    start: int | None,
+    budget: int,
+    targets: frozenset,
+    arc_target: dict[tuple[int, int], tuple[int, int]] | None,
+    index_base: int = 0,
+) -> np.ndarray:
+    """Cover times of trials ``index_base + i``; -1 marks a censored trial.
+
+    ``start`` None draws each trial's start from its own stream.
+    """
+    out = np.full(trials, -1, dtype=np.int64)
+    for i in range(trials):
+        rng = rng_stream(seed, index_base + i)
+        s = int(rng.integers(table.g.n)) if start is None else start
+        got = _cover_time_scalar(table, s, rng, targets, arc_target, budget)
+        if got is not None:
+            out[i] = got
+    return out
 
 
 def sample_cover_time(
@@ -214,95 +232,53 @@ def sample_cover_time(
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} out of range for n={g.n}")
     rng = rng_stream(_require_seed(config), walk_index)
-    vertex_targets = frozenset(range(g.n)) if mode == "vertex" else None
-    edge_targets = _edge_targets_for(frozenset(g.edges()), mode)
-    t_v, t_e = _cover_steps_scalar(
-        g, config, start, rng, vertex_targets, edge_targets, budget,
-        directed=(mode == "edge-strict"),
+    targets, arc_target = _targets(mode, range(g.n), g.edges())
+    return _cover_time_scalar(
+        StepTable(g, config), start, rng, targets, arc_target, budget
     )
-    return t_v if mode == "vertex" else t_e
 
 
 # ---------------------------------------------------------------------------
-# vectorized path (restart-free only)
+# lockstep path (restart-free only)
 
 
-class _StepTables:
-    """Cumulative transition tables for lockstep sampling.
+def _run_chunks(
+    seed: int,
+    cell: int,
+    trials: int,
+    threads: int,
+    run_chunk: Callable[[np.random.Generator, int], object],
+) -> list:
+    """``run_chunk(rng, lanes)`` over the fixed chunks of ``trials``.
 
-    First-order configs walk on vertex states.  Second-order configs
-    (non-backtracking or node2vec) walk on directed-edge states, with a
-    first-order table for the opening step.  Rows are cumulative
-    probabilities over neighbors in ascending vertex order, padded with
-    2.0 so a padded slot can never be selected; the last real entry is
-    forced to 1.0, mirroring the scalar draw's last-candidate fallback.
+    Chunk ``j`` holds trials ``j * CHUNK_TRIALS`` onward and draws from
+    stream ``(seed, cell, j)``.  Results come back in chunk order
+    whatever ``threads`` says; a pool is used only when it exceeds 1.
     """
+    jobs = [
+        (j, min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS))
+        for j in range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
+    ]
 
-    def __init__(self, g: Graph, config: WalkConfig):
-        self.n = g.n
-        self.m = g.m
-        self.second_order = config.non_backtracking or config.node2vec is not None
+    def run(job: tuple[int, int]) -> object:
+        j, lanes = job
+        return run_chunk(rng_stream(seed, cell, j), lanes)
 
-        eid_of = {}
-        offsets = np.zeros(g.n + 1, dtype=np.int64)
-        for u in range(g.n):
-            offsets[u + 1] = offsets[u] + g.degree(u)
-            for i, v in enumerate(g.neighbors(u)):
-                eid_of[(u, v)] = offsets[u] + i
-        n_dir = int(offsets[-1])
-        self.n_dir = n_dir
-
-        ue_of = {e: i for i, e in enumerate(g.edges())}
-        deg_max = g.max_degree()
-
-        # first-order table over vertex states (also the opening step)
-        self.v_next = np.zeros((g.n, deg_max), dtype=np.int64)
-        self.v_cum = np.full((g.n, deg_max), 2.0)
-        self.v_eid = np.zeros((g.n, deg_max), dtype=np.int64)
-        self.v_ue = np.zeros((g.n, deg_max), dtype=np.int64)
-        for u in range(g.n):
-            dist = step_distribution_first_order(g, config.conductance, u)
-            items = sorted(dist.items())
-            cum = np.cumsum([p for _, p in items])
-            cum[-1] = 1.0
-            for i, (v, _) in enumerate(items):
-                self.v_next[u, i] = v
-                self.v_cum[u, i] = cum[i]
-                self.v_eid[u, i] = eid_of[(u, v)]
-                self.v_ue[u, i] = ue_of[_edge_key(u, v)]
-
-        if not self.second_order:
-            return
-
-        # directed-edge states for second-order stepping
-        self.e_head = np.zeros(n_dir, dtype=np.int64)
-        self.e_ue = np.zeros(n_dir, dtype=np.int64)
-        self.e_next = np.zeros((n_dir, deg_max), dtype=np.int64)
-        self.e_cum = np.full((n_dir, deg_max), 2.0)
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                e = eid_of[(u, v)]
-                self.e_head[e] = v
-                self.e_ue[e] = ue_of[_edge_key(u, v)]
-                dist = step_distribution_second_order(g, config, u, v)
-                items = sorted(dist.items())
-                cum = np.cumsum([p for _, p in items])
-                cum[-1] = 1.0
-                for i, (w, _) in enumerate(items):
-                    self.e_next[e, i] = eid_of[(v, w)]
-                    self.e_cum[e, i] = cum[i]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
 
 
 def _row_draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, the first slot whose cumulative sum exceeds its uniform."""
     return (u[:, None] >= cum_rows).sum(axis=1)
 
 
-def _batch_chunk(
+def _cover_chunk(
     g: Graph,
-    tables: _StepTables,
-    seed: int,
-    cell: int,
-    chunk_index: int,
+    rows: PaddedRows,
+    rng: np.random.Generator,
     lanes: int,
     start: int | None,
     budget: int,
@@ -310,69 +286,38 @@ def _batch_chunk(
     strict_edges: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cover times for one chunk of lanes; -1 marks a censored lane."""
-    rng = rng_stream(seed, cell, chunk_index)
-    n = tables.n
-    # strict edge cover tracks the 2m directed arcs, plain tracks pairs
-    e_total = tables.n_dir if strict_edges else tables.m
+    n = g.n
     if start is None:
-        starts = rng.integers(n, size=lanes)
+        state = rng.integers(n, size=lanes)
     else:
-        starts = np.full(lanes, start, dtype=np.int64)
-
+        state = np.full(lanes, start, dtype=np.int64)
     t_v = np.full(lanes, -1, dtype=np.int64)
     t_e = np.full(lanes, -1, dtype=np.int64)
-    visited = np.zeros((lanes, n), dtype=bool)
-    lane_idx = np.arange(lanes)
-    visited[lane_idx, starts] = True
-    v_count = np.ones(lanes, dtype=np.int64)
-    if track_edges:
-        traversed = np.zeros((lanes, e_total), dtype=bool)
-        e_count = np.zeros(lanes, dtype=np.int64)
-
     if n == 1:
+        # the start covers the only vertex, and there is no edge to cover
         t_v[:] = 0
         if track_edges:
             t_e[:] = 0
         return t_v, t_e
 
-    # opening step from the start vertices
-    u01 = rng.random(lanes)
-    idx = _row_draw(tables.v_cum[starts], u01)
-    pos = tables.v_next[starts, idx]
-    state = tables.v_eid[starts, idx] if tables.second_order else pos
-    newly = ~visited[lane_idx, pos]
-    visited[lane_idx, pos] = True
-    v_count += newly
-    t_v[v_count == n] = 1
+    # strict edge cover tracks the 2m arcs, plain cover the m edges
+    entered, e_total = (rows.arc, 2 * g.m) if strict_edges else (rows.edge, g.m)
+    visited = np.zeros((lanes, n), dtype=bool)
+    visited[np.arange(lanes), state] = True
+    v_count = np.ones(lanes, dtype=np.int64)
     if track_edges:
-        ue = tables.v_eid[starts, idx] if strict_edges else tables.v_ue[starts, idx]
-        traversed[lane_idx, ue] = True
-        e_count += 1
-        t_e[(e_count == e_total)] = 1
+        traversed = np.zeros((lanes, e_total), dtype=bool)
+        e_count = np.zeros(lanes, dtype=np.int64)
 
-    active = (t_v < 0) | (t_e < 0 if track_edges else False)
-    alive = np.flatnonzero(active)
-    t = 1
-    while alive.size and t < budget:
+    alive = np.arange(lanes)
+    t = 0
+    while alive.size:
         t += 1
-        u = rng.random(alive.size)
-        if tables.second_order:
-            rows = tables.e_cum[state[alive]]
-            idx = _row_draw(rows, u)
-            nxt = tables.e_next[state[alive], idx]
-            w = tables.e_head[nxt]
-            ue = nxt if strict_edges else tables.e_ue[nxt]
-            state[alive] = nxt
-        else:
-            rows = tables.v_cum[state[alive]]
-            idx = _row_draw(rows, u)
-            w = tables.v_next[state[alive], idx]
-            ue = (
-                tables.v_eid[state[alive], idx]
-                if strict_edges
-                else tables.v_ue[state[alive], idx]
-            )
-            state[alive] = w
+        s = state[alive]
+        idx = _row_draw(rows.cum[s], rng.random(alive.size))
+        nxt = rows.next[s, idx]
+        w = rows.position[nxt]
+        state[alive] = nxt
 
         newly = ~visited[alive, w]
         visited[alive, w] = True
@@ -380,6 +325,7 @@ def _batch_chunk(
         just_v = alive[(t_v[alive] < 0) & (v_count[alive] == n)]
         t_v[just_v] = t
         if track_edges:
+            ue = entered[nxt]
             newe = ~traversed[alive, ue]
             traversed[alive, ue] = True
             e_count[alive] += newe
@@ -388,6 +334,8 @@ def _batch_chunk(
             alive = alive[(t_v[alive] < 0) | (t_e[alive] < 0)]
         else:
             alive = alive[t_v[alive] < 0]
+        if t >= budget:
+            break
     return t_v, t_e
 
 
@@ -416,32 +364,18 @@ def batch_cover_samples(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(config)
-    tables = _StepTables(g, config)
-    chunks = [
-        (j, min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS))
-        for j in range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
-    ]
-    t_v = np.full(trials, -1, dtype=np.int64)
-    t_e = np.full(trials, -1, dtype=np.int64)
+    rows = StepTable(g, config).padded()
 
-    def run(job: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray]:
-        j, lanes = job
-        cv, ce = _batch_chunk(
-            g, tables, seed, cell, j, lanes, start, budget, track_edges,
-            strict_edges,
+    def run_chunk(rng: np.random.Generator, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+        return _cover_chunk(
+            g, rows, rng, lanes, start, budget, track_edges, strict_edges
         )
-        return j, cv, ce
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(job) for job in chunks]
-    for j, cv, ce in results:
-        lo = j * CHUNK_TRIALS
-        t_v[lo : lo + cv.size] = cv
-        t_e[lo : lo + ce.size] = ce
-    return t_v, t_e
+    parts = _run_chunks(seed, cell, trials, threads, run_chunk)
+    return (
+        np.concatenate([t_v for t_v, _ in parts]),
+        np.concatenate([t_e for _, t_e in parts]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,32 +393,6 @@ def _stats(
     mean = float(ok.mean())
     std_err = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
     return CoverStats(mean, std_err, trials, mode, start_policy, censored)
-
-
-def _scalar_samples(
-    g: Graph,
-    config: WalkConfig,
-    mode: str,
-    trials: int,
-    start: int | None,
-    budget: int,
-    index_base: int = 0,
-) -> np.ndarray:
-    seed = _require_seed(config)
-    vertex_targets = frozenset(range(g.n)) if mode == "vertex" else None
-    edge_targets = _edge_targets_for(frozenset(g.edges()), mode)
-    out = np.full(trials, -1, dtype=np.int64)
-    for i in range(trials):
-        rng = rng_stream(seed, index_base + i)
-        s = int(rng.integers(g.n)) if start is None else start
-        t_v, t_e = _cover_steps_scalar(
-            g, config, s, rng, vertex_targets, edge_targets, budget,
-            directed=(mode == "edge-strict"),
-        )
-        got = t_v if mode == "vertex" else t_e
-        if got is not None:
-            out[i] = got
-    return out
 
 
 def estimate_cover_time(
@@ -514,6 +422,8 @@ def estimate_cover_time(
     if method not in ("auto", "scalar", "batch"):
         raise ValueError(f"unknown method {method!r}")
     use_batch = method in ("auto", "batch")
+    table = StepTable(g, config)
+    targets, arc_target = _targets(mode, range(g.n), g.edges())
 
     def one_run(start: int | None, cell: int) -> np.ndarray:
         if use_batch:
@@ -524,7 +434,8 @@ def estimate_cover_time(
             )
             return t_v if mode == "vertex" else t_e
         return _scalar_samples(
-            g, config, mode, trials, start, budget, index_base=cell * trials
+            table, _require_seed(config), trials, start, budget, targets,
+            arc_target, index_base=cell * trials,
         )
 
     if isinstance(start_policy, Fixed):
@@ -576,18 +487,10 @@ def local_cover_time(
         raise ValueError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(config)
     ball = local_ball(g, v, r)
-    vertex_targets = frozenset(ball.members) if mode == "vertex" else None
-    edge_targets = _edge_targets_for(frozenset(ball.edges_in_parent()), mode)
-    out = np.full(trials, -1, dtype=np.int64)
-    for i in range(trials):
-        rng = rng_stream(seed, i)
-        t_v, t_e = _cover_steps_scalar(
-            g, config, v, rng, vertex_targets, edge_targets, budget,
-            directed=(mode == "edge-strict"),
-        )
-        got = t_v if mode == "vertex" else t_e
-        if got is not None:
-            out[i] = got
+    targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())
+    out = _scalar_samples(
+        StepTable(g, config), seed, trials, v, budget, targets, arc_target
+    )
     return _stats(out, mode, Fixed(v))
 
 
@@ -647,16 +550,20 @@ def theorem2_bound(
 # experiments
 
 
+CsvRow = tuple[str, str, CoverStats]
+
+
 def _fmt(x: float) -> str:
     return "nan" if math.isnan(x) else f"{x:.6f}"
 
 
-def _csv(rows: list[dict[str, object]]) -> str:
-    header = "graph,walk,mode,mean,std_err,trials,censored"
-    lines = [header]
-    for row in rows:
+def cover_csv(rows: Iterable[CsvRow]) -> str:
+    """CSV text, header first, one line per ``(graph, walk, stats)`` row."""
+    lines = ["graph,walk,mode,mean,std_err,trials,censored"]
+    for graph, walk, st in rows:
         lines.append(
-            "{graph},{walk},{mode},{mean},{std_err},{trials},{censored}".format(**row)
+            f"{graph},{walk},{st.mode},{_fmt(st.mean)},{_fmt(st.std_err)},"
+            f"{st.trials},{st.censored}"
         )
     return "\n".join(lines) + "\n"
 
@@ -670,25 +577,14 @@ def _paired_rows(
     budget: int,
     cell: int,
     threads: int,
-) -> list[dict[str, object]]:
+) -> list[CsvRow]:
     t_v, t_e = batch_cover_samples(
         g, config, trials, start=None, budget=budget, cell=cell, threads=threads
     )
-    rows = []
-    for mode, samples in (("vertex", t_v), ("edge", t_e)):
-        st = _stats(samples, mode, UniformRandom())
-        rows.append(
-            dict(
-                graph=label,
-                walk=walk_label,
-                mode=mode,
-                mean=_fmt(st.mean),
-                std_err=_fmt(st.std_err),
-                trials=st.trials,
-                censored=st.censored,
-            )
-        )
-    return rows
+    return [
+        (label, walk_label, _stats(samples, mode, UniformRandom()))
+        for mode, samples in (("vertex", t_v), ("edge", t_e))
+    ]
 
 
 def experiment_fig3(
@@ -708,7 +604,7 @@ def experiment_fig3(
     exponentially with size) instead of hanging; censored counts land
     in the CSV.
     """
-    rows: list[dict[str, object]] = []
+    rows: list[CsvRow] = []
     cell = 0
     for m in sizes:
         g = gen_lollipop(m)
@@ -718,7 +614,7 @@ def experiment_fig3(
                 _paired_rows(g, label, walk_label, config, trials, budget, cell, threads)
             )
             cell += 1
-    return _csv(rows)
+    return cover_csv(rows)
 
 
 def _fig3_variants(seed: int) -> list[tuple[str, WalkConfig]]:
@@ -766,7 +662,7 @@ def experiment_sr16(
     (every edge traversed each way), the quantity this experiment is
     meant to estimate.
     """
-    rows: list[dict[str, object]] = []
+    rows: list[CsvRow] = []
     config = WalkConfig(
         length=0, conductance=MDLR(), non_backtracking=True, seed=seed
     )
@@ -782,21 +678,14 @@ def experiment_sr16(
         for mode, samples in (("vertex", t_v), ("edge-strict", t_e)):
             st = _stats(samples, mode, UniformRandom())
             per_graph[label][mode] = st
-            rows.append(
-                dict(
-                    graph=label, walk="mdlr+nb", mode=mode, mean=_fmt(st.mean),
-                    std_err=_fmt(st.std_err), trials=st.trials, censored=st.censored,
-                )
-            )
+            rows.append((label, "mdlr+nb", st))
     for mode in ("vertex", "edge-strict"):
         pair = [per_graph["rook4x4"][mode], per_graph["shrikhande"][mode]]
         mean = (pair[0].mean + pair[1].mean) / 2
         std_err = math.sqrt(pair[0].std_err**2 + pair[1].std_err**2) / 2
-        rows.append(
-            dict(
-                graph="sr16-mean", walk="mdlr+nb", mode=mode, mean=_fmt(mean),
-                std_err=_fmt(std_err), trials=pair[0].trials + pair[1].trials,
-                censored=pair[0].censored + pair[1].censored,
-            )
+        summary = CoverStats(
+            mean, std_err, pair[0].trials + pair[1].trials, mode, UniformRandom(),
+            pair[0].censored + pair[1].censored,
         )
-    return _csv(rows)
+        rows.append(("sr16-mean", "mdlr+nb", summary))
+    return cover_csv(rows)

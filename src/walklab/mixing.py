@@ -4,19 +4,19 @@ The linearized view of a walk-driven network: features propagate by the
 transition matrix ``P`` and the reader averages over walk positions, so
 its expectation is ``(1/(l+1)) sum_t P^t x``.  The entries of the
 averaged matrix power are exactly the expected visit frequencies of the
-walk, which is what ``monte_carlo_visit_frequency`` estimates and the
-test suite pins against the matrix computation.
+walk, which is what ``mc_visit_frequencies`` estimates and the test
+suite pins against the matrix computation.
 """
 from __future__ import annotations
 
 import collections
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .cover import _row_draw, _run_chunks
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
-from .walks import Constant, WalkConfig, rng_stream
+from .walks import Constant, StepTable, WalkConfig
 
 __all__ = [
     "FeatureVector",
@@ -24,7 +24,6 @@ __all__ = [
     "stationary",
     "expected_output",
     "jacobian_expectation",
-    "monte_carlo_visit_frequency",
     "mc_visit_frequencies",
     "mixing_suite",
     "POWER_TOL",
@@ -133,9 +132,6 @@ def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
     return float(acc[v] / (l + 1))
 
 
-_MC_CHUNK = 1024
-
-
 def mc_visit_frequencies(
     g: Graph,
     config: WalkConfig,
@@ -149,9 +145,11 @@ def mc_visit_frequencies(
 
     Entry ``v`` is the mean over trials of (visits to v in positions
     0..l) / (l+1).  Entries sum to 1.  Only the plain uniform walk is
-    supported, matching the identity this estimates; trials advance in
-    lockstep chunks of 1024, chunk ``j`` on Philox stream
-    ``(seed, cell, j)``, so thread count never changes the result.
+    supported, matching the identity this estimates.  Trials advance in
+    lockstep over the step table's padded rows, counting visits per
+    state and folding them onto vertices at the end, in the chunks of
+    the cover sampler's runner (chunk ``j`` on Philox stream
+    ``(seed, cell, j)``), so thread count never changes the result.
     """
     if config.non_backtracking or config.node2vec is not None:
         raise ValueError("visit-frequency estimation expects a first-order walk")
@@ -165,53 +163,25 @@ def mc_visit_frequencies(
         raise ValueError(f"start {u} out of range for n={g.n}")
     if l < 0 or trials < 1:
         raise ValueError("need l >= 0 and trials >= 1")
+    if l > 0 and g.m == 0:
+        raise ValueError("a walk cannot step on a graph without edges")
 
-    deg_max = g.max_degree()
-    nbr = np.zeros((g.n, deg_max), dtype=np.int64)
-    cum = np.full((g.n, deg_max), 2.0)
-    for a in range(g.n):
-        ns = g.neighbors(a)
-        c = np.cumsum([1.0 / len(ns)] * len(ns))
-        c[-1] = 1.0
-        nbr[a, : len(ns)] = ns
-        cum[a, : len(ns)] = c
+    rows = StepTable(g, config).padded()
 
-    chunks = [
-        (j, min(_MC_CHUNK, trials - j * _MC_CHUNK))
-        for j in range((trials + _MC_CHUNK - 1) // _MC_CHUNK)
-    ]
-
-    def run(job: tuple[int, int]) -> np.ndarray:
-        j, lanes = job
-        rng = rng_stream(config.seed, cell, j)
-        pos = np.full(lanes, u, dtype=np.int64)
-        counts = np.zeros(g.n, dtype=np.int64)
+    def run_chunk(rng: np.random.Generator, lanes: int) -> np.ndarray:
+        state = np.full(lanes, u, dtype=np.int64)
+        counts = np.zeros(rows.position.size, dtype=np.int64)
         counts[u] = lanes
         for _ in range(l):
-            draw = rng.random(lanes)
-            idx = (draw[:, None] >= cum[pos]).sum(axis=1)
-            pos = nbr[pos, idx]
-            counts += np.bincount(pos, minlength=g.n)
+            idx = _row_draw(rows.cum[state], rng.random(lanes))
+            state = rows.next[state, idx]
+            counts += np.bincount(state, minlength=counts.size)
         return counts
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(job) for job in chunks]
-    total = np.zeros(g.n, dtype=np.int64)
-    for counts in results:
-        total += counts
-    return total / (trials * (l + 1))
-
-
-def monte_carlo_visit_frequency(
-    g: Graph, config: WalkConfig, u: int, v: int, l: int, trials: int
-) -> float:
-    """Empirical mean of (visits to ``v``)/(l+1) for walks from ``u``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"target {v} out of range for n={g.n}")
-    return float(mc_visit_frequencies(g, config, u, l, trials)[v])
+    per_state = sum(_run_chunks(config.seed, cell, trials, threads, run_chunk))
+    visits = np.zeros(g.n, dtype=np.int64)
+    np.add.at(visits, rows.position, per_state)
+    return visits / (trials * (l + 1))
 
 
 def mixing_suite() -> list[tuple[str, Graph]]:

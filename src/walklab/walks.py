@@ -19,8 +19,10 @@ The per-step recipe, for step ``t >= 1``:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -40,6 +42,9 @@ __all__ = [
     "conductance",
     "step_distribution_first_order",
     "step_distribution_second_order",
+    "StepRow",
+    "PaddedRows",
+    "StepTable",
     "transition_matrix",
     "sample_walk",
     "iter_walk_steps",
@@ -234,12 +239,144 @@ def step_distribution_second_order(
     return first
 
 
+class StepRow(NamedTuple):
+    """One compiled step distribution; read-only.
+
+    ``successors`` ascend, ``probs`` are exactly the values
+    :func:`step_distribution_second_order` gives, and ``cum`` holds
+    their sequential sums with the last forced to 1.0, so every uniform
+    in [0, 1) selects a successor (the last one absorbs rounding).
+    The fields are lists: rows are compiled by the thousand, and freed
+    tuples would pile up on CPython's per-size free lists.
+    """
+
+    successors: list[int]
+    probs: list[float]
+    cum: list[float]
+
+
+@dataclass(frozen=True)
+class PaddedRows:
+    """A :class:`StepTable` as rectangular arrays, for lockstep kernels.
+
+    States ``0..n-1`` are the walk's start vertices, stepping under the
+    rows ``(None, v)``.  After any move the state is the arc just
+    traversed: state ``n + a`` for arc ``a = (u, v)``, stepping under
+    row ``(u, v)`` (which a first-order config reads as ``(None, v)``).
+    Arcs are numbered in (tail, head) order and undirected edges in
+    ``Graph.edges`` order.  Slot ``i`` of state ``s`` moves to state
+    ``next[s, i]``; ``cum`` is padded with 2.0 so a padded slot is never
+    selected.  Per state, ``position`` is the vertex the walker stands
+    at, and ``arc`` and ``edge`` are what the last move traversed (-1
+    for the start states).
+    """
+
+    cum: np.ndarray
+    next: np.ndarray
+    position: np.ndarray
+    arc: np.ndarray
+    edge: np.ndarray
+
+
+class StepTable:
+    """The step law of one (graph, config), compiled row by row.
+
+    Row ``(prev, cur)`` is the distribution of the vertex after ``cur``
+    when the walker's previous position was ``prev``.  First-order
+    configs ignore ``prev``, so their rows, like every walk's opening
+    step, are keyed ``(None, cur)``.  A row is compiled from
+    :func:`step_distribution_second_order` the first time it is asked
+    for, so positions reached by a restart (where ``prev`` need not be
+    a neighbor of ``cur``) get exactly the reference law.  A table
+    serves one sampler call; nothing caches it beyond that.
+    """
+
+    def __init__(self, g: Graph, config: WalkConfig):
+        self.g = g
+        self.config = config
+        self.second_order = config.non_backtracking or config.node2vec is not None
+        self._rows: dict[tuple[int | None, int], StepRow] = {}
+
+    def row(self, prev: int | None, cur: int) -> StepRow:
+        key = (prev if self.second_order else None, cur)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._compile(*key)
+        return row
+
+    def _compile(self, prev: int | None, cur: int) -> StepRow:
+        dist = step_distribution_second_order(self.g, self.config, prev, cur)
+        successors = sorted(dist)
+        probs = [dist[x] for x in successors]
+        cum = list(accumulate(probs))
+        if cum:
+            cum[-1] = 1.0
+        return StepRow(successors, probs, cum)
+
+    def steps(self, start: int, rng: np.random.Generator) -> Iterator[tuple[int, bool]]:
+        """Open-ended walk from ``start``; see :func:`iter_walk_steps`."""
+        config = self.config
+        prev: int | None = None
+        cur = start
+        was_restart = False
+        t = 0
+        while True:
+            t += 1
+            if _restart_now(config, t, was_restart, rng):
+                prev, cur = cur, start
+                was_restart = True
+            else:
+                successors, _, cum = self.row(prev, cur)
+                if not successors:
+                    raise ValueError(f"vertex {cur} has no neighbor to step to")
+                prev, cur = cur, successors[bisect_right(cum, rng.random())]
+                was_restart = False
+            yield cur, was_restart
+
+    def padded(self) -> PaddedRows:
+        """Every state's row as arrays; see :class:`PaddedRows`.
+
+        Rows go straight into the arrays without entering the row
+        cache, so the compile holds one row at a time.
+        """
+        g = self.g
+        arcs = [(u, v) for u in range(g.n) for v in g.neighbors(u)]
+        arc_state = {a: g.n + i for i, a in enumerate(arcs)}
+        edge_of: dict[tuple[int, int], int] = {}
+        for i, (u, v) in enumerate(g.edges()):
+            edge_of[(u, v)] = edge_of[(v, u)] = i
+        heads = [v for _, v in arcs]
+        # a first-order row depends on the head alone, so only the start
+        # states' rows are compiled and the arc states copy them
+        keys = [(None, v) for v in range(g.n)] + (arcs if self.second_order else [])
+        shape = (g.n + len(arcs), g.max_degree())
+        cum = np.full(shape, 2.0)
+        nxt = np.zeros(shape, dtype=np.int64)
+        for s, (prev, cur) in enumerate(keys):
+            row = self._compile(prev, cur)
+            k = len(row.successors)
+            cum[s, :k] = row.cum
+            nxt[s, :k] = [arc_state[(cur, x)] for x in row.successors]
+        if not self.second_order:
+            cum[g.n:] = cum[heads]
+            nxt[g.n:] = nxt[heads]
+        unset = [-1] * g.n  # no move enters a start state
+        return PaddedRows(
+            cum=cum,
+            next=nxt,
+            position=np.array([*range(g.n), *heads], dtype=np.int64),
+            arc=np.array([*unset, *range(len(arcs))], dtype=np.int64),
+            edge=np.array([*unset, *map(edge_of.get, arcs)], dtype=np.int64),
+        )
+
+
 def transition_matrix(g: Graph, kind: ConductanceKind) -> np.ndarray:
     """Dense first-order transition matrix: ``P[u, x]`` moves u -> x."""
+    table = StepTable(g, WalkConfig(length=0, conductance=kind))
     P = np.zeros((g.n, g.n))
     for u in range(g.n):
-        for x, prob in step_distribution_first_order(g, kind, u).items():
-            P[u, x] = prob
+        row = table.row(None, u)
+        P[u, row.successors] = row.probs
     return P
 
 
@@ -266,19 +403,6 @@ def _restart_now(config: WalkConfig, t: int, prev_was_restart: bool,
     return t % config.restart.k == 0
 
 
-def _draw(dist: dict[int, float], rng: np.random.Generator) -> int:
-    # Draw by inverting the CDF over sorted support, so the mapping from
-    # uniforms to vertices is deterministic.
-    u = rng.random()
-    acc = 0.0
-    items = sorted(dist.items())
-    for x, prob in items:
-        acc += prob
-        if u < acc:
-            return x
-    return items[-1][0]
-
-
 def iter_walk_steps(
     g: Graph, config: WalkConfig, start: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, bool]]:
@@ -288,24 +412,12 @@ def iter_walk_steps(
     (fixed length for :func:`sample_walk`, coverage for the cover-time
     estimators).  Per step, one uniform is drawn for the restart
     decision when the mode calls for it, then one for the transition if
-    the step is not a restart.
+    the step is not a restart.  The transition inverts the step row's
+    cumulative sums over ascending successors, so the mapping from
+    uniforms to vertices is deterministic.  Stepping from a vertex
+    without neighbors raises ``ValueError``.
     """
-    prev: int | None = None
-    cur = start
-    was_restart = False
-    t = 0
-    while True:
-        t += 1
-        if _restart_now(config, t, was_restart, rng):
-            prev, cur = cur, start
-            was_restart = True
-        else:
-            dist = step_distribution_second_order(
-                g, config, prev if t >= 2 else None, cur
-            )
-            prev, cur = cur, _draw(dist, rng)
-            was_restart = False
-        yield cur, was_restart
+    return StepTable(g, config).steps(start, rng)
 
 
 def sample_walk(
@@ -361,16 +473,7 @@ def enumerate_walk_distribution(
         )
     start_prob = 1.0 / g.n if start is None else 1.0
 
-    # One transition distribution per (prev, cur) pair serves the whole
-    # tree, so cache them across branches.
-    dist_cache: dict[tuple[int | None, int], list[tuple[int, float]]] = {}
-
-    def transitions(prev: int | None, cur: int) -> list[tuple[int, float]]:
-        key = (prev, cur)
-        if key not in dist_cache:
-            dist = step_distribution_second_order(g, config, prev, cur)
-            dist_cache[key] = sorted(dist.items())
-        return dist_cache[key]
+    table = StepTable(g, config)
 
     def extend(vertices: list[int], flags: list[bool], prob: float
                ) -> Iterator[tuple[Walk, float]]:
@@ -393,8 +496,9 @@ def enumerate_walk_distribution(
             stay = 1.0
         if stay > 0:
             prev = vertices[-2] if t >= 2 else None
+            row = table.row(prev, vertices[-1])
             branches.extend(
-                (x, False, stay * q) for x, q in transitions(prev, vertices[-1])
+                (x, False, stay * q) for x, q in zip(row.successors, row.probs)
             )
         for x, flag, q in branches:
             if q == 0:

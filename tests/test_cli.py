@@ -48,6 +48,45 @@ def test_exclusive_restart_flags(capsys):
     assert rc == 2
 
 
+def test_threads_below_one_is_a_usage_error(capsys):
+    rc = run([
+        "cover", "--family", "cycle", "--n", "4", "--trials", "5",
+        "--seed", "1", "--threads", "0",
+    ])
+    assert rc == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_walks_below_one_is_a_usage_error(capsys):
+    rc = run([
+        "walk", "--family", "cycle", "--n", "4", "--length", "3",
+        "--seed", "1", "--walks", "0",
+    ])
+    assert rc == 2
+    assert "--walks" in capsys.readouterr().err
+
+
+def test_single_vertex_walk_is_a_usage_error(tmp_path, capsys):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("1 0\n")
+    rc = run(["walk", "--graph", str(gfile), "--length", "3", "--seed", "1"])
+    assert rc == 2
+    assert "no neighbor" in capsys.readouterr().err
+
+
+def test_single_vertex_cover_is_zero(tmp_path, capsys):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("1 0\n")
+    for mode in ("vertex", "edge"):
+        rc = run([
+            "cover", "--graph", str(gfile), "--mode", mode, "--trials", "4",
+            "--seed", "1",
+        ])
+        assert rc == 0
+        row = out_of(capsys).splitlines()[1].split(",")
+        assert row[2:] == [mode, "0.000000", "0.000000", "4", "0"]
+
+
 # -- gen / walk / record / decode pipeline --------------------------------------
 
 

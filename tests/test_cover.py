@@ -23,6 +23,7 @@ from walklab import (
     gen_lollipop,
     gen_path,
     local_cover_time,
+    parse_edge_list,
     sample_cover_time,
     theorem2_bound,
 )
@@ -97,6 +98,14 @@ def test_estimate_scalar_and_batch_agree():
     # independent streams, so agreement is statistical
     gap = abs(a.mean - b.mean)
     assert gap < 6 * math.hypot(a.std_err, b.std_err)
+
+
+def test_single_vertex_cover_is_zero_on_both_paths():
+    g = parse_edge_list("1 0\n")
+    for method in ("scalar", "batch"):
+        for mode in ("vertex", "edge", "edge-strict"):
+            st = estimate_cover_time(g, cfg(), mode, 8, UniformRandom(), method=method)
+            assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
 
 
 def test_estimate_validation():

@@ -1,0 +1,128 @@
+"""Output bytes pinned across commits.
+
+Each case is a small CLI run or sampler call whose output's sha256 is
+pinned here.  Gate 9 of the acceptance suite compares reruns and thread
+counts within one tree; these digests hold the absolute bytes, so a
+change to a step rule, a Philox stream layout, a draw or a number
+format shows up as a moved digest.
+"""
+import hashlib
+
+import pytest
+
+from walklab import (
+    MDLR,
+    Fixed,
+    Node2Vec,
+    RestartProb,
+    UniformRandom,
+    WalkConfig,
+    batch_cover_samples,
+    enumerate_walk_distribution,
+    estimate_cover_time,
+    gen_csl,
+    gen_lollipop,
+)
+from walklab.cli import run
+
+CLI_CASES = {
+    "walk-mdlr": (
+        ["walk", "--family", "lollipop", "--m", "4", "--length", "30",
+         "--walks", "6", "--seed", "1", "--conductance", "mdlr"],
+        "7e191723f0085aa7dd06e8aff75585dae40d497aa8c13e9e8e39ce070bd2f83b",
+    ),
+    "walk-nb-restart-prob": (
+        ["walk", "--family", "csl", "--n", "8", "--s", "3", "--length", "30",
+         "--walks", "6", "--seed", "2", "--nb", "--restart-prob", "0.3"],
+        "724a4df3fa980904d7c57fb008ef98554ee420e7837fc78dfb4d897801a0f476",
+    ),
+    "walk-node2vec-restart-period": (
+        ["walk", "--family", "barbell", "--k", "4", "--length", "30",
+         "--walks", "6", "--seed", "3", "--node2vec", "2,0.5",
+         "--restart-period", "4"],
+        "a616657fb0ad2b42a8b35f62b090466b77357947d40590b5421a0f830b41998d",
+    ),
+    "cover-batch": (
+        ["cover", "--family", "lollipop", "--m", "4", "--mode", "edge",
+         "--trials", "300", "--seed", "4", "--conductance", "mdlr", "--nb"],
+        "3b6fd09ff2b9b2bc058431545c66cbfe7977410020626382ba887259d250ea48",
+    ),
+    "cover-local": (
+        ["cover", "--family", "path", "--n", "41", "--start", "20",
+         "--radius", "2", "--restart-prob", "0.5", "--mode", "edge",
+         "--trials", "200", "--seed", "5"],
+        "26fb6df699a54304d4ea8a8d8a016958a785efe78c50ff42be170340a3ebd48d",
+    ),
+    "fig3": (
+        ["fig3", "--sizes", "4", "--trials", "64", "--seed", "2025"],
+        "70e19e2107c4aeeea1962a8a8cf0bd2fc22bcd24ca33d294fb8a175ac4b7dd2d",
+    ),
+    "sr16": (
+        ["sr16", "--trials", "300", "--seed", "2025"],
+        "64b4bdbea283d9016b7fd7f66a5a75a627650e8b3ce26caa8a5d290176c5f482",
+    ),
+    "sr16-threads": (
+        ["sr16", "--trials", "300", "--seed", "2025", "--threads", "2"],
+        "64b4bdbea283d9016b7fd7f66a5a75a627650e8b3ce26caa8a5d290176c5f482",
+    ),
+    "mixing": (
+        ["mixing", "--family", "barbell", "--k", "3", "--trials", "2000",
+         "--seed", "7"],
+        "0eff2496dde974a7f835e32173b593d17294c62df62ea546e28f30181182466e",
+    ),
+    "invariance": (
+        ["invariance", "--max-n", "4", "--max-l", "3", "--seed", "0"],
+        "6ec7e1c8a29683b89a4a3b4ab9e0bcb6ec3224dfac307ec86d6e231a2a114ae7",
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_bytes_are_pinned(name, capsys):
+    argv, digest = CLI_CASES[name]
+    assert run(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def stats_text(st):
+    return f"{st.mean!r},{st.std_err!r},{st.trials},{st.censored}"
+
+
+N2V = WalkConfig(length=0, conductance=MDLR(), node2vec=Node2Vec(2.0, 0.5), seed=11)
+
+
+def test_scalar_cover_bytes_are_pinned():
+    g = gen_lollipop(4)
+    st = estimate_cover_time(g, N2V, "edge-strict", 150, UniformRandom(), method="scalar")
+    assert sha256(stats_text(st)) == (
+        "37c8e274593551db14a8815b6584e584efac5876f922724d79ffeb37bea1e1c1"
+    )
+    st = estimate_cover_time(g, N2V, "vertex", 150, Fixed(0), method="scalar")
+    assert sha256(stats_text(st)) == (
+        "a43096436f6a3e736e8f5a9bf4b440c8b9f5996ffde8d05ec62f53899baa7295"
+    )
+
+
+def test_batch_cover_samples_bytes_are_pinned():
+    t_v, t_e = batch_cover_samples(gen_lollipop(4), N2V, 1500, None, strict_edges=True)
+    assert sha256(t_v.tobytes().hex() + t_e.tobytes().hex()) == (
+        "946aff87e484b5078f234057e7ebfcec2fabac8bcc99edd8f32c91f6b4b24907"
+    )
+
+
+def test_enumeration_bytes_are_pinned():
+    texts = []
+    for config in (
+        WalkConfig(length=3, conductance=MDLR(), non_backtracking=True,
+                   restart=RestartProb(0.4)),
+        WalkConfig(length=3, node2vec=Node2Vec(0.5, 3.0)),
+    ):
+        for w, p in enumerate_walk_distribution(gen_csl(6, 2), config):
+            texts.append(f"{w.vertices}{w.restart_flags}{p!r}")
+    assert sha256("\n".join(texts)) == (
+        "cf2e98cac63b2f73385773a41fad0d1ee7065e28d001e4c70f20db29870fe22f"
+    )

@@ -19,7 +19,7 @@ from walklab import (
     jacobian_expectation,
     mc_visit_frequencies,
     mixing_suite,
-    monte_carlo_visit_frequency,
+    parse_edge_list,
     stationary,
     transition_matrix,
 )
@@ -133,16 +133,6 @@ def test_mc_visit_frequencies_match_exact_identity():
         assert abs(float(freqs[v]) - exact) < 5 * sigma
 
 
-def test_monte_carlo_visit_frequency_scalar_wrapper():
-    g = gen_cycle(3)
-    val = monte_carlo_visit_frequency(
-        g, WalkConfig(length=0, seed=5), 0, 1, l=2, trials=2048
-    )
-    assert 0.0 < val < 1.0
-    with pytest.raises(ValueError):
-        monte_carlo_visit_frequency(g, WalkConfig(length=0, seed=5), 0, 9, 2, 10)
-
-
 def test_mc_visit_frequencies_thread_independence():
     g = gen_lollipop(3)
     cfgd = WalkConfig(length=0, seed=9)
@@ -164,6 +154,14 @@ def test_mc_visit_frequencies_only_plain_uniform_walks():
         mc_visit_frequencies(g, WalkConfig(length=0, seed=1, restart=RestartProb(0.2)), **base)
     with pytest.raises(ValueError):
         mc_visit_frequencies(g, WalkConfig(length=0), **base)
+
+
+def test_mc_visit_frequencies_single_vertex():
+    g = parse_edge_list("1 0\n")
+    cfgd = WalkConfig(length=0, seed=1)
+    assert list(mc_visit_frequencies(g, cfgd, 0, 0, trials=8)) == [1.0]
+    with pytest.raises(ValueError, match="without edges"):
+        mc_visit_frequencies(g, cfgd, 0, 1, trials=8)
 
 
 def test_mixing_suite_membership():
