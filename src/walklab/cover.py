@@ -121,6 +121,13 @@ def _check_mode(mode: str) -> None:
         )
 
 
+def _check_budget(budget: int) -> None:
+    # a budget below one step censors every trial that has anything to
+    # cover, which reads as a NaN mean rather than as a mistake
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def _require_seed(config: WalkConfig) -> int:
     if config.seed is None:
         raise ValueError("config.seed is required for sampling")
@@ -227,6 +234,7 @@ def sample_cover_time(
     global cover time need not even have a finite mean).
     """
     _check_mode(mode)
+    _check_budget(budget)
     if config.restart is not None:
         raise ValueError("global cover time expects a restart-free config")
     if not 0 <= start < g.n:
@@ -363,6 +371,7 @@ def batch_cover_samples(
         raise ValueError("the vectorized path does not support restarts")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_budget(budget)
     seed = _require_seed(config)
     rows = StepTable(g, config).padded()
 
@@ -417,6 +426,7 @@ def estimate_cover_time(
     _check_mode(mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_budget(budget)
     if config.restart is not None:
         raise ValueError("global cover time expects a restart-free config")
     if method not in ("auto", "scalar", "batch"):
@@ -485,6 +495,7 @@ def local_cover_time(
         )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_budget(budget)
     seed = _require_seed(config)
     ball = local_ball(g, v, r)
     targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())

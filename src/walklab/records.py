@@ -9,6 +9,11 @@ records, which is the whole point.
 
 The attributed variant renders the same structure as prose built from
 per-vertex text snippets, for feeding records to text models.
+
+All three schemes run on one incremental :class:`Recorder`.  Its records
+obey the discipline by construction and skip the check that
+:class:`Record` makes on outside input (``Record(...)`` and
+:func:`parse`).
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ __all__ = [
     "Token",
     "Record",
     "AttributeProvider",
+    "Recorder",
     "record_anonymized",
     "record_named_neighbors",
     "record_attributed",
@@ -64,7 +70,8 @@ class Record:
     only in a Step token; Restart and Neighbor tokens refer to already
     known ids; Neighbor tokens attach to the preceding step, never to a
     restart; and no token states a self-loop (a step onto the current
-    position, or a neighbor equal to it).
+    position, or a neighbor equal to it).  :class:`Recorder` builds its
+    records without the check, through :meth:`_trusted`.
     """
 
     tokens: tuple[Token, ...]
@@ -107,12 +114,27 @@ class Record:
             else:
                 raise TypeError(f"unknown token {tok!r}")
 
+    @classmethod
+    def _trusted(cls, tokens: tuple[Token, ...], text: str) -> Record:
+        """A record from the package's own recorders, which obey the
+        discipline by construction: no re-check, and ``text`` given."""
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "tokens", tokens)
+        object.__setattr__(rec, "_text", text)
+        return rec
+
     @property
     def text(self) -> str:
-        parts = [str(self.tokens[0].id)]
-        for tok in self.tokens[1:]:
-            parts.append(_SEPARATOR[type(tok)] + str(tok.id))
-        return "".join(parts)
+        # Cached on first use; frozen dataclasses still have a __dict__.
+        try:
+            return self.__dict__["_text"]
+        except KeyError:
+            parts = [str(self.tokens[0].id)]
+            for tok in self.tokens[1:]:
+                parts.append(_SEPARATOR[type(tok)] + str(tok.id))
+            text = "".join(parts)
+            object.__setattr__(self, "_text", text)
+            return text
 
     def max_id(self) -> int:
         return max(tok.id for tok in self.tokens)
@@ -143,29 +165,136 @@ def parse(text: str) -> Record:
     return Record(tuple(tokens))
 
 
-def _fresh_name(ids: dict[int, int], v: int) -> None:
-    if v not in ids:
-        ids[v] = len(ids) + 1
-
-
-def record_anonymized(walk: Walk) -> Record:
-    """Rename vertices by first discovery and transcribe the walk."""
-    ids = {walk.vertices[0]: 1}
-    tokens: list[Token] = [Step(1)]
-    for t in range(1, len(walk.vertices)):
-        v = walk.vertices[t]
-        _fresh_name(ids, v)
-        tokens.append(Restart(ids[v]) if walk.restart_flags[t] else Step(ids[v]))
-    return Record(tuple(tokens))
-
-
 def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _check_step_edge(g: Graph, u: int, v: int) -> None:
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
+class Recorder:
+    """Anonymized and named-neighbor records of one walk, built step by step.
+
+    :meth:`step` appends the walk's next position to both records;
+    without a graph only the anonymized record is kept.  :meth:`mark`
+    and :meth:`rollback` return to an earlier prefix, so a depth-first
+    pass over a walk tree records each shared prefix once.  Each record
+    is held as tokens and as their text pieces (``"1"``, ``"-2"``,
+    ``";1"``, ``"#3"``), which join to :attr:`Record.text`.  The tokens
+    obey the record discipline by construction, so the records come out
+    unchecked.
+    """
+
+    def __init__(self, start: int, g: Graph | None = None) -> None:
+        self.g = g
+        self.pos = start
+        self.ids = {start: 1}
+        self.anon: list[Token] = [Step(1)]
+        self.anon_text = ["1"]
+        self.named: list[Token] = [Step(1)]
+        self.named_text = ["1"]
+        self._recorded: set[tuple[int, int]] = set()
+        self._recorded_log: list[tuple[int, int]] = []
+        self._made: dict[tuple[type, int], tuple[Token, str]] = {}
+
+    def name(self, v: int) -> int:
+        """The id of ``v``, assigning the next one on first discovery."""
+        ids = self.ids
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(ids) + 1
+        return i
+
+    def _token(self, cls: type, i: int) -> tuple[Token, str]:
+        # tokens are immutable, so one instance per (kind, id) serves
+        # every occurrence
+        made = self._made.get((cls, i))
+        if made is None:
+            made = self._made[(cls, i)] = (cls(i), _SEPARATOR[cls] + str(i))
+        return made
+
+    def traverse(self, u: int, v: int) -> list[int]:
+        """Record the move ``u -> v`` and return what it announces.
+
+        The announced vertices are the already-named neighbors of ``v``
+        whose edge to ``v`` is not yet recorded, ascending by id; their
+        edges become recorded.  The traversed edge counts as recorded
+        first, so it is never announced redundantly.  Raises
+        ``ValueError`` when ``u``-``v`` is not an edge of the graph.
+        """
+        g = self.g
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
+        recorded, log, ids = self._recorded, self._recorded_log, self.ids
+        e = _edge_key(u, v)
+        if e not in recorded:
+            recorded.add(e)
+            log.append(e)
+        announced = [
+            x for x in g.neighbors(v) if x in ids and _edge_key(v, x) not in recorded
+        ]
+        announced.sort(key=ids.__getitem__)
+        for x in announced:
+            e = _edge_key(v, x)
+            recorded.add(e)
+            log.append(e)
+        return announced
+
+    def step(self, v: int, restart: bool = False) -> None:
+        """Append position ``v``, reached by a restart jump if ``restart``.
+
+        In the named record an ordinary step is followed by the
+        neighbors it announces (see :meth:`traverse`); a restart
+        announces nothing.
+        """
+        u, self.pos = self.pos, v
+        tok, text = self._token(Restart if restart else Step, self.name(v))
+        self.anon.append(tok)
+        self.anon_text.append(text)
+        if self.g is None:
+            return
+        self.named.append(tok)
+        self.named_text.append(text)
+        if not restart:
+            for x in self.traverse(u, v):
+                tok, text = self._token(Neighbor, self.ids[x])
+                self.named.append(tok)
+                self.named_text.append(text)
+
+    def mark(self) -> tuple[int, ...]:
+        """A handle on the current prefix, for :meth:`rollback`."""
+        return (self.pos, len(self.ids), len(self.anon), len(self.named),
+                len(self._recorded_log))
+
+    def rollback(self, mark: tuple[int, ...]) -> None:
+        """Forget every step taken since ``mark`` was made."""
+        self.pos, n_ids, n_anon, n_named, n_recorded = mark
+        ids = self.ids
+        while len(ids) > n_ids:
+            ids.popitem()  # ids are only ever added, newest last
+        del self.anon[n_anon:], self.anon_text[n_anon:]
+        del self.named[n_named:], self.named_text[n_named:]
+        log = self._recorded_log
+        for e in log[n_recorded:]:
+            self._recorded.discard(e)
+        del log[n_recorded:]
+
+    def anonymized(self) -> Record:
+        """The anonymized record of the walk so far."""
+        return Record._trusted(tuple(self.anon), "".join(self.anon_text))
+
+    def named_neighbors(self) -> Record:
+        """The named-neighbor record of the walk so far (needs the graph)."""
+        return Record._trusted(tuple(self.named), "".join(self.named_text))
+
+
+def _record_walk(walk: Walk, g: Graph | None = None) -> Recorder:
+    rec = Recorder(walk.vertices[0], g)
+    for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
+        rec.step(v, restart)
+    return rec
+
+
+def record_anonymized(walk: Walk) -> Record:
+    """Rename vertices by first discovery and transcribe the walk."""
+    return _record_walk(walk).anonymized()
 
 
 def record_named_neighbors(walk: Walk, g: Graph) -> Record:
@@ -177,24 +306,7 @@ def record_named_neighbors(walk: Walk, g: Graph) -> Record:
     recorded first, so it is never announced redundantly.  Restart
     steps announce nothing.
     """
-    ids = {walk.vertices[0]: 1}
-    recorded: set[tuple[int, int]] = set()
-    tokens: list[Token] = [Step(1)]
-    for t in range(1, len(walk.vertices)):
-        v = walk.vertices[t]
-        _fresh_name(ids, v)
-        if walk.restart_flags[t]:
-            tokens.append(Restart(ids[v]))
-            continue
-        u_prev = walk.vertices[t - 1]
-        _check_step_edge(g, u_prev, v)
-        tokens.append(Step(ids[v]))
-        recorded.add(_edge_key(u_prev, v))
-        for u in sorted((u for u in g.neighbors(v) if u in ids), key=ids.__getitem__):
-            if _edge_key(v, u) not in recorded:
-                tokens.append(Neighbor(ids[u]))
-                recorded.add(_edge_key(v, u))
-    return Record(tuple(tokens))
+    return _record_walk(walk, g).named_neighbors()
 
 
 @dataclass(frozen=True)
@@ -250,29 +362,26 @@ def record_attributed(walk: Walk, g: Graph, attrs: AttributeProvider) -> str:
     sentences with direction words.
     """
     ent = attrs.entity
-    ids = {walk.vertices[0]: 1}
-    recorded: set[tuple[int, int]] = set()
+    rec = Recorder(walk.vertices[0], g)
+    ids = rec.ids
     parts = [f"{ent} 1 - Title: {attrs.text_of(walk.vertices[0])}"]
     for t in range(1, len(walk.vertices)):
         v = walk.vertices[t]
         fresh = v not in ids
-        _fresh_name(ids, v)
+        rec.name(v)
         if walk.restart_flags[t]:
             parts.append(f" Restart at {ent} 1.")
             continue
         u_prev = walk.vertices[t - 1]
-        _check_step_edge(g, u_prev, v)
+        announced = rec.traverse(u_prev, v)
         word = attrs.direction_word(u_prev, v)
         parts.append(f" {ent} {ids[u_prev]} {word} {ent} {ids[v]}")
-        recorded.add(_edge_key(u_prev, v))
         if fresh:
             parts.append(f" - Title: {attrs.text_of(v)}")
             if attrs.labels is not None and v in attrs.labels:
                 parts.append(f", Category: {attrs.labels[v]}")
         else:
             parts.append(".")
-        for u in sorted((u for u in g.neighbors(v) if u in ids), key=ids.__getitem__):
-            if _edge_key(v, u) not in recorded:
-                parts.append(f" {ent} {ids[v]} {attrs.direction_word(v, u)} {ent} {ids[u]}.")
-                recorded.add(_edge_key(v, u))
+        for u in announced:
+            parts.append(f" {ent} {ids[v]} {attrs.direction_word(v, u)} {ent} {ids[u]}.")
     return "".join(parts)

@@ -48,6 +48,7 @@ __all__ = [
     "transition_matrix",
     "sample_walk",
     "iter_walk_steps",
+    "check_enumeration_bound",
     "enumerate_walk_distribution",
     "rng_stream",
 ]
@@ -333,6 +334,36 @@ class StepTable:
                 was_restart = False
             yield cur, was_restart
 
+    def branches(
+        self, start: int, prev: int | None, cur: int, t: int, after_restart: bool
+    ) -> list[tuple[int, bool, float]]:
+        """Children of a node of the walk tree, as ``(vertex, restart, q)``.
+
+        The node is a walk from ``start`` whose position ``t - 1`` is
+        ``cur``, reached from ``prev`` (None at the start) by a restart
+        jump if ``after_restart``.  Its child through ``vertex`` has
+        conditional probability ``q``: a restart branch comes first when
+        the restart mode allows one at step ``t``, then the successors
+        in ascending order; branches of probability zero are left out.
+        """
+        restart = self.config.restart
+        out: list[tuple[int, bool, float]] = []
+        stay = 1.0
+        if restart is not None and t >= 2:
+            if isinstance(restart, RestartProb) and not after_restart:
+                out.append((start, True, restart.alpha))
+                stay = 1.0 - restart.alpha
+            elif isinstance(restart, RestartPeriod) and t % restart.k == 0:
+                out.append((start, True, 1.0))
+                stay = 0.0
+        if stay > 0:
+            row = self.row(prev, cur)
+            for x, p in zip(row.successors, row.probs):
+                q = stay * p
+                if q != 0:
+                    out.append((x, False, q))
+        return out
+
     def padded(self) -> PaddedRows:
         """Every state's row as arrays; see :class:`PaddedRows`.
 
@@ -447,13 +478,22 @@ def sample_walk(
     return Walk(vertices=tuple(vertices), restart_flags=tuple(flags))
 
 
-def _branching_bound(g: Graph, config: WalkConfig, n_starts: int) -> int:
+def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> None:
+    """Refuse a walk tree that may exceed ``ENUMERATION_GUARD`` leaves.
+
+    The bound is ``n_starts`` times the largest branching per step.
+    """
     if config.length == 0:
-        return n_starts
-    per_step = g.max_degree()
-    if isinstance(config.restart, RestartProb):
-        per_step += 1
-    return n_starts * g.max_degree() * per_step ** (config.length - 1)
+        bound = n_starts
+    else:
+        per_step = g.max_degree()
+        if isinstance(config.restart, RestartProb):
+            per_step += 1
+        bound = n_starts * g.max_degree() * per_step ** (config.length - 1)
+    if bound > ENUMERATION_GUARD:
+        raise ValueError(
+            f"enumeration bound {bound} exceeds guard {ENUMERATION_GUARD}"
+        )
 
 
 def enumerate_walk_distribution(
@@ -463,14 +503,13 @@ def enumerate_walk_distribution(
 
     The probabilities of the yielded walks sum to one.  ``start=None``
     averages over a uniform start.  Refuses instances whose branching
-    bound exceeds ``ENUMERATION_GUARD`` sequences.
+    bound exceeds ``ENUMERATION_GUARD`` sequences.  Walks come in
+    depth-first order over :meth:`StepTable.branches`, and each
+    probability is the left-to-right product of its branch
+    probabilities.
     """
     starts = list(range(g.n)) if start is None else [start]
-    bound = _branching_bound(g, config, len(starts))
-    if bound > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration bound {bound} exceeds guard {ENUMERATION_GUARD}"
-        )
+    check_enumeration_bound(g, config, len(starts))
     start_prob = 1.0 / g.n if start is None else 1.0
 
     table = StepTable(g, config)
@@ -481,28 +520,8 @@ def enumerate_walk_distribution(
         if t == config.length + 1:
             yield Walk(tuple(vertices), tuple(flags)), prob
             return
-        branches: list[tuple[int, bool, float]] = []
-        if config.restart is not None and t >= 2:
-            if isinstance(config.restart, RestartProb) and not flags[-1]:
-                a = config.restart.alpha
-                branches.append((vertices[0], True, a))
-                stay = 1.0 - a
-            elif isinstance(config.restart, RestartPeriod) and t % config.restart.k == 0:
-                branches.append((vertices[0], True, 1.0))
-                stay = 0.0
-            else:
-                stay = 1.0
-        else:
-            stay = 1.0
-        if stay > 0:
-            prev = vertices[-2] if t >= 2 else None
-            row = table.row(prev, vertices[-1])
-            branches.extend(
-                (x, False, stay * q) for x, q in zip(row.successors, row.probs)
-            )
-        for x, flag, q in branches:
-            if q == 0:
-                continue
+        prev = vertices[-2] if t >= 2 else None
+        for x, flag, q in table.branches(vertices[0], prev, vertices[-1], t, flags[-1]):
             yield from extend(vertices + [x], flags + [flag], prob * q)
 
     for s in starts:

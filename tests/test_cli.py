@@ -66,6 +66,37 @@ def test_walks_below_one_is_a_usage_error(capsys):
     assert "--walks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cover", "--family", "cycle", "--n", "4", "--trials", "5"],
+    ["cover", "--family", "path", "--n", "9", "--start", "4", "--radius", "1",
+     "--restart-prob", "0.5", "--trials", "5"],
+    ["fig3", "--sizes", "4", "--trials", "8"],
+])
+def test_budget_below_one_is_a_usage_error(argv, capsys):
+    assert run(argv + ["--seed", "1", "--budget", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert captured.out == ""
+
+
+def test_invariance_perms_below_one_is_a_usage_error(capsys):
+    rc = run(["invariance", "--max-n", "3", "--max-l", "0", "--seed", "1",
+              "--perms", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "permutations_per_graph" in captured.err
+    assert captured.out == ""
+
+
+def test_invariance_negative_samples_is_a_usage_error(capsys):
+    rc = run(["invariance", "--max-n", "5", "--max-l", "1", "--seed", "1",
+              "--samples", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "samples_per_n" in captured.err
+    assert captured.out == ""
+
+
 def test_single_vertex_walk_is_a_usage_error(tmp_path, capsys):
     gfile = tmp_path / "one.txt"
     gfile.write_text("1 0\n")

@@ -131,6 +131,22 @@ def test_censoring_reported_not_averaged():
     assert math.isnan(worst.mean)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    g = gen_cycle(4)
+    with pytest.raises(ValueError, match="budget"):
+        batch_cover_samples(g, cfg(), 5, start=0, budget=budget)
+    for method in ("batch", "scalar"):
+        with pytest.raises(ValueError, match="budget"):
+            estimate_cover_time(g, cfg(), "vertex", 5, Fixed(0), budget=budget,
+                                method=method)
+    with pytest.raises(ValueError, match="budget"):
+        sample_cover_time(g, cfg(), 0, "vertex", budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        local_cover_time(g, 0, 1, cfg(restart=RestartProb(0.5)), "vertex", 5,
+                         budget=budget)
+
+
 def test_batch_cover_samples_are_paired():
     g = gen_lollipop(3)
     t_v, t_e = batch_cover_samples(g, cfg(), 3000, start=None)

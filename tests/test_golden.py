@@ -74,6 +74,11 @@ CLI_CASES = {
         ["invariance", "--max-n", "4", "--max-l", "3", "--seed", "0"],
         "6ec7e1c8a29683b89a4a3b4ab9e0bcb6ec3224dfac307ec86d6e231a2a114ae7",
     ),
+    "invariance-sampled": (
+        ["invariance", "--max-n", "5", "--samples", "3", "--max-l", "4",
+         "--seed", "7"],
+        "6ab2e45be229af7c8ed3462e2a6f0c647f35d3f1c6225c78d6c7448bf96d7284",
+    ),
 }
 
 

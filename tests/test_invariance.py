@@ -9,6 +9,9 @@ from walklab import (
     run_invariance_suite,
     suite_configs,
 )
+from walklab import invariance
+from walklab.records import Recorder
+from walklab.walks import StepRow, StepTable
 
 
 def test_connected_graph_counts():
@@ -52,6 +55,47 @@ def test_sampled_sizes_extend_the_exact_range():
         permutations_per_graph=1,
     )
     assert report.graphs == 1 + 4 + 38 + 5
+
+
+@pytest.mark.parametrize("kw", [
+    {"max_n": 1},
+    {"permutations_per_graph": 0},
+    {"samples_per_n": -1},
+])
+def test_vacuous_runs_are_rejected(kw):
+    with pytest.raises(ValueError):
+        run_invariance_suite(**{"max_n": 3, "max_l": 1, **kw})
+
+
+def test_leaky_anonymizer_is_caught(monkeypatch):
+    # naming vertices by raw label ties every record to the labeling
+    monkeypatch.setattr(Recorder, "name", lambda self, v: self.ids.setdefault(v, v + 1))
+    with pytest.raises(AssertionError, match="records differ"):
+        run_invariance_suite(max_n=3, max_l=3)
+
+
+def test_perturbed_relabeled_row_is_caught(monkeypatch):
+    # shift 1e-6 of probability between the first two successors of every
+    # row on the relabeled graph only; the supports stay equal
+    relabeled = []
+    real_apply = invariance.apply_permutation
+
+    def apply(g, perm):
+        relabeled.append(real_apply(g, perm))
+        return relabeled[-1]
+
+    class Perturbed(StepTable):
+        def row(self, prev, cur):
+            row = super().row(prev, cur)
+            if len(row.successors) < 2 or not any(self.g is pg for pg in relabeled):
+                return row
+            probs = [row.probs[0] + 1e-6, row.probs[1] - 1e-6, *row.probs[2:]]
+            return StepRow(row.successors, probs, row.cum)
+
+    monkeypatch.setattr(invariance, "apply_permutation", apply)
+    monkeypatch.setattr(invariance, "StepTable", Perturbed)
+    with pytest.raises(AssertionError, match="probability gap"):
+        run_invariance_suite(max_n=3, max_l=3)
 
 
 def test_violations_would_raise():

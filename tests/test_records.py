@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from walklab import (
     AttributeProvider,
     Neighbor,
+    Node2Vec,
     Record,
     Restart,
     Step,
@@ -22,7 +23,10 @@ from walklab import (
     sample_walk,
     WalkConfig,
     RestartProb,
+    enumerate_walk_distribution,
+    gen_csl,
 )
+from walklab.records import Recorder
 
 
 def walk(vertices, restarts=()):
@@ -232,3 +236,45 @@ def test_anonymized_ids_are_contiguous_from_one(gw):
     ids = {tok.id for tok in rec.tokens}
     assert ids == set(range(1, len(set(w.vertices)) + 1))
     assert rec.max_id() == len(set(w.vertices))
+
+
+@settings(deadline=None, max_examples=80)
+@given(engine_walks())
+def test_recorder_output_passes_the_full_check(gw):
+    # the recorders skip the discipline check; rebuilding their tokens
+    # through the checking constructor and through parse must agree
+    g, w = gw
+    for rec in (record_anonymized(w), record_named_neighbors(w, g)):
+        checked = Record(rec.tokens)
+        assert checked == rec
+        assert checked.text == rec.text
+        assert repr(checked) == repr(rec)
+        assert parse(rec.text) == rec
+
+
+@pytest.mark.parametrize("config", [
+    WalkConfig(length=4, restart=RestartProb(0.3)),
+    WalkConfig(length=4, non_backtracking=True),
+    WalkConfig(length=5, node2vec=Node2Vec(2.0, 0.5)),
+])
+def test_recorder_rollback_matches_fresh_recording(config):
+    # walk the enumeration tree depth first with one recorder, rolling
+    # back to the common prefix between consecutive walks
+    g = gen_csl(6, 2)
+    rec = Recorder(0, g)
+    marks = [rec.mark()]  # marks[k]: after positions 0..k
+    previous: list[tuple[int, bool]] = [(0, False)]
+    for w, _ in enumerate_walk_distribution(g, config, start=0):
+        steps = list(zip(w.vertices, w.restart_flags))
+        common = 1
+        while common < len(previous) and steps[common] == previous[common]:
+            common += 1
+        rec.rollback(marks[common - 1])
+        del marks[common:]
+        for v, restart in steps[common:]:
+            rec.step(v, restart)
+            marks.append(rec.mark())
+        previous = steps
+        assert rec.anonymized().text == record_anonymized(w).text
+        assert rec.named_neighbors().text == record_named_neighbors(w, g).text
+        assert rec.named_neighbors() == record_named_neighbors(w, g)
