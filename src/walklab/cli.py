@@ -377,6 +377,12 @@ def _cmd_reconstruct_test(args: argparse.Namespace) -> int:
 
 def _cmd_invariance(args: argparse.Namespace) -> int:
     _require_seed(args)
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
+    if args.samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {args.samples}")
+    if args.perms < 1:
+        raise UsageError(f"--perms must be >= 1, got {args.perms}")
     report = run_invariance_suite(
         max_n=args.max_n,
         max_l=args.max_l,

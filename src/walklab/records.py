@@ -10,10 +10,10 @@ records, which is the whole point.
 The attributed variant renders the same structure as prose built from
 per-vertex text snippets, for feeding records to text models.
 
-All three schemes run on one incremental :class:`Recorder`.  Its records
-obey the discipline by construction and skip the check that
-:class:`Record` makes on outside input (``Record(...)`` and
-:func:`parse`).
+All three schemes run on one incremental :class:`Recorder`.  It refuses
+the walk moves that would break the record discipline as they come, so
+its records skip the whole-record check that :class:`Record` makes on
+outside input (``Record(...)`` and :func:`parse`).
 """
 from __future__ import annotations
 
@@ -116,8 +116,8 @@ class Record:
 
     @classmethod
     def _trusted(cls, tokens: tuple[Token, ...], text: str) -> Record:
-        """A record from the package's own recorders, which obey the
-        discipline by construction: no re-check, and ``text`` given."""
+        """A record from :class:`Recorder`, which keeps the discipline
+        step by step: no re-check, and ``text`` given."""
         rec = object.__new__(cls)
         object.__setattr__(rec, "tokens", tokens)
         object.__setattr__(rec, "_text", text)
@@ -125,16 +125,13 @@ class Record:
 
     @property
     def text(self) -> str:
-        # Cached on first use; frozen dataclasses still have a __dict__.
-        try:
-            return self.__dict__["_text"]
-        except KeyError:
-            parts = [str(self.tokens[0].id)]
-            for tok in self.tokens[1:]:
-                parts.append(_SEPARATOR[type(tok)] + str(tok.id))
-            text = "".join(parts)
-            object.__setattr__(self, "_text", text)
+        text = self.__dict__.get("_text")  # set by _trusted
+        if text is not None:
             return text
+        parts = [str(self.tokens[0].id)]
+        for tok in self.tokens[1:]:
+            parts.append(_SEPARATOR[type(tok)] + str(tok.id))
+        return "".join(parts)
 
     def max_id(self) -> int:
         return max(tok.id for tok in self.tokens)
@@ -177,9 +174,9 @@ class Recorder:
     and :meth:`rollback` return to an earlier prefix, so a depth-first
     pass over a walk tree records each shared prefix once.  Each record
     is held as tokens and as their text pieces (``"1"``, ``"-2"``,
-    ``";1"``, ``"#3"``), which join to :attr:`Record.text`.  The tokens
-    obey the record discipline by construction, so the records come out
-    unchecked.
+    ``";1"``, ``"#3"``), which join to :attr:`Record.text`.  :meth:`step`
+    refuses the moves that would break the record discipline, so the
+    records come out without a second check.
     """
 
     def __init__(self, start: int, g: Graph | None = None) -> None:
@@ -242,9 +239,17 @@ class Recorder:
 
         In the named record an ordinary step is followed by the
         neighbors it announces (see :meth:`traverse`); a restart
-        announces nothing.
+        announces nothing.  Raises ``ValueError`` on a restart to a
+        vertex not yet visited or an ordinary step onto the current
+        position, which no record may state.
         """
-        u, self.pos = self.pos, v
+        u = self.pos
+        if restart:
+            if v not in self.ids:
+                raise ValueError(f"restart to unvisited vertex {v}")
+        elif v == u:
+            raise ValueError(f"step onto current position {v}")
+        self.pos = v
         tok, text = self._token(Restart if restart else Step, self.name(v))
         self.anon.append(tok)
         self.anon_text.append(text)

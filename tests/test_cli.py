@@ -84,7 +84,15 @@ def test_invariance_perms_below_one_is_a_usage_error(capsys):
               "--perms", "0"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "permutations_per_graph" in captured.err
+    assert "--perms" in captured.err
+    assert captured.out == ""
+
+
+def test_invariance_max_n_below_two_is_a_usage_error(capsys):
+    rc = run(["invariance", "--max-n", "1", "--max-l", "1", "--seed", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--max-n" in captured.err
     assert captured.out == ""
 
 
@@ -93,7 +101,7 @@ def test_invariance_negative_samples_is_a_usage_error(capsys):
               "--samples", "-1"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "samples_per_n" in captured.err
+    assert "--samples" in captured.err
     assert captured.out == ""
 
 
@@ -228,6 +236,28 @@ def test_record_rejects_walk_off_graph(tmp_path, capsys):
         "--scheme", "named",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("scheme", ["anon", "named"])
+@pytest.mark.parametrize("line,why", [
+    ("0 1r", "restart to unvisited vertex"),
+    ("0 0", "step onto current position"),
+])
+def test_record_rejects_walk_breaking_the_discipline(tmp_path, capsys,
+                                                     scheme, line, why):
+    gfile = tmp_path / "g.txt"
+    wfile = tmp_path / "w.txt"
+    gfile.write_text(format_edge_list(gen_path(3)))
+    wfile.write_text(line + "\n")
+    rc = run([
+        "record", "--graph", str(gfile), "--walks-file", str(wfile),
+        "--scheme", scheme,
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if scheme == "anon":  # the named scheme may fail first on the non-edge
+        assert why in captured.err
 
 
 # -- cover, mixing, experiments --------------------------------------------------

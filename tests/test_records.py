@@ -104,6 +104,24 @@ def test_restart_onto_current_position_is_legal():
     assert parse("1-2;1;1").max_id() == 2
 
 
+@pytest.mark.parametrize("record", [
+    record_anonymized,
+    lambda w: record_named_neighbors(w, gen_path(3)),
+])
+@pytest.mark.parametrize("w,why", [
+    (walk([0, 1], restarts={1}), "restart to unvisited vertex 1"),
+    (walk([0, 1, 2, 1, 0, 2], restarts={5}), None),  # legal: 2 was visited
+    (walk([0, 0]), "step onto current position 0"),
+    (walk([0, 1, 1]), "step onto current position 1"),
+])
+def test_recorders_refuse_walks_breaking_the_discipline(record, w, why):
+    if why is None:
+        assert Record(record(w).tokens) == record(w)
+    else:
+        with pytest.raises(ValueError, match=why):
+            record(w)
+
+
 @pytest.mark.parametrize(
     "text,why",
     [
@@ -278,3 +296,23 @@ def test_recorder_rollback_matches_fresh_recording(config):
         assert rec.anonymized().text == record_anonymized(w).text
         assert rec.named_neighbors().text == record_named_neighbors(w, g).text
         assert rec.named_neighbors() == record_named_neighbors(w, g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=8)
+)
+def test_recorders_on_arbitrary_walks_refuse_or_pass_the_full_check(steps):
+    # walks from outside the engine (the record subcommand reads them
+    # from files): the recorders either raise or emit a record that
+    # passes the checking constructor
+    w = Walk(tuple(v for v, _ in steps),
+             (False,) + tuple(r for _, r in steps[1:]))
+    for record in (record_anonymized,
+                   lambda w: record_named_neighbors(w, gen_clique(4))):
+        try:
+            rec = record(w)
+        except ValueError:
+            continue
+        assert Record(rec.tokens) == rec
+        assert parse(rec.text) == rec
