@@ -221,6 +221,10 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _warn(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def _format_walk(walk: Walk) -> str:
     parts = [str(walk.vertices[0])]
     for v, flag in zip(walk.vertices[1:], walk.restart_flags[1:]):
@@ -360,7 +364,11 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             g, config, args.mode, args.trials, policy,
             budget=args.budget, threads=args.threads,
         )
-    _write_out(args, cover_mod.cover_csv([(label, _walk_label(config), stats)]))
+    walk = _walk_label(config)
+    note = cover_mod.censoring_warning(label, walk, [stats], args.budget)
+    if note is not None:
+        _warn(note)
+    _write_out(args, cover_mod.cover_csv([(label, walk, stats)]))
     return 0
 
 
@@ -406,6 +414,8 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
     P = transition_matrix(g, Constant())
     lengths = [int(x) for x in args.lengths.split(",")]
+    if g.m == 0 and any(l > 0 for l in lengths):
+        raise UsageError("vertex 0 has no neighbor to step to")
     lines = ["l,u,v,mc_estimate,exact_value,abs_err"]
     config = WalkConfig(length=0, conductance=Constant(), seed=args.seed)
     cell = 0
@@ -416,7 +426,12 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
             )
             cell += 1
             for v in range(g.n):
-                exact = mixing_mod.jacobian_expectation(P, u, v, l)
+                # at length 0 the walk sits at u, whatever P says; an
+                # edgeless graph's P has a zero row that P^t would refuse
+                if l:
+                    exact = mixing_mod.jacobian_expectation(P, u, v, l)
+                else:
+                    exact = float(u == v)
                 mc = float(freqs[v])
                 lines.append(
                     f"{l},{u},{v},{mc:.8f},{exact:.8f},{abs(mc - exact):.8f}"
@@ -430,7 +445,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     sizes = tuple(int(x) for x in args.sizes.split(","))
     csv = cover_mod.experiment_fig3(
         seed=args.seed, sizes=sizes, trials=args.trials,
-        budget=args.budget, threads=args.threads,
+        budget=args.budget, threads=args.threads, warn=_warn,
     )
     _write_out(args, csv)
     return 0
@@ -439,7 +454,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 def _cmd_sr16(args: argparse.Namespace) -> int:
     _require_seed(args)
     csv = cover_mod.experiment_sr16(
-        seed=args.seed, trials=args.trials, threads=args.threads
+        seed=args.seed, trials=args.trials, threads=args.threads, warn=_warn
     )
     _write_out(args, csv)
     return 0

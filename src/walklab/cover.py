@@ -15,13 +15,27 @@ share one chunk runner: it carves trials into fixed chunks of
 ``CHUNK_TRIALS``, runs chunk ``j`` of experiment cell ``c`` on stream
 ``(seed, c, j)`` and merges results in chunk order.  Chunks are
 independent, so thread count never changes any output byte.
+
+Draw contract of the cover kernel: a chunk draws its uniform starts
+first, if any, then each step draws one ``rng.random(k)`` for its ``k``
+live lanes, in lane order.  A lane leaves the draw once every time it
+tracks is known; lanes still live at the budget are censored.  The
+kernel keeps its arrays compacted to the live lanes and, once fewer
+than ``TAIL_LANES`` are left, finishes the chunk in a Python loop that
+picks a lane's slot with ``bisect_right`` on its ``cum`` row instead
+of ``(u >= cum).sum()``.  The two agree for every ``u`` in [0, 1) (see
+:func:`_cover_tail`), so both phases consume the stream alike and give
+the same bytes.  How the ``k`` uniforms are grouped into calls does
+not matter (Philox hands out one flat sequence of doubles); their
+count and order do.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +67,7 @@ __all__ = [
     "local_cover_time",
     "theorem2_bound",
     "cover_csv",
+    "censoring_warning",
     "experiment_fig3",
     "experiment_sr16",
     "DEFAULT_BUDGET",
@@ -61,6 +76,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 CHUNK_TRIALS = 1024
+# below this many live lanes a chunk finishes in a Python loop, where
+# per-step numpy call overhead no longer pays for itself
+TAIL_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -293,7 +311,15 @@ def _cover_chunk(
     track_edges: bool,
     strict_edges: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cover times for one chunk of lanes; -1 marks a censored lane."""
+    """Cover times for one chunk of lanes; -1 marks a censored lane.
+
+    Each step draws one ``rng.random(k)`` for the ``k`` live lanes, in
+    lane order, and moves every live lane once.  The per-lane state is
+    kept compacted to the live lanes, in lane order, and is compacted
+    again only in the steps where some lane finishes.  Once fewer than
+    ``TAIL_LANES`` lanes are live, :func:`_cover_tail` finishes the
+    chunk under the same draw contract.
+    """
     n = g.n
     if start is None:
         state = rng.integers(n, size=lanes)
@@ -310,41 +336,137 @@ def _cover_chunk(
 
     # strict edge cover tracks the 2m arcs, plain cover the m edges
     entered, e_total = (rows.arc, 2 * g.m) if strict_edges else (rows.edge, g.m)
-    visited = np.zeros((lanes, n), dtype=bool)
-    visited[np.arange(lanes), state] = True
-    v_count = np.ones(lanes, dtype=np.int64)
+    # Per live lane: its index, its state, how many vertices and edges it
+    # has left to cover (-1 once the cover time is recorded) and the
+    # offsets of its rows in the flat "not yet covered" flags.
+    lane = np.arange(lanes)
+    v_row = lane * n
+    unvisited = np.ones(lanes * n, dtype=bool)
+    unvisited[v_row + state] = False
+    v_left = np.full(lanes, n - 1, dtype=np.int64)
     if track_edges:
-        traversed = np.zeros((lanes, e_total), dtype=bool)
-        e_count = np.zeros(lanes, dtype=np.int64)
-
-    alive = np.arange(lanes)
+        e_row = lane * e_total
+        untraversed = np.ones(lanes * e_total, dtype=bool)
+        e_left = np.full(lanes, e_total, dtype=np.int64)
+    else:
+        e_left = None
+    s = state
     t = 0
-    while alive.size:
+    while lane.size >= TAIL_LANES:
         t += 1
-        s = state[alive]
-        idx = _row_draw(rows.cum[s], rng.random(alive.size))
-        nxt = rows.next[s, idx]
-        w = rows.position[nxt]
-        state[alive] = nxt
-
-        newly = ~visited[alive, w]
-        visited[alive, w] = True
-        v_count[alive] += newly
-        just_v = alive[(t_v[alive] < 0) & (v_count[alive] == n)]
-        t_v[just_v] = t
+        s = rows.next[s, _row_draw(rows.cum[s], rng.random(s.size))]
+        cell = v_row + rows.position[s]
+        v_left -= unvisited[cell]
+        unvisited[cell] = False
         if track_edges:
-            ue = entered[nxt]
-            newe = ~traversed[alive, ue]
-            traversed[alive, ue] = True
-            e_count[alive] += newe
-            just_e = alive[(t_e[alive] < 0) & (e_count[alive] == e_total)]
-            t_e[just_e] = t
-            alive = alive[(t_v[alive] < 0) | (t_e[alive] < 0)]
-        else:
-            alive = alive[t_v[alive] < 0]
+            cell = e_row + entered[s]
+            e_left -= untraversed[cell]
+            untraversed[cell] = False
+        # count_nonzero costs a fraction of .all() on short arrays
+        finished = False
+        if np.count_nonzero(v_left) < v_left.size:
+            hit = v_left == 0
+            t_v[lane[hit]] = t
+            v_left[hit] = -1
+            finished = True
+        if track_edges and np.count_nonzero(e_left) < e_left.size:
+            hit = e_left == 0
+            t_e[lane[hit]] = t
+            e_left[hit] = -1
+            finished = True
+        if finished:
+            live = (v_left >= 0) | (e_left >= 0) if track_edges else v_left >= 0
+            if not live.all():
+                lane, s, v_left, v_row = lane[live], s[live], v_left[live], v_row[live]
+                if track_edges:
+                    e_left, e_row = e_left[live], e_row[live]
         if t >= budget:
-            break
+            return t_v, t_e
+    if lane.size:
+        if track_edges:
+            e_flags = untraversed.reshape(lanes, e_total)[lane]
+        else:
+            entered = e_flags = None
+        _cover_tail(
+            rows, entered, rng, t, budget, lane, s, v_left, e_left,
+            unvisited.reshape(lanes, n)[lane], e_flags, t_v, t_e,
+        )
     return t_v, t_e
+
+
+def _cover_tail(
+    rows: PaddedRows,
+    entered: np.ndarray | None,
+    rng: np.random.Generator,
+    t: int,
+    budget: int,
+    lane: np.ndarray,
+    state: np.ndarray,
+    v_left: np.ndarray,
+    e_left: np.ndarray | None,
+    unvisited: np.ndarray,
+    untraversed: np.ndarray | None,
+    t_v: np.ndarray,
+    t_e: np.ndarray,
+) -> None:
+    """Finish a near-empty chunk one lane at a time, after step ``t``.
+
+    Same chain and draws as the lockstep loop: one ``rng.random(k)`` per
+    step for the ``k`` live lanes, in lane order.  A slot is picked by
+    ``bisect_right`` on the state's padded ``cum`` row, which equals the
+    lockstep ``(u >= cum).sum()`` for every ``u`` in [0, 1): the row's
+    sums of non-negative probabilities never decrease, except that the
+    forced final 1.0 may sit below its predecessor, and both exceed
+    ``u``; the 2.0 padding exceeds it too.  So the entries at most
+    ``u`` are a prefix, which both count.  ``unvisited`` and
+    ``untraversed`` hold the live lanes' rows, in lane order, and
+    ``entered`` is None when only vertices are tracked; the times land
+    in ``t_v``/``t_e``.
+    """
+    cum, nxt, position = rows.cum.tolist(), rows.next.tolist(), rows.position.tolist()
+    track_edges = entered is not None
+    ids, states, v_lefts = lane.tolist(), state.tolist(), v_left.tolist()
+    n_v = unvisited.shape[1]
+    v_rows = list(range(0, len(ids) * n_v, n_v))
+    unvisited = bytearray(unvisited.tobytes())
+    if track_edges:
+        arc_cell = entered.tolist()
+        e_lefts = e_left.tolist()
+        n_e = untraversed.shape[1]
+        e_rows = list(range(0, len(ids) * n_e, n_e))
+        untraversed = bytearray(untraversed.tobytes())
+    else:
+        e_lefts = [-1] * len(ids)
+    while ids and t < budget:
+        t += 1
+        finished = False
+        for i, u in enumerate(rng.random(len(ids)).tolist()):
+            s = states[i]
+            s = states[i] = nxt[s][bisect_right(cum[s], u)]
+            cell = v_rows[i] + position[s]
+            if unvisited[cell]:
+                unvisited[cell] = 0
+                v_lefts[i] -= 1
+                if not v_lefts[i]:
+                    t_v[ids[i]] = t
+                    v_lefts[i] = -1
+                    finished = True
+            if track_edges:
+                cell = e_rows[i] + arc_cell[s]
+                if untraversed[cell]:
+                    untraversed[cell] = 0
+                    e_lefts[i] -= 1
+                    if not e_lefts[i]:
+                        t_e[ids[i]] = t
+                        e_lefts[i] = -1
+                        finished = True
+        if finished:
+            live = [i for i in range(len(ids)) if v_lefts[i] >= 0 or e_lefts[i] >= 0]
+            ids, states = [ids[i] for i in live], [states[i] for i in live]
+            v_lefts, v_rows = [v_lefts[i] for i in live], [v_rows[i] for i in live]
+            e_lefts = [e_lefts[i] for i in live]
+            if track_edges:
+                e_rows = [e_rows[i] for i in live]
 
 
 def batch_cover_samples(
@@ -579,23 +701,45 @@ def cover_csv(rows: Iterable[CsvRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _paired_rows(
-    g: Graph,
-    label: str,
-    walk_label: str,
-    config: WalkConfig,
-    trials: int,
-    budget: int,
-    cell: int,
-    threads: int,
-) -> list[CsvRow]:
-    t_v, t_e = batch_cover_samples(
-        g, config, trials, start=None, budget=budget, cell=cell, threads=threads
+def censoring_warning(
+    graph: str, walk: str, stats: Sequence[CoverStats], budget: int
+) -> str | None:
+    """A one-line warning for a cell whose trials censored, else None.
+
+    ``stats`` are the cell's rows, one per mode, over the same trials.
+    Censored trials are left out of the mean, which is therefore biased
+    low; the CSV keeps the count but says nothing louder.
+    """
+    if not any(st.censored for st in stats):
+        return None
+    counts = ", ".join(f"{st.mode} {st.censored}" for st in stats)
+    return (
+        f"warning: {graph} {walk}: censored {counts} of {stats[0].trials} trials "
+        f"at budget {budget}; the mean leaves them out and is biased low"
     )
+
+
+def _paired_stats(
+    t_v: np.ndarray, t_e: np.ndarray, edge_mode: str
+) -> list[CoverStats]:
     return [
-        (label, walk_label, _stats(samples, mode, UniformRandom()))
-        for mode, samples in (("vertex", t_v), ("edge", t_e))
+        _stats(samples, mode, UniformRandom())
+        for mode, samples in (("vertex", t_v), (edge_mode, t_e))
     ]
+
+
+def _add_cell(
+    rows: list[CsvRow],
+    graph: str,
+    walk: str,
+    stats: list[CoverStats],
+    budget: int,
+    warn: Callable[[str], None] | None,
+) -> None:
+    rows.extend((graph, walk, st) for st in stats)
+    note = censoring_warning(graph, walk, stats, budget)
+    if warn is not None and note is not None:
+        warn(note)
 
 
 def experiment_fig3(
@@ -604,6 +748,7 @@ def experiment_fig3(
     trials: int = 2000,
     budget: int = 100_000,
     threads: int = 1,
+    warn: Callable[[str], None] | None = None,
 ) -> str:
     """Cover-time table over lollipop graphs, as CSV text.
 
@@ -613,7 +758,8 @@ def experiment_fig3(
     trajectories.  The default budget censors the biased walk's hopeless
     cells (its backward drift on the lollipop handle grows
     exponentially with size) instead of hanging; censored counts land
-    in the CSV.
+    in the CSV, and ``warn``, if given, gets a
+    :func:`censoring_warning` for each cell that censored.
     """
     rows: list[CsvRow] = []
     cell = 0
@@ -621,9 +767,12 @@ def experiment_fig3(
         g = gen_lollipop(m)
         label = f"lollipop-{2 * m}"
         for walk_label, config in _fig3_variants(seed):
-            rows.extend(
-                _paired_rows(g, label, walk_label, config, trials, budget, cell, threads)
+            t_v, t_e = batch_cover_samples(
+                g, config, trials, start=None, budget=budget, cell=cell,
+                threads=threads,
             )
+            _add_cell(rows, label, walk_label, _paired_stats(t_v, t_e, "edge"),
+                      budget, warn)
             cell += 1
     return cover_csv(rows)
 
@@ -661,7 +810,10 @@ def _fig3_variants(seed: int) -> list[tuple[str, WalkConfig]]:
 
 
 def experiment_sr16(
-    seed: int, trials: int = 10_000, threads: int = 1
+    seed: int,
+    trials: int = 10_000,
+    threads: int = 1,
+    warn: Callable[[str], None] | None = None,
 ) -> str:
     """Cover times of the two strongly regular 16-vertex graphs, as CSV.
 
@@ -671,7 +823,8 @@ def experiment_sr16(
     edge times paired per trajectory; the summary rows average the two
     graphs' means.  The edge rows use the strict both-directions notion
     (every edge traversed each way), the quantity this experiment is
-    meant to estimate.
+    meant to estimate.  ``warn`` gets a :func:`censoring_warning` for
+    each graph whose trials censored.
     """
     rows: list[CsvRow] = []
     config = WalkConfig(
@@ -685,11 +838,9 @@ def experiment_sr16(
             g, config, trials, start=None, cell=cell, threads=threads,
             strict_edges=True,
         )
-        per_graph[label] = {}
-        for mode, samples in (("vertex", t_v), ("edge-strict", t_e)):
-            st = _stats(samples, mode, UniformRandom())
-            per_graph[label][mode] = st
-            rows.append((label, "mdlr+nb", st))
+        stats = _paired_stats(t_v, t_e, "edge-strict")
+        per_graph[label] = {st.mode: st for st in stats}
+        _add_cell(rows, label, "mdlr+nb", stats, DEFAULT_BUDGET, warn)
     for mode in ("vertex", "edge-strict"):
         pair = [per_graph["rook4x4"][mode], per_graph["shrikhande"][mode]]
         mean = (pair[0].mean + pair[1].mean) / 2

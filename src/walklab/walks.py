@@ -513,16 +513,19 @@ def enumerate_walk_distribution(
     start_prob = 1.0 / g.n if start is None else 1.0
 
     table = StepTable(g, config)
-
-    def extend(vertices: list[int], flags: list[bool], prob: float
-               ) -> Iterator[tuple[Walk, float]]:
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep the table alive
+    # after the call until the cycle collector runs
+    stack = [([s], [False], start_prob) for s in reversed(starts)]
+    while stack:
+        vertices, flags, prob = stack.pop()
         t = len(vertices)
         if t == config.length + 1:
             yield Walk(tuple(vertices), tuple(flags)), prob
-            return
+            continue
         prev = vertices[-2] if t >= 2 else None
-        for x, flag, q in table.branches(vertices[0], prev, vertices[-1], t, flags[-1]):
-            yield from extend(vertices + [x], flags + [flag], prob * q)
-
-    for s in starts:
-        yield from extend([s], [False], start_prob)
+        children = table.branches(vertices[0], prev, vertices[-1], t, flags[-1])
+        stack.extend(
+            (vertices + [x], flags + [flag], prob * q)
+            for x, flag, q in reversed(children)
+        )

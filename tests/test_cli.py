@@ -1,7 +1,18 @@
 """Command-line interface: exit codes, config merging, CSV output."""
 import pytest
 
-from walklab import format_edge_list, gen_clique, gen_cycle, gen_path
+from walklab import (
+    UniformRandom,
+    WalkConfig,
+    estimate_cover_time,
+    experiment_fig3,
+    experiment_sr16,
+    format_edge_list,
+    gen_clique,
+    gen_cycle,
+    gen_path,
+)
+from walklab import cover as cover_mod
 from walklab.cli import run
 
 
@@ -124,6 +135,29 @@ def test_single_vertex_cover_is_zero(tmp_path, capsys):
         assert rc == 0
         row = out_of(capsys).splitlines()[1].split(",")
         assert row[2:] == [mode, "0.000000", "0.000000", "4", "0"]
+
+
+def test_single_vertex_mixing_at_length_zero(tmp_path, capsys):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("1 0\n")
+    rc = run(["mixing", "--graph", str(gfile), "--lengths", "0", "--trials", "8",
+              "--seed", "1"])
+    assert rc == 0
+    assert out_of(capsys) == (
+        "l,u,v,mc_estimate,exact_value,abs_err\n0,0,0,1.00000000,1.00000000,0.00000000\n"
+    )
+
+
+@pytest.mark.parametrize("lengths", ["1", "0,3"])
+def test_single_vertex_mixing_cannot_step(tmp_path, capsys, lengths):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("1 0\n")
+    rc = run(["mixing", "--graph", str(gfile), "--lengths", lengths, "--trials", "8",
+              "--seed", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "vertex 0 has no neighbor to step to" in captured.err
+    assert captured.out == ""
 
 
 # -- gen / walk / record / decode pipeline --------------------------------------
@@ -299,6 +333,67 @@ def test_cover_worst_starts_conflicts_with_start(capsys):
         "--seed", "1", "--worst-starts", "--start", "0",
     ])
     assert rc == 2
+
+
+def censored_cells(csv):
+    """(graph, walk) of every cell with a censored row, in CSV order."""
+    cells = []
+    for line in csv.splitlines()[1:]:
+        graph, walk, *_, censored = line.split(",")
+        if int(censored) and (graph, walk) not in cells and graph != "sr16-mean":
+            cells.append((graph, walk))
+    return cells
+
+
+def assert_warnings_name(err, cells, budget):
+    lines = err.splitlines()
+    assert len(lines) == len(cells)
+    for line, (graph, walk) in zip(lines, cells):
+        assert line.startswith(f"warning: {graph} {walk}: censored ")
+        assert f" at budget {budget};" in line
+
+
+@pytest.mark.parametrize("budget", [40, 100_000])
+def test_fig3_warns_about_censored_cells_on_stderr_only(capsys, budget):
+    argv = ["fig3", "--sizes", "3,4", "--trials", "64", "--seed", "3"]
+    assert run(argv + ["--budget", str(budget)]) == 0
+    captured = capsys.readouterr()
+    # the warnings leave stdout byte for byte what the experiment returns
+    assert captured.out == experiment_fig3(3, sizes=(3, 4), trials=64, budget=budget)
+    cells = censored_cells(captured.out)
+    assert bool(cells) == (budget == 40)
+    assert_warnings_name(captured.err, cells, budget)
+
+
+@pytest.mark.parametrize("budget", [3, 1000])
+def test_cover_warns_when_trials_censor(capsys, budget):
+    argv = ["cover", "--family", "cycle", "--n", "6", "--trials", "50", "--seed", "2"]
+    assert run(argv + ["--budget", str(budget)]) == 0
+    captured = capsys.readouterr()
+    stats = estimate_cover_time(gen_cycle(6), WalkConfig(length=0, seed=2), "vertex",
+                                50, UniformRandom(), budget=budget)
+    assert captured.out == cover_mod.cover_csv([("cycle-6", "uniform", stats)])
+    cells = censored_cells(captured.out)
+    assert cells == ([("cycle-6", "uniform")] if budget == 3 else [])
+    assert_warnings_name(captured.err, cells, budget)
+
+
+def test_sr16_warns_per_graph_not_for_the_summary(monkeypatch, capsys):
+    argv = ["sr16", "--trials", "40", "--seed", "5"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and censored_cells(captured.out) == []
+    # sr16 runs at the default budget, which these graphs never reach;
+    # a sampler stopped after 60 steps makes both graphs censor
+    sample = cover_mod.batch_cover_samples
+    monkeypatch.setattr(cover_mod, "batch_cover_samples",
+                        lambda *args, **kw: sample(*args, **kw, budget=60))
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == experiment_sr16(5, trials=40)
+    cells = censored_cells(captured.out)
+    assert [graph for graph, _ in cells] == ["rook4x4", "shrikhande"]
+    assert_warnings_name(captured.err, cells, cover_mod.DEFAULT_BUDGET)
 
 
 def test_mixing_csv_schema(capsys):

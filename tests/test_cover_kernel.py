@@ -1,0 +1,187 @@
+"""The lockstep cover kernel against a reference kernel kept here.
+
+``reference_chunk`` is the straightforward lockstep loop: every
+iteration re-gathers each per-lane array through the index of the live
+lanes, draws with ``(u >= cum).sum()`` and stops at the budget.  The
+package kernel keeps its lanes compacted and finishes near-empty
+chunks in a Python loop with ``bisect_right``; its arrays must equal
+the reference's exactly, on the same Philox streams.
+"""
+import random
+
+import numpy as np
+import pytest
+
+from walklab import (
+    MDLR,
+    Constant,
+    Node2Vec,
+    WalkConfig,
+    build_graph,
+    parse_edge_list,
+    rng_stream,
+)
+from walklab.cover import TAIL_LANES, _cover_chunk
+from walklab.walks import StepTable
+
+
+def reference_draw(cum_rows, u):
+    return (u[:, None] >= cum_rows).sum(axis=1)
+
+
+def reference_chunk(g, rows, rng, lanes, start, budget, track_edges, strict_edges):
+    n = g.n
+    if start is None:
+        state = rng.integers(n, size=lanes)
+    else:
+        state = np.full(lanes, start, dtype=np.int64)
+    t_v = np.full(lanes, -1, dtype=np.int64)
+    t_e = np.full(lanes, -1, dtype=np.int64)
+    if n == 1:
+        t_v[:] = 0
+        if track_edges:
+            t_e[:] = 0
+        return t_v, t_e
+
+    entered, e_total = (rows.arc, 2 * g.m) if strict_edges else (rows.edge, g.m)
+    visited = np.zeros((lanes, n), dtype=bool)
+    visited[np.arange(lanes), state] = True
+    v_count = np.ones(lanes, dtype=np.int64)
+    if track_edges:
+        traversed = np.zeros((lanes, e_total), dtype=bool)
+        e_count = np.zeros(lanes, dtype=np.int64)
+
+    alive = np.arange(lanes)
+    t = 0
+    while alive.size:
+        t += 1
+        s = state[alive]
+        idx = reference_draw(rows.cum[s], rng.random(alive.size))
+        nxt = rows.next[s, idx]
+        w = rows.position[nxt]
+        state[alive] = nxt
+
+        newly = ~visited[alive, w]
+        visited[alive, w] = True
+        v_count[alive] += newly
+        just_v = alive[(t_v[alive] < 0) & (v_count[alive] == n)]
+        t_v[just_v] = t
+        if track_edges:
+            ue = entered[nxt]
+            newe = ~traversed[alive, ue]
+            traversed[alive, ue] = True
+            e_count[alive] += newe
+            just_e = alive[(t_e[alive] < 0) & (e_count[alive] == e_total)]
+            t_e[just_e] = t
+            alive = alive[(t_v[alive] < 0) | (t_e[alive] < 0)]
+        else:
+            alive = alive[t_v[alive] < 0]
+        if t >= budget:
+            break
+    return t_v, t_e
+
+
+def random_graph(rnd, max_n=9):
+    """Random tree plus a few chords: leaves, hubs and cycles all occur."""
+    n = rnd.randint(2, max_n)
+    edges = [(rnd.randrange(i), i) for i in range(1, n)]
+    for _ in range(rnd.randint(0, n)):
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    return build_graph(edges, n)
+
+
+def random_config(rnd, kind, seed):
+    conductance = rnd.choice((Constant(), MDLR()))
+    if kind == "node2vec":
+        p, q = rnd.choice((0.5, 1.0, 2.0, 4.0)), rnd.choice((0.25, 0.5, 2.0))
+        return WalkConfig(length=0, conductance=conductance,
+                          node2vec=Node2Vec(p, q), seed=seed)
+    return WalkConfig(length=0, conductance=conductance,
+                      non_backtracking=kind == "nb", seed=seed)
+
+
+# (track_edges, strict_edges): vertex only, plain edges, strict edges,
+# and strict edges asked for but not tracked
+EDGE_MODES = ((False, False), (True, False), (True, True), (False, True))
+LANE_COUNTS = (TAIL_LANES - 1, TAIL_LANES, TAIL_LANES + 1, 1024)
+LONG_BUDGET = 3000
+
+
+def both(g, rows, key, lanes, start, budget, track, strict):
+    ref = reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+    got = _cover_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+    return ref, got
+
+
+def assert_same(ref, got):
+    for a, b in zip(ref, got):
+        assert b.dtype == a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def budget_leaving(life, alive):
+    """A budget at which ``alive`` of the lanes with lifetimes ``life`` are left."""
+    return int(np.sort(life)[life.size - alive - 1])
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_kernel_matches_reference(case):
+    rnd = random.Random(case)
+    g = random_graph(rnd)
+    # every walk order meets both start policies
+    config = random_config(rnd, ("first-order", "nb", "node2vec")[case % 3], 1000 + case)
+    rows = StepTable(g, config).padded()
+    start = None if case // 3 % 2 else rnd.randrange(g.n)
+    budgets_seen = set()
+    for track, strict in EDGE_MODES:
+        for lanes in LANE_COUNTS:
+            budgets = set()
+            key = (config.seed, case, lanes)
+            ref, got = both(g, rows, key, lanes, start, LONG_BUDGET, track, strict)
+            assert_same(ref, got)
+            times = ref[1] if track else ref[0]
+            # some walks never cover (an NB walk cannot turn back at a leaf)
+            life = np.where(times < 0, LONG_BUDGET, times)
+            # budgets that cut the chunk while it is wide, and while only
+            # a few lanes are left (the near-empty tail)
+            for alive in (lanes - 1, lanes // 2, TAIL_LANES + 8, TAIL_LANES // 2, 3, 1):
+                if not 0 < alive < lanes:
+                    continue
+                budget = budget_leaving(life, alive)
+                if not 0 < budget < LONG_BUDGET or budget in budgets:
+                    continue
+                budgets.add(budget)
+                assert_same(*both(g, rows, key, lanes, start, budget, track, strict))
+            budgets_seen |= budgets
+    assert budgets_seen
+
+
+def test_kernel_budget_one_and_censoring_in_both_phases():
+    rnd = random.Random(99)
+    g = random_graph(rnd, max_n=9)
+    while g.n < 7:
+        g = random_graph(rnd, max_n=9)
+    config = WalkConfig(length=0, conductance=MDLR(), seed=5)
+    rows = StepTable(g, config).padded()
+    for budget in (1, 2, 5):
+        assert_same(*both(g, rows, (5, budget), 1024, None, budget, True, False))
+    # censored counts on either side of the tail threshold
+    ref, _ = both(g, rows, (5, 0), 1024, None, LONG_BUDGET, True, True)
+    life = ref[1]
+    for alive in (TAIL_LANES * 4, TAIL_LANES // 4):
+        budget = budget_leaving(life, alive)
+        ref, got = both(g, rows, (5, 0), 1024, None, budget, True, True)
+        assert_same(ref, got)
+        censored = int((ref[1] < 0).sum())
+        assert (censored >= TAIL_LANES) == (alive >= TAIL_LANES)
+
+
+@pytest.mark.parametrize("start", [None, 0])
+@pytest.mark.parametrize("track", [False, True])
+def test_kernel_single_vertex(start, track):
+    g = parse_edge_list("1 0\n")
+    rows = StepTable(g, WalkConfig(length=0, seed=3)).padded()
+    for lanes in (1, TAIL_LANES, 1024):
+        assert_same(*both(g, rows, (3, lanes), lanes, start, 10, track, False))

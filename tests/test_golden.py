@@ -12,6 +12,7 @@ import pytest
 
 from walklab import (
     MDLR,
+    Constant,
     Fixed,
     Node2Vec,
     RestartProb,
@@ -22,6 +23,7 @@ from walklab import (
     estimate_cover_time,
     gen_csl,
     gen_lollipop,
+    gen_shrikhande,
 )
 from walklab.cli import run
 
@@ -117,6 +119,54 @@ def test_batch_cover_samples_bytes_are_pinned():
     assert sha256(t_v.tobytes().hex() + t_e.tobytes().hex()) == (
         "946aff87e484b5078f234057e7ebfcec2fabac8bcc99edd8f32c91f6b4b24907"
     )
+
+
+def arrays_digest(t_v, t_e):
+    return sha256(t_v.tobytes().hex() + t_e.tobytes().hex())
+
+
+# Raw kernel arrays at its branch points: lanes censoring in the
+# near-empty tail, vertex-only tracking from a fixed start, lanes
+# censoring while the chunk is still wide, and a short last chunk.
+KERNEL_CASES = {
+    "node2vec-tail-censors": (
+        lambda: batch_cover_samples(
+            gen_lollipop(10),
+            WalkConfig(length=0, conductance=Constant(),
+                       node2vec=Node2Vec(1.0, 2.0), seed=2025),
+            256, None, budget=20_000, cell=4,
+        ),
+        "7210be4d51cfb6a294b26a199d4adc826631c38f0ecf3e60c276a6813f5df8cd",
+    ),
+    "vertex-only-fixed-start": (
+        lambda: batch_cover_samples(
+            gen_lollipop(6),
+            WalkConfig(length=0, conductance=MDLR(), non_backtracking=True, seed=17),
+            700, 3, track_edges=False,
+        ),
+        "c38818f73bd172f82339531746bee7daf9dd7fa50c9d4ef1430bc909b691694d",
+    ),
+    "wide-chunk-censors": (
+        lambda: batch_cover_samples(
+            gen_lollipop(5), WalkConfig(length=0, seed=23), 1024, None, budget=30
+        ),
+        "b2b76e3f0d734cb28f0d08fdce08cb1909f27508e9efbd3f7001b090f350b497",
+    ),
+    "strict-short-last-chunk": (
+        lambda: batch_cover_samples(
+            gen_shrikhande(),
+            WalkConfig(length=0, conductance=MDLR(), non_backtracking=True, seed=2025),
+            2100, None, strict_edges=True,
+        ),
+        "822d1524064210081a38c08214fe986c7d089c4c0e566543a420d52bc580e05a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_branch_points_are_pinned(name):
+    sample, digest = KERNEL_CASES[name]
+    assert arrays_digest(*sample()) == digest
 
 
 def test_enumeration_bytes_are_pinned():

@@ -1,5 +1,7 @@
 """Walk laws: conductances, second-order rules, restarts, enumeration."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from walklab import (
     conductance,
     enumerate_walk_distribution,
     gen_clique,
+    gen_csl,
     gen_cycle,
     gen_path,
     gen_star,
@@ -215,6 +218,29 @@ def test_enumeration_is_a_probability_distribution(config):
 def test_enumeration_guard_rejects_huge_state_space():
     with pytest.raises(ValueError):
         list(enumerate_walk_distribution(gen_clique(10), WalkConfig(length=12)))
+
+
+def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
+    """The table dies with the exhausted generator, not at the next gc pass."""
+    import walklab.walks as walks
+
+    tables = []
+
+    class TrackedTable(walks.StepTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(walks, "StepTable", TrackedTable)
+    config = WalkConfig(length=3, non_backtracking=True)
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert sum(p for _, p in enumerate_walk_distribution(gen_csl(8, 3), config))
+        assert len(tables) == 5
+        assert all(ref() is None for ref in tables)
+    finally:
+        gc.enable()
 
 
 def test_enumeration_matches_sampling():
