@@ -35,7 +35,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "local_cover_time",
     "theorem2_bound",
     "cover_csv",
-    "censoring_warning",
     "experiment_fig3",
     "experiment_sr16",
     "DEFAULT_BUDGET",
@@ -701,45 +700,23 @@ def cover_csv(rows: Iterable[CsvRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def censoring_warning(
-    graph: str, walk: str, stats: Sequence[CoverStats], budget: int
-) -> str | None:
-    """A one-line warning for a cell whose trials censored, else None.
-
-    ``stats`` are the cell's rows, one per mode, over the same trials.
-    Censored trials are left out of the mean, which is therefore biased
-    low; the CSV keeps the count but says nothing louder.
-    """
-    if not any(st.censored for st in stats):
-        return None
-    counts = ", ".join(f"{st.mode} {st.censored}" for st in stats)
-    return (
-        f"warning: {graph} {walk}: censored {counts} of {stats[0].trials} trials "
-        f"at budget {budget}; the mean leaves them out and is biased low"
-    )
-
-
-def _paired_stats(
-    t_v: np.ndarray, t_e: np.ndarray, edge_mode: str
-) -> list[CoverStats]:
-    return [
-        _stats(samples, mode, UniformRandom())
-        for mode, samples in (("vertex", t_v), (edge_mode, t_e))
-    ]
-
-
-def _add_cell(
-    rows: list[CsvRow],
-    graph: str,
-    walk: str,
-    stats: list[CoverStats],
+def _paired_rows(
+    g: Graph,
+    label: str,
+    walk_label: str,
+    config: WalkConfig,
+    trials: int,
     budget: int,
-    warn: Callable[[str], None] | None,
-) -> None:
-    rows.extend((graph, walk, st) for st in stats)
-    note = censoring_warning(graph, walk, stats, budget)
-    if warn is not None and note is not None:
-        warn(note)
+    cell: int,
+    threads: int,
+) -> list[CsvRow]:
+    t_v, t_e = batch_cover_samples(
+        g, config, trials, start=None, budget=budget, cell=cell, threads=threads
+    )
+    return [
+        (label, walk_label, _stats(samples, mode, UniformRandom()))
+        for mode, samples in (("vertex", t_v), ("edge", t_e))
+    ]
 
 
 def experiment_fig3(
@@ -748,7 +725,6 @@ def experiment_fig3(
     trials: int = 2000,
     budget: int = 100_000,
     threads: int = 1,
-    warn: Callable[[str], None] | None = None,
 ) -> str:
     """Cover-time table over lollipop graphs, as CSV text.
 
@@ -758,8 +734,7 @@ def experiment_fig3(
     trajectories.  The default budget censors the biased walk's hopeless
     cells (its backward drift on the lollipop handle grows
     exponentially with size) instead of hanging; censored counts land
-    in the CSV, and ``warn``, if given, gets a
-    :func:`censoring_warning` for each cell that censored.
+    in the CSV.
     """
     rows: list[CsvRow] = []
     cell = 0
@@ -767,12 +742,9 @@ def experiment_fig3(
         g = gen_lollipop(m)
         label = f"lollipop-{2 * m}"
         for walk_label, config in _fig3_variants(seed):
-            t_v, t_e = batch_cover_samples(
-                g, config, trials, start=None, budget=budget, cell=cell,
-                threads=threads,
+            rows.extend(
+                _paired_rows(g, label, walk_label, config, trials, budget, cell, threads)
             )
-            _add_cell(rows, label, walk_label, _paired_stats(t_v, t_e, "edge"),
-                      budget, warn)
             cell += 1
     return cover_csv(rows)
 
@@ -810,10 +782,7 @@ def _fig3_variants(seed: int) -> list[tuple[str, WalkConfig]]:
 
 
 def experiment_sr16(
-    seed: int,
-    trials: int = 10_000,
-    threads: int = 1,
-    warn: Callable[[str], None] | None = None,
+    seed: int, trials: int = 10_000, threads: int = 1
 ) -> str:
     """Cover times of the two strongly regular 16-vertex graphs, as CSV.
 
@@ -823,8 +792,7 @@ def experiment_sr16(
     edge times paired per trajectory; the summary rows average the two
     graphs' means.  The edge rows use the strict both-directions notion
     (every edge traversed each way), the quantity this experiment is
-    meant to estimate.  ``warn`` gets a :func:`censoring_warning` for
-    each graph whose trials censored.
+    meant to estimate.
     """
     rows: list[CsvRow] = []
     config = WalkConfig(
@@ -838,9 +806,11 @@ def experiment_sr16(
             g, config, trials, start=None, cell=cell, threads=threads,
             strict_edges=True,
         )
-        stats = _paired_stats(t_v, t_e, "edge-strict")
-        per_graph[label] = {st.mode: st for st in stats}
-        _add_cell(rows, label, "mdlr+nb", stats, DEFAULT_BUDGET, warn)
+        per_graph[label] = {}
+        for mode, samples in (("vertex", t_v), ("edge-strict", t_e)):
+            st = _stats(samples, mode, UniformRandom())
+            per_graph[label][mode] = st
+            rows.append((label, "mdlr+nb", st))
     for mode in ("vertex", "edge-strict"):
         pair = [per_graph["rook4x4"][mode], per_graph["shrikhande"][mode]]
         mean = (pair[0].mean + pair[1].mean) / 2

@@ -39,10 +39,15 @@ POWER_TOL = 1e-12
 POWER_MAX_ITER = 10**6
 
 
-def _check_transition_matrix(P: np.ndarray) -> np.ndarray:
+def _check_square(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {P.shape}")
+    return P
+
+
+def _check_transition_matrix(P: np.ndarray) -> np.ndarray:
+    P = _check_square(P)
     if (P < 0).any():
         raise ValueError("transition matrix has negative entries")
     if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
@@ -115,14 +120,19 @@ def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
     """Influence of input ``v`` on output ``u``: (1/(l+1)) [sum P^t]_{uv}.
 
     Equals the walk's expected visit frequency of ``v`` over positions
-    0..l starting from ``u``.
+    0..l starting from ``u``.  At ``l == 0`` that is ``u == v`` whatever
+    ``P`` holds, so ``P`` need only be square there: an edgeless graph's
+    transition matrix has zero rows.
     """
-    P = _check_transition_matrix(P)
+    P = _check_square(P)
     n = P.shape[0]
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"indices ({u}, {v}) out of range for n={n}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
+    if l == 0:
+        return float(u == v)
+    P = _check_transition_matrix(P)
     row = np.zeros(n)
     row[u] = 1.0
     acc = row.copy()

@@ -378,6 +378,16 @@ def test_cover_warns_when_trials_censor(capsys, budget):
     assert_warnings_name(captured.err, cells, budget)
 
 
+def test_cover_warning_names_a_graph_path_with_a_comma(tmp_path, capsys):
+    gfile = tmp_path / "a,b.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    argv = ["cover", "--graph", str(gfile), "--trials", "8", "--seed", "2", "--budget", "1"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",vertex,nan,nan,8,8")
+    assert captured.err.startswith(f"warning: {gfile} uniform: censored vertex 8 of 8 ")
+
+
 def test_sr16_warns_per_graph_not_for_the_summary(monkeypatch, capsys):
     argv = ["sr16", "--trials", "40", "--seed", "5"]
     assert run(argv) == 0

@@ -113,6 +113,14 @@ def test_jacobian_validation():
         jacobian_expectation(P, 0, 0, -1)
 
 
+def test_jacobian_at_length_zero_needs_no_stochastic_rows():
+    # a single vertex with no edge: P is the zero 1x1 matrix
+    P = transition_matrix(build_graph([], 1), Constant())
+    assert jacobian_expectation(P, 0, 0, 0) == 1.0
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        jacobian_expectation(P, 0, 0, 1)
+
+
 def test_mc_visit_frequencies_k2_exact():
     # on an edge the trajectory is forced, so the estimate is exact
     g = build_graph([(0, 1)], 2)
