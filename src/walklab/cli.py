@@ -6,8 +6,8 @@ subcommand requires --seed, and given the same arguments and seed the
 output is byte-identical regardless of --threads.
 
 Options may come from a key=value config file (--config); explicit
-flags override file values, and unknown file keys are rejected rather
-than ignored.
+flags override file values, file values pass the flags' type and range
+checks, and unknown file keys are rejected rather than ignored.
 
 Exit codes: 0 success, 1 failed assertion/check, 2 usage error.
 """
@@ -60,7 +60,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config file merge
+# config files and option types
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -77,56 +77,55 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# Parser defaults for these are None, which hides their type from _coerce.
-_NONE_DEFAULT_TYPES: dict[str, type] = {
-    "n": int,
-    "m": int,
-    "s": int,
-    "k": int,
-    "seed": int,
-    "length": int,
-    "start": int,
-    "restart_period": int,
-    "radius": int,
-    "restart_prob": float,
-}
+def _parse_bool(key: str, raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    flag = "--" + key.replace("_", "-")
+    raise UsageError(f"argument {flag}: expected a boolean, got {raw!r}")
 
 
-def _coerce(raw: str, like: object) -> object:
-    if isinstance(like, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"expected boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
+def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Make the config file's values ``sub``'s defaults.
 
-
-def _merge_config(args: argparse.Namespace, defaults: dict[str, object]) -> None:
-    """Fill argparse results from the config file.
-
-    Parsers set every default to None so an untouched option is
-    distinguishable; precedence is flag > file > default.
+    The caller then parses argv again.  argparse runs a string default
+    through the option's ``type``, so a file value gets the flag's
+    conversion and range check, and a flag on the command line still
+    wins.  Only booleans are parsed here: store_true takes no type.
     """
-    file_vals = {}
-    if getattr(args, "config", None):
-        file_vals = _load_config_file(args.config)
-    for key in file_vals:
-        if key not in defaults:
+    values: dict[str, object] = dict(_load_config_file(args.config))
+    for key, raw in values.items():
+        if key == "command" or key not in vars(args):
             raise UsageError(f"unknown config key {key!r}")
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in file_vals:
-            like = _NONE_DEFAULT_TYPES.get(key, str)() if default is None else default
-            setattr(args, key, _coerce(file_vals[key], like))
-        else:
-            setattr(args, key, default)
+        if isinstance(getattr(args, key), bool):
+            values[key] = _parse_bool(key, raw)
+    sub.set_defaults(**values)
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _int_list(low: int) -> Callable[[str], tuple[int, ...]]:
+    """argparse type: comma-separated ints, each no smaller than ``low``."""
+    item = _at_least(low)
+
+    def parse(raw: str) -> tuple[int, ...]:
+        return tuple(item(x) for x in raw.split(","))
+
+    parse.__name__ = "int list"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +270,6 @@ def _parse_walk(line: str) -> Walk:
     return Walk(tuple(vertices), tuple(flags))
 
 
-def _require_seed(args: argparse.Namespace) -> None:
-    if args.seed is None:
-        raise UsageError("this subcommand requires --seed")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -287,11 +281,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_walk(args: argparse.Namespace) -> int:
-    _require_seed(args)
     g, _ = _graph_from_args(args)
     config = _walk_config_from_args(args, length=args.length)
-    if args.walks < 1:
-        raise UsageError(f"--walks must be >= 1, got {args.walks}")
     lines = []
     for i in range(args.walks):
         walk = sample_walk(g, config, start=args.start, walk_index=i)
@@ -359,10 +350,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    _require_seed(args)
     g, label = _graph_from_args(args)
     config = _walk_config_from_args(args)
     if args.radius is not None:
+        if args.worst_starts:
+            raise UsageError("--worst-starts and --radius are exclusive")
         if args.start is None:
             raise UsageError("--radius needs --start (the ball's center)")
         stats = cover_mod.local_cover_time(
@@ -392,7 +384,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct_test(args: argparse.Namespace) -> int:
-    _require_seed(args)
     g, label = _graph_from_args(args)
     config = _walk_config_from_args(args, length=args.length)
     fraction = check_reconstruction(g, config, args.trials)
@@ -403,13 +394,6 @@ def _cmd_reconstruct_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariance(args: argparse.Namespace) -> int:
-    _require_seed(args)
-    if args.max_n < 2:
-        raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
-    if args.samples < 0:
-        raise UsageError(f"--samples must be >= 0, got {args.samples}")
-    if args.perms < 1:
-        raise UsageError(f"--perms must be >= 1, got {args.perms}")
     report = run_invariance_suite(
         max_n=args.max_n,
         max_l=args.max_l,
@@ -429,16 +413,14 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
 
 
 def _cmd_mixing(args: argparse.Namespace) -> int:
-    _require_seed(args)
     g, _ = _graph_from_args(args)
     P = transition_matrix(g, Constant())
-    lengths = [int(x) for x in args.lengths.split(",")]
-    if g.m == 0 and any(l > 0 for l in lengths):
+    if g.m == 0 and any(l > 0 for l in args.lengths):
         raise UsageError("vertex 0 has no neighbor to step to")
     lines = ["l,u,v,mc_estimate,exact_value,abs_err"]
     config = WalkConfig(length=0, conductance=Constant(), seed=args.seed)
     cell = 0
-    for l in lengths:
+    for l in args.lengths:
         for u in range(g.n):
             freqs = mixing_mod.mc_visit_frequencies(
                 g, config, u, l, args.trials, cell=cell, threads=args.threads
@@ -455,10 +437,8 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    _require_seed(args)
-    sizes = tuple(int(x) for x in args.sizes.split(","))
     csv = cover_mod.experiment_fig3(
-        seed=args.seed, sizes=sizes, trials=args.trials,
+        seed=args.seed, sizes=args.sizes, trials=args.trials,
         budget=args.budget, threads=args.threads,
     )
     _warn_censored(csv, args.budget)
@@ -467,7 +447,6 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_sr16(args: argparse.Namespace) -> int:
-    _require_seed(args)
     csv = cover_mod.experiment_sr16(
         seed=args.seed, trials=args.trials, threads=args.threads
     )
@@ -480,56 +459,41 @@ def _cmd_sr16(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-_WALK_FLAG_DEFAULTS: dict[str, object] = {
-    "conductance": "constant",
-    "nb": False,
-    "node2vec": "",
-    "restart_prob": None,
-    "restart_period": None,
-}
-
-
-def _add_graph_flags(sub: argparse.ArgumentParser) -> dict[str, object]:
+def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--graph", help="edge-list file ('n m' header, 'u v' lines)")
     sub.add_argument("--family", help=f"graph family: {', '.join(sorted(_FAMILIES))}")
     sub.add_argument("--n", type=int, help="vertex count (path, cycle, csl)")
     sub.add_argument("--m", type=int, help="clique size (lollipop)")
     sub.add_argument("--s", type=int, help="skip length (csl)")
     sub.add_argument("--k", type=int, help="size parameter (clique, star, barbell)")
-    return {"graph": None, "family": None, "n": None, "m": None, "s": None, "k": None}
 
 
-def _add_walk_flags(sub: argparse.ArgumentParser) -> dict[str, object]:
-    sub.add_argument("--conductance", help="constant | mdlr (default constant)")
-    sub.add_argument("--nb", action="store_const", const=True,
-                     help="non-backtracking steps")
+def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--conductance", default="constant",
+                     help="constant | mdlr (default constant)")
+    sub.add_argument("--nb", action="store_true", help="non-backtracking steps")
     sub.add_argument("--node2vec", help="P,Q bias (exclusive with --nb)")
     sub.add_argument("--restart-prob", type=float, dest="restart_prob",
                      help="restart probability per step")
     sub.add_argument("--restart-period", type=int, dest="restart_period",
                      help="restart every K steps")
-    return dict(_WALK_FLAG_DEFAULTS)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seed: bool) -> dict[str, object]:
+def _add_common(sub: argparse.ArgumentParser, *, seed: bool) -> None:
     sub.add_argument("--config", help="key = value config file; flags override")
     sub.add_argument("--out", help="output file (default stdout)")
-    defaults: dict[str, object] = {"config": None, "out": None}
     if seed:
         sub.add_argument("--seed", type=int, help="RNG seed (required)")
-        sub.add_argument("--threads", type=int, help="worker threads (default 1)")
-        defaults["seed"] = None
-        defaults["threads"] = 1
-    return defaults
+        sub.add_argument("--threads", type=_at_least(1), default=1,
+                         help="worker threads (default 1)")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object]]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
         prog="walklab",
         description="Random-walk recording, reconstruction and cover-time lab.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    all_defaults: dict[str, dict[str, object]] = {}
 
     sub = subs.add_parser(
         "gen",
@@ -537,9 +501,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         description="Emit a family graph as an edge list: "
         "an 'n m' header line, then one 'u v' line per edge.",
     )
-    d = _add_common(sub, seed=False)
-    d.update(_add_graph_flags(sub))
-    all_defaults["gen"] = d
+    _add_common(sub, seed=False)
+    _add_graph_flags(sub)
 
     sub = subs.add_parser(
         "walk",
@@ -547,14 +510,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         description="Sample walks, one per line of space-separated vertices; "
         "a vertex suffixed with 'r' was reached by a restart jump.",
     )
-    d = _add_common(sub, seed=True)
-    d.update(_add_graph_flags(sub))
-    d.update(_add_walk_flags(sub))
-    sub.add_argument("--length", type=int, help="steps per walk")
-    sub.add_argument("--walks", type=int, help="number of walks (default 1)")
+    _add_common(sub, seed=True)
+    _add_graph_flags(sub)
+    _add_walk_flags(sub)
+    sub.add_argument("--length", type=_at_least(0), help="steps per walk (required)")
+    sub.add_argument("--walks", type=_at_least(1), default=1,
+                     help="number of walks (default 1)")
     sub.add_argument("--start", type=int, help="start vertex (default random)")
-    d.update({"length": None, "walks": 1, "start": None})
-    all_defaults["walk"] = d
 
     sub = subs.add_parser(
         "record",
@@ -563,14 +525,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "one per line: anon/named emit token text (ids joined by '-', ';' for "
         "restarts, '#' for neighbors), attributed emits sentence text.",
     )
-    d = _add_common(sub, seed=False)
-    d.update(_add_graph_flags(sub))
-    sub.add_argument("--scheme", help="anon | named | attributed")
+    _add_common(sub, seed=False)
+    _add_graph_flags(sub)
+    sub.add_argument("--scheme", default="anon", help="anon | named | attributed")
     sub.add_argument("--walks-file", dest="walks_file",
                      help="walk lines from `walk` (default stdin)")
     sub.add_argument("--attrs", help="tab-separated vertex<TAB>text[<TAB>label] file")
-    d.update({"scheme": "anon", "walks_file": None, "attrs": None})
-    all_defaults["record"] = d
 
     sub = subs.add_parser(
         "decode",
@@ -579,11 +539,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "recorded, printed as an edge list ('n m' header, 'u v' lines; record "
         "id k is vertex k-1).",
     )
-    d = _add_common(sub, seed=False)
+    _add_common(sub, seed=False)
     sub.add_argument("--text", help="record text (default: read stdin)")
     sub.add_argument("--in", dest="infile", help="file holding one record")
-    d.update({"text": None, "infile": None})
-    all_defaults["decode"] = d
 
     sub = subs.add_parser(
         "cover",
@@ -592,22 +550,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "std_err,trials,censored; mean/std_err in steps over uncensored "
         "trials, censored counts budget-limited trials.",
     )
-    d = _add_common(sub, seed=True)
-    d.update(_add_graph_flags(sub))
-    d.update(_add_walk_flags(sub))
-    sub.add_argument("--mode", help="vertex | edge | edge-strict "
+    _add_common(sub, seed=True)
+    _add_graph_flags(sub)
+    _add_walk_flags(sub)
+    sub.add_argument("--mode", default="vertex", help="vertex | edge | edge-strict "
                      "(edge counts either direction; edge-strict wants both)")
-    sub.add_argument("--trials", type=int)
+    sub.add_argument("--trials", type=_at_least(1), default=1000)
     sub.add_argument("--start", type=int, help="fixed start (or ball center)")
-    sub.add_argument("--worst-starts", dest="worst_starts", action="store_const",
-                     const=True, help="scan all starts, report the worst mean")
-    sub.add_argument("--radius", type=int,
+    sub.add_argument("--worst-starts", dest="worst_starts", action="store_true",
+                     help="scan all starts, report the worst mean")
+    sub.add_argument("--radius", type=_at_least(0),
                      help="cover the radius-R ball around --start (needs a restart mode)")
-    sub.add_argument("--budget", type=int, help="per-trial step budget")
-    d.update({"mode": "vertex", "trials": 1000, "start": None,
-              "worst_starts": False, "radius": None,
-              "budget": cover_mod.DEFAULT_BUDGET})
-    all_defaults["cover"] = d
+    sub.add_argument("--budget", type=_at_least(1), default=cover_mod.DEFAULT_BUDGET,
+                     help="per-trial step budget")
 
     sub = subs.add_parser(
         "reconstruct-test",
@@ -617,13 +572,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "(assertion failure exits 1). CSV columns: graph,walk,length,trials,"
         "covering_fraction.",
     )
-    d = _add_common(sub, seed=True)
-    d.update(_add_graph_flags(sub))
-    d.update(_add_walk_flags(sub))
-    sub.add_argument("--length", type=int, help="steps per walk")
-    sub.add_argument("--trials", type=int)
-    d.update({"length": None, "trials": 1000})
-    all_defaults["reconstruct-test"] = d
+    _add_common(sub, seed=True)
+    _add_graph_flags(sub)
+    _add_walk_flags(sub)
+    sub.add_argument("--length", type=_at_least(0), help="steps per walk (required)")
+    sub.add_argument("--trials", type=_at_least(1), default=1000)
 
     sub = subs.add_parser(
         "invariance",
@@ -633,13 +586,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "enumerated and sampled graphs. Prints a pass report; any violation "
         "exits 1.",
     )
-    d = _add_common(sub, seed=True)
-    sub.add_argument("--max-n", dest="max_n", type=int, help="largest graph size")
-    sub.add_argument("--max-l", dest="max_l", type=int, help="walk length")
-    sub.add_argument("--samples", type=int, help="sampled graphs per size above 4")
-    sub.add_argument("--perms", type=int, help="permutations per graph")
-    d.update({"max_n": 6, "max_l": 4, "samples": 200, "perms": 2})
-    all_defaults["invariance"] = d
+    _add_common(sub, seed=True)
+    sub.add_argument("--max-n", dest="max_n", type=_at_least(2), default=6,
+                     help="largest graph size")
+    sub.add_argument("--max-l", dest="max_l", type=_at_least(0), default=4,
+                     help="walk length")
+    sub.add_argument("--samples", type=_at_least(0), default=200,
+                     help="sampled graphs per size above 4")
+    sub.add_argument("--perms", type=_at_least(1), default=2,
+                     help="permutations per graph")
 
     sub = subs.add_parser(
         "mixing",
@@ -648,12 +603,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "against the exact averaged matrix powers. CSV columns: l,u,v,"
         "mc_estimate,exact_value,abs_err.",
     )
-    d = _add_common(sub, seed=True)
-    d.update(_add_graph_flags(sub))
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--lengths", help="comma-separated walk lengths")
-    d.update({"trials": 100_000, "lengths": "5,20"})
-    all_defaults["mixing"] = d
+    _add_common(sub, seed=True)
+    _add_graph_flags(sub)
+    sub.add_argument("--trials", type=_at_least(1), default=100_000)
+    sub.add_argument("--lengths", type=_int_list(0), default="5,20",
+                     help="comma-separated walk lengths")
 
     sub = subs.add_parser(
         "fig3",
@@ -662,12 +616,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "grid, paired vertex/edge per trajectory, uniformly random starts. "
         "CSV columns: graph,walk,mode,mean,std_err,trials,censored.",
     )
-    d = _add_common(sub, seed=True)
-    sub.add_argument("--sizes", help="comma-separated lollipop m values")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--budget", type=int, help="per-trial step budget")
-    d.update({"sizes": "10,20,40", "trials": 2000, "budget": 100_000})
-    all_defaults["fig3"] = d
+    _add_common(sub, seed=True)
+    sub.add_argument("--sizes", type=_int_list(2), default="10,20,40",
+                     help="comma-separated lollipop m values")
+    sub.add_argument("--trials", type=_at_least(1), default=2000)
+    sub.add_argument("--budget", type=_at_least(1), default=100_000,
+                     help="per-trial step budget")
 
     sub = subs.add_parser(
         "sr16",
@@ -678,12 +632,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         "directions). CSV columns: graph,walk,mode,mean,std_err,trials,"
         "censored.",
     )
-    d = _add_common(sub, seed=True)
-    sub.add_argument("--trials", type=int)
-    d.update({"trials": 10_000})
-    all_defaults["sr16"] = d
+    _add_common(sub, seed=True)
+    sub.add_argument("--trials", type=_at_least(1), default=10_000)
 
-    return parser, all_defaults
+    return parser, subs
 
 
 _COMMANDS = {
@@ -701,25 +653,20 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str]) -> int:
-    parser, all_defaults = _build_parser()
-    # argparse exits(2) on usage problems; translate to a return code
+    parser, subs = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _merge_config(args, all_defaults[args.command])
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        if args.command == "walk" and args.length is None:
-            raise UsageError("walk requires --length")
-        if args.command == "reconstruct-test" and args.length is None:
-            raise UsageError("reconstruct-test requires --length")
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(args, subs.choices[args.command])
+            args = parser.parse_args(argv)
+        for key in ("seed", "length"):
+            if key in vars(args) and getattr(args, key) is None:
+                raise UsageError(f"{args.command} requires --{key}")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except SystemExit as exc:  # argparse exits 2 on usage problems, 0 on --help
+        return int(exc.code or 0)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -709,13 +709,16 @@ def _paired_rows(
     budget: int,
     cell: int,
     threads: int,
+    edge_mode: str = "edge",
 ) -> list[CsvRow]:
+    """A vertex row and an ``edge_mode`` row, paired per trajectory."""
     t_v, t_e = batch_cover_samples(
-        g, config, trials, start=None, budget=budget, cell=cell, threads=threads
+        g, config, trials, start=None, budget=budget, cell=cell, threads=threads,
+        strict_edges=edge_mode == "edge-strict",
     )
     return [
         (label, walk_label, _stats(samples, mode, UniformRandom()))
-        for mode, samples in (("vertex", t_v), ("edge", t_e))
+        for mode, samples in (("vertex", t_v), (edge_mode, t_e))
     ]
 
 
@@ -802,15 +805,12 @@ def experiment_sr16(
     for cell, (label, g) in enumerate(
         (("rook4x4", gen_rook4x4()), ("shrikhande", gen_shrikhande()))
     ):
-        t_v, t_e = batch_cover_samples(
-            g, config, trials, start=None, cell=cell, threads=threads,
-            strict_edges=True,
+        graph_rows = _paired_rows(
+            g, label, "mdlr+nb", config, trials, DEFAULT_BUDGET, cell, threads,
+            edge_mode="edge-strict",
         )
-        per_graph[label] = {}
-        for mode, samples in (("vertex", t_v), ("edge-strict", t_e)):
-            st = _stats(samples, mode, UniformRandom())
-            per_graph[label][mode] = st
-            rows.append((label, "mdlr+nb", st))
+        per_graph[label] = {st.mode: st for _, _, st in graph_rows}
+        rows.extend(graph_rows)
     for mode in ("vertex", "edge-strict"):
         pair = [per_graph["rook4x4"][mode], per_graph["shrikhande"][mode]]
         mean = (pair[0].mean + pair[1].mean) / 2

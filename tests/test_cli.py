@@ -116,6 +116,30 @@ def test_invariance_negative_samples_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["cover", "--family", "cycle", "--n", "4", "--trials", "0"], "--trials"),
+    (["reconstruct-test", "--family", "cycle", "--n", "3", "--length", "4",
+      "--trials", "0"], "--trials"),
+    (["mixing", "--family", "cycle", "--n", "3", "--trials", "0"], "--trials"),
+    (["fig3", "--sizes", "4", "--trials", "0"], "--trials"),
+    (["sr16", "--trials", "0"], "--trials"),
+    (["sr16", "--trials", "x"], "--trials"),
+    (["mixing", "--family", "cycle", "--n", "3", "--lengths", "-2"], "--lengths"),
+    (["mixing", "--family", "cycle", "--n", "3", "--lengths", "5,x"], "--lengths"),
+    (["fig3", "--sizes", "4,1"], "--sizes"),
+    (["walk", "--family", "cycle", "--n", "3", "--length", "-1"], "--length"),
+    (["cover", "--family", "path", "--n", "9", "--start", "4", "--radius", "-1",
+      "--restart-prob", "0.5"], "--radius"),
+    (["invariance", "--max-n", "3", "--max-l", "-1"], "--max-l"),
+    (["cover", "--family", "cycle", "--n", "4", "--budget", "0"], "--budget"),
+])
+def test_out_of_range_flag_names_the_flag(argv, flag, capsys):
+    assert run(argv + ["--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+
+
 def test_single_vertex_walk_is_a_usage_error(tmp_path, capsys):
     gfile = tmp_path / "one.txt"
     gfile.write_text("1 0\n")
@@ -335,6 +359,17 @@ def test_cover_worst_starts_conflicts_with_start(capsys):
     assert rc == 2
 
 
+def test_cover_worst_starts_conflicts_with_radius(capsys):
+    rc = run([
+        "cover", "--family", "path", "--n", "9", "--start", "4", "--radius", "1",
+        "--restart-prob", "0.5", "--trials", "5", "--seed", "1", "--worst-starts",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--worst-starts" in captured.err and "--radius" in captured.err
+
+
 def censored_cells(csv):
     """(graph, walk) of every cell with a censored row, in CSV order."""
     cells = []
@@ -397,7 +432,7 @@ def test_sr16_warns_per_graph_not_for_the_summary(monkeypatch, capsys):
     # a sampler stopped after 60 steps makes both graphs censor
     sample = cover_mod.batch_cover_samples
     monkeypatch.setattr(cover_mod, "batch_cover_samples",
-                        lambda *args, **kw: sample(*args, **kw, budget=60))
+                        lambda *args, **kw: sample(*args, **{**kw, "budget": 60}))
     assert run(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == experiment_sr16(5, trials=40)
@@ -492,6 +527,55 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     conf.write_text("family = clique\nk = 2\nbogus = 1\n")
     assert run(["cover", "--config", str(conf), "--seed", "3"]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_key_command_rejected(tmp_path, capsys):
+    conf = tmp_path / "cover.conf"
+    conf.write_text("command = gen\n")
+    assert run(["cover", "--config", str(conf), "--family", "path", "--n", "3",
+                "--seed", "3"]) == 2
+    assert "unknown config key 'command'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,flag", [
+    ("trials = 0", "--trials"),
+    ("trials = abc", "--trials"),
+    ("lengths = 5,-2", "--lengths"),
+    ("threads = 0", "--threads"),
+])
+def test_out_of_range_config_value_names_the_flag(tmp_path, capsys, line, flag):
+    conf = tmp_path / "mixing.conf"
+    conf.write_text(f"family = cycle\nn = 3\n{line}\n")
+    assert run(["mixing", "--config", str(conf), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+
+
+def test_flag_overrides_out_of_range_config_value(tmp_path, capsys):
+    conf = tmp_path / "cover.conf"
+    conf.write_text("family = clique\nk = 2\ntrials = 0\n")
+    assert run(["cover", "--config", str(conf), "--trials", "3", "--seed", "3"]) == 0
+    assert out_of(capsys).splitlines()[1].endswith(",3,0")
+
+
+@pytest.mark.parametrize("value,label", [
+    ("false", "uniform"), ("no", "uniform"), ("yes", "uniform+nb"), ("True", "uniform+nb"),
+])
+def test_config_file_boolean(tmp_path, capsys, value, label):
+    conf = tmp_path / "cover.conf"
+    conf.write_text(f"family = cycle\nn = 4\ntrials = 5\nnb = {value}\n")
+    assert run(["cover", "--config", str(conf), "--seed", "1"]) == 0
+    assert out_of(capsys).splitlines()[1].split(",")[1] == label
+
+
+def test_config_file_bad_boolean(tmp_path, capsys):
+    conf = tmp_path / "cover.conf"
+    conf.write_text("family = cycle\nn = 4\ntrials = 5\nnb = maybe\n")
+    assert run(["cover", "--config", str(conf), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nb" in captured.err and "'maybe'" in captured.err
 
 
 def test_config_dashes_and_underscores_equivalent(tmp_path, capsys):
