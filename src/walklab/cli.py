@@ -117,6 +117,46 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _open_unit_interval(raw: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    value = float(raw)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+_open_unit_interval.__name__ = "float"  # argparse names it in "invalid float value"
+
+
+def _positive_pair(raw: str) -> tuple[float, float]:
+    """argparse type: ``P,Q`` with both floats positive."""
+    try:
+        p, q = (float(x) for x in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected P,Q, got {raw!r}") from None
+    if not (p > 0 and q > 0):
+        raise argparse.ArgumentTypeError(f"P and Q must be positive, got {raw!r}")
+    return p, q
+
+
+def _one_of(*names: str) -> dict:
+    """``add_argument`` keywords for a string option limited to ``names``.
+
+    ``choices`` checks argv and shows the names in the usage line; the
+    ``type`` applies the same check to config-file values, which argparse
+    converts with ``type`` but does not check against ``choices``.
+    """
+
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {raw!r} (choose from {', '.join(names)})")
+        return raw
+
+    parse.__name__ = "choice"
+    return {"type": parse, "choices": names}
+
+
 def _int_list(low: int) -> Callable[[str], tuple[int, ...]]:
     """argparse type: comma-separated ints, each no smaller than ``low``."""
     item = _at_least(low)
@@ -166,18 +206,8 @@ def _graph_from_args(args: argparse.Namespace) -> tuple[Graph, str]:
 
 
 def _walk_config_from_args(args: argparse.Namespace, length: int = 0) -> WalkConfig:
-    cond = {"constant": Constant(), "uniform": Constant(), "mdlr": MDLR()}.get(
-        args.conductance
-    )
-    if cond is None:
-        raise UsageError(f"unknown conductance {args.conductance!r}")
-    node2vec = None
-    if args.node2vec:
-        try:
-            p, q = (float(x) for x in args.node2vec.split(","))
-        except ValueError:
-            raise UsageError("--node2vec expects P,Q") from None
-        node2vec = Node2Vec(p, q)
+    cond = MDLR() if args.conductance == "mdlr" else Constant()
+    node2vec = Node2Vec(*args.node2vec) if args.node2vec else None
     restart = None
     if args.restart_prob is not None and args.restart_period is not None:
         raise UsageError("--restart-prob and --restart-period are exclusive")
@@ -323,12 +353,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
             out.append(record_anonymized(walk).text)
         elif args.scheme == "named":
             out.append(record_named_neighbors(walk, g).text)
-        elif args.scheme == "attributed":
+        else:
             if attrs is None:
                 raise UsageError("--scheme attributed requires --attrs FILE")
             out.append(record_attributed(walk, g, attrs))
-        else:
-            raise UsageError(f"unknown scheme {args.scheme!r}")
     _write_out(args, "\n".join(out) + "\n")
     return 0
 
@@ -470,13 +498,15 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--conductance", default="constant",
-                     help="constant | mdlr (default constant)")
+                     **_one_of("constant", "uniform", "mdlr"),
+                     help="edge conductance; uniform is constant (default constant)")
     sub.add_argument("--nb", action="store_true", help="non-backtracking steps")
-    sub.add_argument("--node2vec", help="P,Q bias (exclusive with --nb)")
-    sub.add_argument("--restart-prob", type=float, dest="restart_prob",
-                     help="restart probability per step")
-    sub.add_argument("--restart-period", type=int, dest="restart_period",
-                     help="restart every K steps")
+    sub.add_argument("--node2vec", type=_positive_pair, metavar="P,Q",
+                     help="return and in-out bias, both positive (exclusive with --nb)")
+    sub.add_argument("--restart-prob", type=_open_unit_interval, dest="restart_prob",
+                     help="restart probability per step, in (0, 1)")
+    sub.add_argument("--restart-period", type=_at_least(1), dest="restart_period",
+                     help="restart every K steps, K >= 1")
 
 
 def _add_common(sub: argparse.ArgumentParser, *, seed: bool) -> None:
@@ -527,7 +557,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     )
     _add_common(sub, seed=False)
     _add_graph_flags(sub)
-    sub.add_argument("--scheme", default="anon", help="anon | named | attributed")
+    sub.add_argument("--scheme", default="anon", help="record scheme (default anon)",
+                     **_one_of("anon", "named", "attributed"))
     sub.add_argument("--walks-file", dest="walks_file",
                      help="walk lines from `walk` (default stdin)")
     sub.add_argument("--attrs", help="tab-separated vertex<TAB>text[<TAB>label] file")
@@ -553,8 +584,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     _add_common(sub, seed=True)
     _add_graph_flags(sub)
     _add_walk_flags(sub)
-    sub.add_argument("--mode", default="vertex", help="vertex | edge | edge-strict "
-                     "(edge counts either direction; edge-strict wants both)")
+    sub.add_argument("--mode", default="vertex",
+                     **_one_of("vertex", "edge", "edge-strict"),
+                     help="edge counts either direction, edge-strict wants both "
+                     "(default vertex)")
     sub.add_argument("--trials", type=_at_least(1), default=1000)
     sub.add_argument("--start", type=int, help="fixed start (or ball center)")
     sub.add_argument("--worst-starts", dest="worst_starts", action="store_true",

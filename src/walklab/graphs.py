@@ -8,6 +8,7 @@ up front instead of every consumer re-checking.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -61,15 +62,11 @@ class Graph:
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adjacency)
 
-    @property
+    @functools.cached_property
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        # Cached on first use; frozen dataclasses still have a __dict__.
-        try:
-            return self.__dict__["_nbr_sets"]
-        except KeyError:
-            sets = tuple(frozenset(nbrs) for nbrs in self.adjacency)
-            object.__setattr__(self, "_nbr_sets", sets)
-            return sets
+        # computed on first use, then an instance attribute: cached_property
+        # writes the instance __dict__, which frozen dataclasses still have
+        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
     def __repr__(self) -> str:  # the default dataclass repr drowns the terminal
         return f"Graph(n={self.n}, m={self.m})"

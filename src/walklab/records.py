@@ -58,6 +58,7 @@ class Neighbor:
 Token = Union[Step, Restart, Neighbor]
 
 _SEPARATOR = {Step: "-", Restart: ";", Neighbor: "#"}
+_KIND = {"": Step, "-": Step, ";": Restart, "#": Neighbor}  # "": the first token
 _TOKEN_RE = re.compile(r"\d+(?:[-;#]\d+)*")
 
 
@@ -128,10 +129,8 @@ class Record:
         text = self.__dict__.get("_text")  # set by _trusted
         if text is not None:
             return text
-        parts = [str(self.tokens[0].id)]
-        for tok in self.tokens[1:]:
-            parts.append(_SEPARATOR[type(tok)] + str(tok.id))
-        return "".join(parts)
+        first, *rest = self.tokens
+        return str(first.id) + "".join(_SEPARATOR[type(t)] + str(t.id) for t in rest)
 
     def max_id(self) -> int:
         return max(tok.id for tok in self.tokens)
@@ -153,17 +152,8 @@ def parse(text: str) -> Record:
     """
     if not _TOKEN_RE.fullmatch(text):
         raise ValueError(f"malformed record text: {text!r}")
-    ids = re.findall(r"\d+", text)
-    seps = re.findall(r"[-;#]", text)
-    tokens: list[Token] = [Step(int(ids[0]))]
-    for sep, raw in zip(seps, ids[1:]):
-        cls = Step if sep == "-" else Restart if sep == ";" else Neighbor
-        tokens.append(cls(int(raw)))
-    return Record(tuple(tokens))
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+    pieces = re.findall(r"([-;#]?)(\d+)", text)
+    return Record(tuple(_KIND[sep](int(raw)) for sep, raw in pieces))
 
 
 class Recorder:
@@ -173,39 +163,38 @@ class Recorder:
     without a graph only the anonymized record is kept.  :meth:`mark`
     and :meth:`rollback` return to an earlier prefix, so a depth-first
     pass over a walk tree records each shared prefix once.  Each record
-    is held as tokens and as their text pieces (``"1"``, ``"-2"``,
-    ``";1"``, ``"#3"``), which join to :attr:`Record.text`.  :meth:`step`
-    refuses the moves that would break the record discipline, so the
-    records come out without a second check.
+    is held as its text pieces (``"1"``, ``"-2"``, ``";1"``, ``"#3"``),
+    which join to :attr:`Record.text`; its tokens are looked up from the
+    pieces when the record is taken.  :meth:`step` refuses the moves
+    that would break the record discipline, so the records come out
+    without a second check.  Recorded edges ``u < v`` are kept as keys
+    ``u * n + v``, and per vertex a count of edges not yet recorded lets
+    a saturated vertex announce nothing at once.
     """
 
     def __init__(self, start: int, g: Graph | None = None) -> None:
         self.g = g
         self.pos = start
         self.ids = {start: 1}
-        self.anon: list[Token] = [Step(1)]
         self.anon_text = ["1"]
-        self.named: list[Token] = [Step(1)]
         self.named_text = ["1"]
-        self._recorded: set[tuple[int, int]] = set()
-        self._recorded_log: list[tuple[int, int]] = []
-        self._made: dict[tuple[type, int], tuple[Token, str]] = {}
+        self._recorded: set[int] = set()
+        self._recorded_log: list[int] = []
+        self._unrecorded = [] if g is None else [len(x) for x in g.adjacency]
+        self._texts: dict[tuple[type, int], str] = {}
+        self._tokens: dict[str, Token] = {"1": Step(1)}
 
     def name(self, v: int) -> int:
         """The id of ``v``, assigning the next one on first discovery."""
-        ids = self.ids
-        i = ids.get(v)
-        if i is None:
-            i = ids[v] = len(ids) + 1
-        return i
+        return self.ids.setdefault(v, len(self.ids) + 1)
 
-    def _token(self, cls: type, i: int) -> tuple[Token, str]:
-        # tokens are immutable, so one instance per (kind, id) serves
-        # every occurrence
-        made = self._made.get((cls, i))
-        if made is None:
-            made = self._made[(cls, i)] = (cls(i), _SEPARATOR[cls] + str(i))
-        return made
+    def _text(self, cls: type, i: int) -> str:
+        # one piece, and one immutable token for it, per (kind, id)
+        text = self._texts.get((cls, i))
+        if text is None:
+            text = self._texts[(cls, i)] = _SEPARATOR[cls] + str(i)
+            self._tokens[text] = cls(i)
+        return text
 
     def traverse(self, u: int, v: int) -> list[int]:
         """Record the move ``u -> v`` and return what it announces.
@@ -217,21 +206,28 @@ class Recorder:
         ``ValueError`` when ``u``-``v`` is not an edge of the graph.
         """
         g = self.g
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        n = g.n
+        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
             raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
-        recorded, log, ids = self._recorded, self._recorded_log, self.ids
-        e = _edge_key(u, v)
+        recorded, log, unrecorded = self._recorded, self._recorded_log, self._unrecorded
+        e = u * n + v if u < v else v * n + u
         if e not in recorded:
             recorded.add(e)
             log.append(e)
-        announced = [
-            x for x in g.neighbors(v) if x in ids and _edge_key(v, x) not in recorded
-        ]
+            unrecorded[u] -= 1
+            unrecorded[v] -= 1
+        if not unrecorded[v]:
+            return []
+        ids = self.ids
+        announced = [x for x in g.neighbors(v)
+                     if x in ids and (x * n + v if x < v else v * n + x) not in recorded]
         announced.sort(key=ids.__getitem__)
         for x in announced:
-            e = _edge_key(v, x)
+            e = x * n + v if x < v else v * n + x
             recorded.add(e)
             log.append(e)
+            unrecorded[x] -= 1
+        unrecorded[v] -= len(announced)
         return announced
 
     def step(self, v: int, restart: bool = False) -> None:
@@ -250,22 +246,18 @@ class Recorder:
         elif v == u:
             raise ValueError(f"step onto current position {v}")
         self.pos = v
-        tok, text = self._token(Restart if restart else Step, self.name(v))
-        self.anon.append(tok)
+        text = self._text(Restart if restart else Step, self.name(v))
         self.anon_text.append(text)
         if self.g is None:
             return
-        self.named.append(tok)
         self.named_text.append(text)
         if not restart:
             for x in self.traverse(u, v):
-                tok, text = self._token(Neighbor, self.ids[x])
-                self.named.append(tok)
-                self.named_text.append(text)
+                self.named_text.append(self._text(Neighbor, self.ids[x]))
 
     def mark(self) -> tuple[int, ...]:
         """A handle on the current prefix, for :meth:`rollback`."""
-        return (self.pos, len(self.ids), len(self.anon), len(self.named),
+        return (self.pos, len(self.ids), len(self.anon_text), len(self.named_text),
                 len(self._recorded_log))
 
     def rollback(self, mark: tuple[int, ...]) -> None:
@@ -274,20 +266,26 @@ class Recorder:
         ids = self.ids
         while len(ids) > n_ids:
             ids.popitem()  # ids are only ever added, newest last
-        del self.anon[n_anon:], self.anon_text[n_anon:]
-        del self.named[n_named:], self.named_text[n_named:]
-        log = self._recorded_log
+        del self.anon_text[n_anon:], self.named_text[n_named:]
+        log, unrecorded = self._recorded_log, self._unrecorded
         for e in log[n_recorded:]:
-            self._recorded.discard(e)
+            self._recorded.remove(e)
+            u, v = divmod(e, self.g.n)
+            unrecorded[u] += 1
+            unrecorded[v] += 1
         del log[n_recorded:]
 
     def anonymized(self) -> Record:
         """The anonymized record of the walk so far."""
-        return Record._trusted(tuple(self.anon), "".join(self.anon_text))
+        return self._record(self.anon_text)
 
     def named_neighbors(self) -> Record:
         """The named-neighbor record of the walk so far (needs the graph)."""
-        return Record._trusted(tuple(self.named), "".join(self.named_text))
+        return self._record(self.named_text)
+
+    def _record(self, pieces: list[str]) -> Record:
+        tokens = tuple(map(self._tokens.__getitem__, pieces))
+        return Record._trusted(tokens, "".join(pieces))
 
 
 def _record_walk(walk: Walk, g: Graph | None = None) -> Recorder:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -211,33 +211,7 @@ def step_distribution_second_order(
     after a restart) the step falls back to first-order, since the
     bias is defined over the configured edge move that never happened.
     """
-    first = step_distribution_first_order(g, config.conductance, cur)
-    if prev is None:
-        return first
-
-    if config.non_backtracking:
-        trimmed = {x: w for x, w in first.items() if x != prev}
-        if not trimmed:
-            return {prev: 1.0}
-        total = sum(trimmed.values())
-        return {x: w / total for x, w in trimmed.items()}
-
-    if config.node2vec is not None:
-        if prev == cur or not g.has_edge(prev, cur):
-            return first
-        p, q = config.node2vec.p, config.node2vec.q
-        weighted = {}
-        for x, w in first.items():
-            if x == prev:
-                weighted[x] = w / p
-            elif g.has_edge(prev, x):
-                weighted[x] = w
-            else:
-                weighted[x] = w / q
-        total = sum(weighted.values())
-        return {x: w / total for x, w in weighted.items()}
-
-    return first
+    return StepTable(g, config)._distribution(prev, cur)
 
 
 class StepRow(NamedTuple):
@@ -297,6 +271,7 @@ class StepTable:
         self.config = config
         self.second_order = config.non_backtracking or config.node2vec is not None
         self._rows: dict[tuple[int | None, int], StepRow] = {}
+        self._first: dict[int, dict[int, float]] = {}
 
     def row(self, prev: int | None, cur: int) -> StepRow:
         key = (prev if self.second_order else None, cur)
@@ -305,8 +280,43 @@ class StepTable:
             row = self._rows[key] = self._compile(*key)
         return row
 
+    def _distribution(self, prev: int | None, cur: int) -> dict[int, float]:
+        # the rule of step_distribution_second_order on cur's first-order
+        # distribution, computed once per table and never modified
+        first = self._first.get(cur)
+        if first is None:
+            first = self._first[cur] = step_distribution_first_order(
+                self.g, self.config.conductance, cur)
+        if prev is None:
+            return first
+
+        if self.config.non_backtracking:
+            trimmed = {x: w for x, w in first.items() if x != prev}
+            if not trimmed:
+                return {prev: 1.0}
+            total = sum(trimmed.values())
+            return {x: w / total for x, w in trimmed.items()}
+
+        if self.config.node2vec is not None:
+            if prev == cur or not self.g.has_edge(prev, cur):
+                return first
+            p, q = self.config.node2vec.p, self.config.node2vec.q
+            near = set(self.g.neighbors(prev))
+            weighted = {}
+            for x, w in first.items():
+                if x == prev:
+                    weighted[x] = w / p
+                elif x in near:
+                    weighted[x] = w
+                else:
+                    weighted[x] = w / q
+            total = sum(weighted.values())
+            return {x: w / total for x, w in weighted.items()}
+
+        return first
+
     def _compile(self, prev: int | None, cur: int) -> StepRow:
-        dist = step_distribution_second_order(self.g, self.config, prev, cur)
+        dist = self._distribution(prev, cur)
         successors = sorted(dist)
         probs = [dist[x] for x in successors]
         cum = list(accumulate(probs))
@@ -316,22 +326,28 @@ class StepTable:
 
     def steps(self, start: int, rng: np.random.Generator) -> Iterator[tuple[int, bool]]:
         """Open-ended walk from ``start``; see :func:`iter_walk_steps`."""
-        config = self.config
+        restart = self.config.restart
+        alpha = restart.alpha if isinstance(restart, RestartProb) else None
+        period = restart.k if isinstance(restart, RestartPeriod) else 0
+        # rng.random(k) is the next k doubles that k rng.random() calls give
+        blocks = map(rng.random, chain((16, 64, 256, 1024), repeat(4096)))
+        uniform = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
         prev: int | None = None
-        cur = start
-        was_restart = False
-        t = 0
+        cur, was_restart, t = start, False, 0
         while True:
             t += 1
-            if _restart_now(config, t, was_restart, rng):
+            # step 1 is always an ordinary move; restarts start at t = 2
+            if alpha is not None:
+                was_restart = t > 1 and not was_restart and uniform() < alpha
+            else:
+                was_restart = t > 1 and period > 0 and t % period == 0
+            if was_restart:
                 prev, cur = cur, start
-                was_restart = True
             else:
                 successors, _, cum = self.row(prev, cur)
                 if not successors:
                     raise ValueError(f"vertex {cur} has no neighbor to step to")
-                prev, cur = cur, successors[bisect_right(cum, rng.random())]
-                was_restart = False
+                prev, cur = cur, successors[bisect_right(cum, uniform())]
             yield cur, was_restart
 
     def branches(
@@ -368,7 +384,7 @@ class StepTable:
         """Every state's row as arrays; see :class:`PaddedRows`.
 
         Rows go straight into the arrays without entering the row
-        cache, so the compile holds one row at a time.
+        cache; only the first-order distributions are kept meanwhile.
         """
         g = self.g
         arcs = [(u, v) for u in range(g.n) for v in g.neighbors(u)]
@@ -422,18 +438,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _restart_now(config: WalkConfig, t: int, prev_was_restart: bool,
-                 rng: np.random.Generator | None) -> bool:
-    # Step 1 is always an ordinary move; restarts start at t = 2.
-    if config.restart is None or t < 2:
-        return False
-    if isinstance(config.restart, RestartProb):
-        if prev_was_restart:
-            return False
-        return bool(rng.random() < config.restart.alpha)
-    return t % config.restart.k == 0
-
-
 def iter_walk_steps(
     g: Graph, config: WalkConfig, start: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, bool]]:
@@ -441,12 +445,16 @@ def iter_walk_steps(
 
     ``config.length`` is ignored here; callers decide when to stop
     (fixed length for :func:`sample_walk`, coverage for the cover-time
-    estimators).  Per step, one uniform is drawn for the restart
+    estimators).  Per step, one uniform is used for the restart
     decision when the mode calls for it, then one for the transition if
     the step is not a restart.  The transition inverts the step row's
     cumulative sums over ascending successors, so the mapping from
     uniforms to vertices is deterministic.  Stepping from a vertex
     without neighbors raises ``ValueError``.
+
+    Uniforms are read from ``rng`` ahead of use, in blocks, so after
+    the walk ``rng`` stands at an unspecified point of its stream: give
+    the walk a generator of its own and draw nothing from it afterwards.
     """
     return StepTable(g, config).steps(start, rng)
 
@@ -468,14 +476,8 @@ def sample_walk(
     elif not 0 <= start < g.n:
         raise ValueError(f"start {start} out of range for n={g.n}")
 
-    vertices = [start]
-    flags = [False]
-    steps = iter_walk_steps(g, config, start, rng)
-    for _ in range(config.length):
-        v, was_restart = next(steps)
-        vertices.append(v)
-        flags.append(was_restart)
-    return Walk(vertices=tuple(vertices), restart_flags=tuple(flags))
+    moves = list(islice(iter_walk_steps(g, config, start, rng), config.length))
+    return Walk((start, *[v for v, _ in moves]), (False, *[f for _, f in moves]))
 
 
 def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> None:

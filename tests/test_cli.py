@@ -1,5 +1,13 @@
 """Command-line interface: exit codes, config merging, CSV output."""
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import walklab
 
 from walklab import (
     UniformRandom,
@@ -138,6 +146,80 @@ def test_out_of_range_flag_names_the_flag(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: " in captured.err
+
+
+BAD_WALK_VALUES = [
+    ("walk", "restart-period", "0"),
+    ("walk", "restart-period", "x"),
+    ("walk", "restart-prob", "1.5"),
+    ("walk", "restart-prob", "0"),
+    ("walk", "restart-prob", "abc"),
+    ("walk", "node2vec", "1,0"),
+    ("walk", "node2vec", "-1,2"),
+    ("walk", "node2vec", "2"),
+    ("walk", "conductance", "fast"),
+    ("cover", "mode", "edges"),
+    ("record", "scheme", "plain"),
+]
+
+
+def _bad_value_argv(sub, tail):
+    graph = ["--family", "cycle", "--n", "4"]
+    extra = {"walk": ["--length", "3", "--seed", "1"],
+             "cover": ["--trials", "3", "--seed", "1"], "record": []}[sub]
+    return [sub, *graph, *extra, *tail]
+
+
+@pytest.mark.parametrize("sub,key,value", BAD_WALK_VALUES)
+def test_bad_flag_value_names_the_flag(sub, key, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n"))
+    assert run(_bad_value_argv(sub, [f"--{key}", value])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --{key}: " in captured.err
+
+
+@pytest.mark.parametrize("sub,key,value", BAD_WALK_VALUES)
+def test_bad_config_value_names_the_flag(sub, key, value, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n"))
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key} = {value}\n")
+    assert run(_bad_value_argv(sub, ["--config", str(conf)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --{key}: " in captured.err
+
+
+@pytest.mark.parametrize("line,label", [
+    ("node2vec = 2,0.5", "node2vec(2/0.5)"),
+    ("conductance = mdlr", "mdlr"),
+    ("conductance = uniform", "uniform"),
+    ("restart_period = 3", "uniform+restart(k=3)"),
+])
+def test_config_walk_values_reach_the_walk(tmp_path, capsys, line, label):
+    conf = tmp_path / "rt.conf"
+    conf.write_text(f"family = cycle\nn = 4\nlength = 6\ntrials = 3\n{line}\n")
+    assert run(["reconstruct-test", "--config", str(conf), "--seed", "1"]) == 0
+    assert out_of(capsys).splitlines()[1].split(",")[1] == label
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # a checkout without an install: the package on PYTHONPATH is enough
+    src = pathlib.Path(walklab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["walk", "--family", "cycle", "--n", "4", "--length", "5", "--walks", "3",
+            "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "walklab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == out_of(capsys)
+    bad = subprocess.run(
+        [sys.executable, "-m", "walklab", *argv, "--restart-period", "0"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "argument --restart-period: " in bad.stderr
 
 
 def test_single_vertex_walk_is_a_usage_error(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Decoding records to graphs and the isomorphism check behind it."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_records import engine_walks
 from walklab import (
     ISOMORPHISM_GUARD,
+    Neighbor,
     Permutation,
+    Restart,
     WalkConfig,
     apply_permutation,
     build_graph,
@@ -16,6 +20,8 @@ from walklab import (
     gen_star,
     is_isomorphic,
     parse,
+    record_anonymized,
+    record_named_neighbors,
 )
 
 
@@ -113,3 +119,67 @@ def test_vertex_covering_named_walk_rebuilds_clique():
     w = Walk((0, 1, 2, 3, 4), (False,) * 5)
     got = decode(record_named_neighbors(w, k5), complete=True)
     assert is_isomorphic(got.graph, k5)
+
+
+# -- decode against the edge-list construction ---------------------------------
+
+
+def _decoded_by_build_graph(rec):
+    """The recorded subgraph through the validating edge-list builder."""
+    pos, edges = 1, []
+    for tok in rec.tokens[1:]:
+        if not isinstance(tok, Restart):
+            edges.append((pos - 1, tok.id - 1))
+        if not isinstance(tok, Neighbor):
+            pos = tok.id
+    return build_graph(edges, rec.max_id())
+
+
+def _assert_decode_matches_build_graph(rec):
+    got = decode(rec).graph
+    want = _decoded_by_build_graph(rec)
+    assert got == want
+    assert (got.n, got.adjacency, got.m) == (want.n, want.adjacency, want.m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(engine_walks())
+def test_decode_matches_build_graph_on_engine_records(gw):
+    g, w = gw
+    _assert_decode_matches_build_graph(record_anonymized(w))
+    _assert_decode_matches_build_graph(record_named_neighbors(w, g))
+
+
+@st.composite
+def record_texts(draw):
+    """Well-formed record text with restarts and neighbor tokens."""
+    n_max, pos, after_restart, parts = 1, 1, False, ["1"]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from("-;#"))
+        if kind == "-":
+            i = draw(st.integers(1, n_max + 1))
+            if i == pos:
+                continue
+            n_max, pos, after_restart = max(n_max, i), i, False
+        elif kind == ";":
+            i = pos = draw(st.integers(1, n_max))
+            after_restart = True
+        else:
+            i = draw(st.integers(1, n_max))
+            if after_restart or i == pos:
+                continue
+        parts.append(kind + str(i))
+    return "".join(parts)
+
+
+@settings(deadline=None, max_examples=300)
+@given(record_texts())
+def test_decode_matches_build_graph_on_parsed_records(text):
+    _assert_decode_matches_build_graph(parse(text))
+
+
+@pytest.mark.parametrize("text", [
+    "1", "1-2;1", "1-2-3;2-1#3", "1-2-3#1;2-4#1#3", "1-2-1-2;1-3#2-2-3", "1-2;1;2;1-3",
+])
+def test_decode_matches_build_graph_on_hand_written_records(text):
+    _assert_decode_matches_build_graph(parse(text))

@@ -22,6 +22,7 @@ from walklab import (
     rng_stream,
     sample_walk,
     WalkConfig,
+    RestartPeriod,
     RestartProb,
     enumerate_walk_distribution,
     gen_csl,
@@ -270,32 +271,48 @@ def test_recorder_output_passes_the_full_check(gw):
         assert parse(rec.text) == rec
 
 
+# K4 on 0..3 with a pendant path 0-4-5 and a leaf 6 on vertex 2: leaves
+# saturate at their first visit, the clique only after many steps
+LEAFY = build_graph(
+    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (2, 6)], 7
+)
+
+
 @pytest.mark.parametrize("config", [
     WalkConfig(length=4, restart=RestartProb(0.3)),
     WalkConfig(length=4, non_backtracking=True),
     WalkConfig(length=5, node2vec=Node2Vec(2.0, 0.5)),
+    WalkConfig(length=6, restart=RestartPeriod(3)),
 ])
 def test_recorder_rollback_matches_fresh_recording(config):
     # walk the enumeration tree depth first with one recorder, rolling
     # back to the common prefix between consecutive walks
-    g = gen_csl(6, 2)
-    rec = Recorder(0, g)
-    marks = [rec.mark()]  # marks[k]: after positions 0..k
-    previous: list[tuple[int, bool]] = [(0, False)]
-    for w, _ in enumerate_walk_distribution(g, config, start=0):
-        steps = list(zip(w.vertices, w.restart_flags))
-        common = 1
-        while common < len(previous) and steps[common] == previous[common]:
-            common += 1
-        rec.rollback(marks[common - 1])
-        del marks[common:]
-        for v, restart in steps[common:]:
-            rec.step(v, restart)
-            marks.append(rec.mark())
-        previous = steps
-        assert rec.anonymized().text == record_anonymized(w).text
-        assert rec.named_neighbors().text == record_named_neighbors(w, g).text
-        assert rec.named_neighbors() == record_named_neighbors(w, g)
+    for g in (gen_csl(6, 2), LEAFY):
+        for start in (0, 5) if g is LEAFY else (0,):
+            rec = Recorder(start, g)
+            marks = [rec.mark()]  # marks[k]: after positions 0..k
+            previous: list[tuple[int, bool]] = [(start, False)]
+            for w, _ in enumerate_walk_distribution(g, config, start=start):
+                steps = list(zip(w.vertices, w.restart_flags))
+                common = 1
+                while common < len(previous) and steps[common] == previous[common]:
+                    common += 1
+                rec.rollback(marks[common - 1])
+                del marks[common:]
+                for v, restart in steps[common:]:
+                    rec.step(v, restart)
+                    marks.append(rec.mark())
+                previous = steps
+                assert rec.anonymized().text == record_anonymized(w).text
+                assert rec.named_neighbors().text == record_named_neighbors(w, g).text
+                assert rec.named_neighbors() == record_named_neighbors(w, g)
+                # rollback restores the per-vertex counts of unrecorded
+                # edges, saturated vertices included
+                fresh = Recorder(start, g)
+                for v, restart in steps[1:]:
+                    fresh.step(v, restart)
+                assert rec._unrecorded == fresh._unrecorded
+                assert rec._recorded == fresh._recorded
 
 
 @settings(deadline=None, max_examples=200)

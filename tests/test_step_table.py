@@ -6,6 +6,7 @@ step's distribution comes straight from
 over the sorted support, falling back to the last candidate.  Every
 sampler that reads the table must agree with it bit for bit.
 """
+import dataclasses
 import math
 import random
 
@@ -115,6 +116,25 @@ def test_sample_walk_matches_reference_stepper():
         ))
     # every conductance x second-order rule x restart mode was exercised
     assert len(seen) == 3 * 3 * 3
+
+
+@pytest.mark.parametrize("length", [1000, 2500, 5000])
+@pytest.mark.parametrize("config", [
+    WalkConfig(length=0, restart=RestartProb(0.3)),
+    WalkConfig(length=0, conductance=MDLR(), node2vec=Node2Vec(0.25, 2.0)),
+    WalkConfig(length=0, node2vec=Node2Vec(3.0, 0.5), restart=RestartProb(0.7)),
+], ids=["restart", "node2vec", "node2vec+restart"])
+def test_long_walks_match_reference_stepper(config, length):
+    # uniforms are drawn in blocks that grow from 16 to 4096; thousands of
+    # steps cross many block ends and every block size
+    rnd = random.Random(length)
+    for trial in range(3):
+        g = random_graph(rnd, max_n=12)
+        cfg = dataclasses.replace(config, length=length, seed=rnd.randrange(2**31))
+        start = rnd.choice([None, rnd.randrange(g.n)])
+        walk = sample_walk(g, cfg, start=start, walk_index=trial)
+        expected = reference_walk(g, cfg, start, trial)
+        assert (walk.vertices, walk.restart_flags) == expected
 
 
 def test_rows_off_the_arcs_come_from_the_reference():
