@@ -20,14 +20,16 @@ Draw contract of the cover kernel: a chunk draws its uniform starts
 first, if any, then each step draws one ``rng.random(k)`` for its ``k``
 live lanes, in lane order.  A lane leaves the draw once every time it
 tracks is known; lanes still live at the budget are censored.  The
-kernel keeps its arrays compacted to the live lanes and, once fewer
-than ``TAIL_LANES`` are left, finishes the chunk in a Python loop that
-picks a lane's slot with ``bisect_right`` on its ``cum`` row instead
-of ``(u >= cum).sum()``.  The two agree for every ``u`` in [0, 1) (see
-:func:`_cover_tail`), so both phases consume the stream alike and give
-the same bytes.  How the ``k`` uniforms are grouped into calls does
-not matter (Philox hands out one flat sequence of doubles); their
-count and order do.
+kernel keeps its arrays compacted to the live lanes and moves them with
+the guide-table draw of :meth:`~walklab.walks.PaddedRows.draw`; once fewer than
+``TAIL_LANES`` are left, it finishes the chunk in a Python loop that
+picks a lane's slot with ``bisect_right`` on its ``cum`` row.  For
+every ``u`` in [0, 1) both pick slot ``(u >= cum).sum()`` of the
+state's padded row, the count of its sums at most ``u`` (see
+:class:`~walklab.walks.PaddedRows`), so both phases consume the stream alike and give
+the bytes of the plain padded count.  How the ``k`` uniforms are
+grouped into calls does not matter (Philox hands out one flat sequence
+of doubles); their count and order do.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ from .walks import (
     RestartProb,
     StepTable,
     WalkConfig,
+    require_seed,
     rng_stream,
 )
 
@@ -143,12 +146,6 @@ def _check_budget(budget: int) -> None:
     # cover, which reads as a NaN mean rather than as a mistake
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-
-
-def _require_seed(config: WalkConfig) -> int:
-    if config.seed is None:
-        raise ValueError("config.seed is required for sampling")
-    return config.seed
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,7 @@ def sample_cover_time(
         raise ValueError("global cover time expects a restart-free config")
     if not 0 <= start < g.n:
         raise ValueError(f"start {start} out of range for n={g.n}")
-    rng = rng_stream(_require_seed(config), walk_index)
+    rng = rng_stream(require_seed(config), walk_index)
     targets, arc_target = _targets(mode, range(g.n), g.edges())
     return _cover_time_scalar(
         StepTable(g, config), start, rng, targets, arc_target, budget
@@ -293,11 +290,6 @@ def _run_chunks(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, jobs))
     return [run(job) for job in jobs]
-
-
-def _row_draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per lane, the first slot whose cumulative sum exceeds its uniform."""
-    return (u[:, None] >= cum_rows).sum(axis=1)
 
 
 def _cover_chunk(
@@ -353,7 +345,7 @@ def _cover_chunk(
     t = 0
     while lane.size >= TAIL_LANES:
         t += 1
-        s = rows.next[s, _row_draw(rows.cum[s], rng.random(s.size))]
+        s = rows.draw(s, rng.random(s.size))
         cell = v_row + rows.position[s]
         v_left -= unvisited[cell]
         unvisited[cell] = False
@@ -412,12 +404,14 @@ def _cover_tail(
 
     Same chain and draws as the lockstep loop: one ``rng.random(k)`` per
     step for the ``k`` live lanes, in lane order.  A slot is picked by
-    ``bisect_right`` on the state's padded ``cum`` row, which equals the
-    lockstep ``(u >= cum).sum()`` for every ``u`` in [0, 1): the row's
-    sums of non-negative probabilities never decrease, except that the
-    forced final 1.0 may sit below its predecessor, and both exceed
-    ``u``; the 2.0 padding exceeds it too.  So the entries at most
-    ``u`` are a prefix, which both count.  ``unvisited`` and
+    ``bisect_right`` on the state's padded ``cum`` row, which for every
+    ``u`` in [0, 1) is the slot the lockstep guide draw picks, the
+    count of the row's sums at most ``u``: the row's sums of
+    non-negative probabilities never decrease, except that the forced
+    final 1.0 may sit below its predecessor, and both exceed ``u``; the
+    2.0 padding exceeds it too.  So the entries at most ``u`` are a
+    prefix, which a binary search finds and the guide draw's advance
+    walks to (see :class:`~walklab.walks.PaddedRows`).  ``unvisited`` and
     ``untraversed`` hold the live lanes' rows, in lane order, and
     ``entered`` is None when only vertices are tracked; the times land
     in ``t_v``/``t_e``.
@@ -493,7 +487,7 @@ def batch_cover_samples(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_budget(budget)
-    seed = _require_seed(config)
+    seed = require_seed(config)
     rows = StepTable(g, config).padded()
 
     def run_chunk(rng: np.random.Generator, lanes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -565,7 +559,7 @@ def estimate_cover_time(
             )
             return t_v if mode == "vertex" else t_e
         return _scalar_samples(
-            table, _require_seed(config), trials, start, budget, targets,
+            table, require_seed(config), trials, start, budget, targets,
             arc_target, index_base=cell * trials,
         )
 
@@ -617,7 +611,7 @@ def local_cover_time(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_budget(budget)
-    seed = _require_seed(config)
+    seed = require_seed(config)
     ball = local_ball(g, v, r)
     targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())
     out = _scalar_samples(

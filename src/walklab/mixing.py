@@ -13,10 +13,10 @@ import collections
 
 import numpy as np
 
-from .cover import _row_draw, _run_chunks
+from .cover import _run_chunks
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
-from .walks import Constant, StepTable, WalkConfig
+from .walks import Constant, StepTable, WalkConfig, require_seed
 
 __all__ = [
     "FeatureVector",
@@ -167,8 +167,7 @@ def mc_visit_frequencies(
         raise ValueError("visit-frequency estimation expects the uniform walk")
     if config.restart is not None:
         raise ValueError("visit-frequency estimation expects no restarts")
-    if config.seed is None:
-        raise ValueError("config.seed is required for sampling")
+    seed = require_seed(config)
     if not 0 <= u < g.n:
         raise ValueError(f"start {u} out of range for n={g.n}")
     if l < 0 or trials < 1:
@@ -183,12 +182,11 @@ def mc_visit_frequencies(
         counts = np.zeros(rows.position.size, dtype=np.int64)
         counts[u] = lanes
         for _ in range(l):
-            idx = _row_draw(rows.cum[state], rng.random(lanes))
-            state = rows.next[state, idx]
+            state = rows.draw(state, rng.random(lanes))
             counts += np.bincount(state, minlength=counts.size)
         return counts
 
-    per_state = sum(_run_chunks(config.seed, cell, trials, threads, run_chunk))
+    per_state = sum(_run_chunks(seed, cell, trials, threads, run_chunk))
     visits = np.zeros(g.n, dtype=np.int64)
     np.add.at(visits, rows.position, per_state)
     return visits / (trials * (l + 1))

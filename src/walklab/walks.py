@@ -230,7 +230,6 @@ class StepRow(NamedTuple):
     cum: list[float]
 
 
-@dataclass(frozen=True)
 class PaddedRows:
     """A :class:`StepTable` as rectangular arrays, for lockstep kernels.
 
@@ -244,13 +243,65 @@ class PaddedRows:
     selected.  Per state, ``position`` is the vertex the walker stands
     at, and ``arc`` and ``edge`` are what the last move traversed (-1
     for the start states).
+
+    :meth:`draw` moves many lanes at once by the indexed search of Chen
+    and Asau (1974; Devroye, *Non-Uniform Random Variate Generation*,
+    1986, section III.2.4).  With ``W`` the row width and ``B`` the
+    smallest power of two of at least ``4 * W``, bin ``b`` of state
+    ``s``'s guide holds the flat slot ``s * W + #{i : cum[s, i] <= b/B}``.
+    A lane with uniform ``u`` in [0, 1) starts at the slot of bin
+    ``b = floor(u * B)`` and advances while ``u >= cum``.  It stops at
+    slot ``(u >= cum[s]).sum()`` of the row, the slot the plain padded
+    count and ``bisect_right`` pick, for two reasons.  First, for any
+    ``x`` in [0, 1) the sums at most ``x`` are a prefix of the row: sums
+    of non-negative probabilities never decrease, except that the
+    forced final 1.0 may sit below its predecessor, and both exceed
+    ``x``, as does the 2.0 padding.  Second, ``b/B <= u`` holds
+    exactly, because ``B`` is a power of two, so ``u * B`` and ``b/B``
+    are computed without rounding.  So the bin's prefix lies within
+    ``u``'s, the advance passes just the sums between them, and it
+    stops inside the row, at a sum above ``u``.
     """
 
-    cum: np.ndarray
-    next: np.ndarray
-    position: np.ndarray
-    arc: np.ndarray
-    edge: np.ndarray
+    def __init__(
+        self,
+        cum: np.ndarray,
+        next: np.ndarray,
+        position: np.ndarray,
+        arc: np.ndarray,
+        edge: np.ndarray,
+    ):
+        self.cum, self.next = cum, next
+        self.position, self.arc, self.edge = position, arc, edge
+        states, width = cum.shape
+        bins = 1
+        while bins < 4 * width:
+            bins *= 2
+        # sum i of state s is <= b/B from bin ceil(cum[s, i] * B) on; sums
+        # of 1.0 or more, padding included, fall in the dropped bin B
+        first = np.minimum(np.ceil(cum * bins), bins).astype(np.intp)
+        first += np.arange(states)[:, None] * (bins + 1)
+        counts = np.bincount(first.ravel(), minlength=states * (bins + 1))
+        counts = counts.reshape(states, bins + 1)[:, :bins]
+        guide = counts.cumsum(axis=1, dtype=np.int32)
+        guide += np.arange(states, dtype=np.int32)[:, None] * width
+        self._bins = bins
+        self._guide = guide.ravel()
+        self._cum, self._next = cum.ravel(), next.ravel()
+
+    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states of lanes at ``state`` given their uniforms ``u``."""
+        bins, cum = self._bins, self._cum
+        slot = (u * bins).astype(np.intp)
+        slot += state * bins
+        slot = self._guide.take(slot).astype(np.intp)
+        # a lane moves on only past the sums of its row in (b/B, u]
+        miss = (u >= cum.take(slot)).nonzero()[0]
+        while miss.size:
+            fixed = slot[miss] + 1
+            slot[miss] = fixed
+            miss = miss[u[miss] >= cum.take(fixed)]
+        return self._next.take(slot)
 
 
 class StepTable:
@@ -427,6 +478,13 @@ def transition_matrix(g: Graph, kind: ConductanceKind) -> np.ndarray:
     return P
 
 
+def require_seed(config: WalkConfig) -> int:
+    """The seed of a config a sampler draws from; it must be set."""
+    if config.seed is None:
+        raise ValueError("config.seed is required for sampling")
+    return config.seed
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent Philox stream for (seed, key).
 
@@ -468,9 +526,7 @@ def sample_walk(
     generator is ``rng_stream(config.seed, walk_index)``, so a batch of
     walks indexed 0..N-1 is reproducible walk by walk.
     """
-    if config.seed is None:
-        raise ValueError("config.seed is required for sampling")
-    rng = rng_stream(config.seed, walk_index)
+    rng = rng_stream(require_seed(config), walk_index)
     if start is None:
         start = int(rng.integers(g.n))
     elif not 0 <= start < g.n:

@@ -1,11 +1,16 @@
-"""The lockstep cover kernel against a reference kernel kept here.
+"""The lockstep cover kernel and its draw against references kept here.
 
 ``reference_chunk`` is the straightforward lockstep loop: every
 iteration re-gathers each per-lane array through the index of the live
-lanes, draws with ``(u >= cum).sum()`` and stops at the budget.  The
-package kernel keeps its lanes compacted and finishes near-empty
-chunks in a Python loop with ``bisect_right``; its arrays must equal
-the reference's exactly, on the same Philox streams.
+lanes, draws with the padded count ``(u >= cum).sum()`` and stops at
+the budget.  The package kernel keeps its lanes compacted, draws with
+the guide table of :class:`~walklab.walks.PaddedRows` and finishes
+near-empty chunks in a Python loop with ``bisect_right``; its arrays
+must equal the reference's exactly, on the same Philox streams.  The
+guide draw itself is checked against the padded count on every state
+of a range of tables, at the uniforms where an off-by-one would show:
+each ``cum`` entry, each guide bin edge, and the doubles just below
+them.
 """
 import random
 
@@ -18,11 +23,15 @@ from walklab import (
     Node2Vec,
     WalkConfig,
     build_graph,
+    gen_barbell,
+    gen_lollipop,
+    gen_rook4x4,
+    gen_shrikhande,
     parse_edge_list,
     rng_stream,
 )
 from walklab.cover import TAIL_LANES, _cover_chunk
-from walklab.walks import StepTable
+from walklab.walks import PaddedRows, StepTable
 
 
 def reference_draw(cum_rows, u):
@@ -185,3 +194,75 @@ def test_kernel_single_vertex(start, track):
     rows = StepTable(g, WalkConfig(length=0, seed=3)).padded()
     for lanes in (1, TAIL_LANES, 1024):
         assert_same(*both(g, rows, (3, lanes), lanes, start, 10, track, False))
+
+
+def slot_rows(cum):
+    """Rows over ``cum`` whose ``next`` is the flat slot, so a draw names its slot."""
+    unused = np.zeros(cum.shape[0], dtype=np.int64)
+    return PaddedRows(cum, np.arange(cum.size).reshape(cum.shape), unused, unused, unused)
+
+
+def probe_uniforms(row, bins):
+    """0, each entry and bin edge below 1 with the double below it, and 1-."""
+    edges = np.arange(bins) / bins
+    points = np.concatenate([row[row < 1.0], edges, [1.0]])
+    probes = np.concatenate([[0.0], points, np.nextafter(points, 0.0)])
+    return probes[probes < 1.0]
+
+
+def assert_guide_matches_padded_count(cum, extra):
+    states, width = cum.shape
+    bins = 1
+    while bins < 4 * width:
+        bins *= 2
+    rows = slot_rows(cum)
+    for s in range(states):
+        u = np.concatenate([probe_uniforms(cum[s], bins), extra])
+        want = s * width + (u[:, None] >= cum[s]).sum(axis=1)
+        got = rows.draw(np.full(u.size, s), u)
+        assert np.array_equal(got, want), s
+
+
+def double_star():
+    """Hubs 10 and 11 with 19 leaves each; under MDLR the hub-to-hub
+    probability is about 1/400, so in hub 10's row it shares a guide bin
+    with the sum before it, and some draws advance two slots."""
+    edges = [(10, 11)] + [(10, v) for v in range(21) if v not in (10, 11)]
+    return build_graph(edges + [(11, v) for v in range(21, 40)], 40)
+
+
+DRAW_GRAPHS = {
+    "lollipop-10": gen_lollipop(10),
+    "lollipop-20": gen_lollipop(20),
+    "rook4x4": gen_rook4x4(),
+    "shrikhande": gen_shrikhande(),
+    "barbell-5": gen_barbell(5),
+    "double-star": double_star(),
+    **{f"random-{i}": random_graph(random.Random(500 + i)) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_GRAPHS))
+def test_guide_draw_matches_padded_count(name):
+    g = DRAW_GRAPHS[name]
+    extra = np.random.default_rng(len(name)).random(10_000)
+    for conductance in (Constant(), MDLR()):
+        for kwargs in ({}, {"non_backtracking": True}, {"node2vec": Node2Vec(1.0, 2.0)}):
+            config = WalkConfig(length=0, conductance=conductance, **kwargs)
+            assert_guide_matches_padded_count(StepTable(g, config).padded().cum, extra)
+
+
+def test_guide_draw_on_hand_built_rows():
+    # a forced final 1.0 below its predecessor, a repeated sum, a row
+    # with no successor, and sums just off the bin edges of B = 16
+    cum = np.array([
+        [0.25, 0.5, np.nextafter(1.0, 2.0), 1.0],
+        [0.5, 0.5, 1.0, 2.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [np.nextafter(0.0625, 1.0), np.nextafter(0.125, 0.0), 0.1875, 1.0],
+    ])
+    extra = np.random.default_rng(0).random(10_000)
+    assert_guide_matches_padded_count(cum, extra)
+    # the row's third sum exceeds every uniform, so its last slot is never drawn
+    u = np.array([0.5, 0.75, np.nextafter(1.0, 0.0)])
+    assert list(slot_rows(cum).draw(np.zeros(3, dtype=np.int64), u)) == [2, 2, 2]

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from test_cover_kernel import double_star
 from walklab import (
     MDLR,
     Constant,
@@ -72,6 +73,12 @@ CLI_CASES = {
          "--seed", "7"],
         "0eff2496dde974a7f835e32173b593d17294c62df62ea546e28f30181182466e",
     ),
+    # two full chunks and a short last one per cell
+    "mixing-barbell-5": (
+        ["mixing", "--family", "barbell", "--k", "5", "--trials", "2100",
+         "--lengths", "1,7,20", "--seed", "8"],
+        "f194455faf60743ce00095b5555e65beaeca88bc4483eb3744bbecf3fff2cbbb",
+    ),
     "invariance": (
         ["invariance", "--max-n", "4", "--max-l", "3", "--seed", "0"],
         "6ec7e1c8a29683b89a4a3b4ab9e0bcb6ec3224dfac307ec86d6e231a2a114ae7",
@@ -127,7 +134,9 @@ def arrays_digest(t_v, t_e):
 
 # Raw kernel arrays at its branch points: lanes censoring in the
 # near-empty tail, vertex-only tracking from a fixed start, lanes
-# censoring while the chunk is still wide, and a short last chunk.
+# censoring while the chunk is still wide, a short last chunk, full
+# chunks on the 20-wide rows of gen_lollipop(20), and a table whose
+# draws sometimes advance two slots past their guide bin.
 KERNEL_CASES = {
     "node2vec-tail-censors": (
         lambda: batch_cover_samples(
@@ -159,6 +168,29 @@ KERNEL_CASES = {
             2100, None, strict_edges=True,
         ),
         "822d1524064210081a38c08214fe986c7d089c4c0e566543a420d52bc580e05a",
+    ),
+    "wide-rows-uniform": (
+        lambda: batch_cover_samples(
+            gen_lollipop(20), WalkConfig(length=0, seed=2026), 1024, None,
+            budget=5000, cell=1,
+        ),
+        "50971e0615f23d2a60bdfb4ba53ebe355c96794b322f3a18be44b566ae962b5f",
+    ),
+    "wide-rows-node2vec": (
+        lambda: batch_cover_samples(
+            gen_lollipop(20),
+            WalkConfig(length=0, conductance=Constant(),
+                       node2vec=Node2Vec(1.0, 2.0), seed=2026),
+            1024, None, budget=5000, cell=1,
+        ),
+        "91f9f3f03145f1da4d1a9c2e4ba62d0c912003fb6b584894512385eed16c3699",
+    ),
+    "two-slot-advances": (
+        lambda: batch_cover_samples(
+            double_star(), WalkConfig(length=0, conductance=MDLR(), seed=2026),
+            1024, None, budget=5000, cell=1,
+        ),
+        "9fa8ceae4528eb53ab61dd31914b1dc17fb3e3511ed977d115123aeae49c65eb",
     ),
 }
 

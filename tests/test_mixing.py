@@ -1,10 +1,18 @@
-"""Stationary distributions and the averaged-propagation identity."""
+"""Stationary distributions and the averaged-propagation identity.
+
+``reference_visit_frequencies`` is the plain lockstep estimator: it
+draws with the padded count ``(u >= cum).sum()`` and counts visits per
+vertex as it goes.  The package estimator draws with the guide table
+and folds per-state counts onto vertices at the end; the two must agree
+bit for bit on the same Philox streams.
+"""
 import math
 
 import numpy as np
 import pytest
 
 from walklab import (
+    CHUNK_TRIALS,
     Constant,
     MDLR,
     Node2Vec,
@@ -20,9 +28,11 @@ from walklab import (
     mc_visit_frequencies,
     mixing_suite,
     parse_edge_list,
+    rng_stream,
     stationary,
     transition_matrix,
 )
+from walklab.walks import StepTable
 
 
 def test_stationary_uniform_walk_proportional_to_degree():
@@ -147,6 +157,34 @@ def test_mc_visit_frequencies_thread_independence():
     a = mc_visit_frequencies(g, cfgd, 2, 11, trials=5000, threads=1)
     b = mc_visit_frequencies(g, cfgd, 2, 11, trials=5000, threads=4)
     assert np.array_equal(a, b)
+
+
+def reference_visit_frequencies(g, config, u, l, trials, cell):
+    rows = StepTable(g, config).padded()
+    visits = np.zeros(g.n, dtype=np.int64)
+    for j in range(math.ceil(trials / CHUNK_TRIALS)):
+        lanes = min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS)
+        rng = rng_stream(config.seed, cell, j)
+        state = np.full(lanes, u, dtype=np.int64)
+        visits[u] += lanes
+        for _ in range(l):
+            idx = (rng.random(lanes)[:, None] >= rows.cum[state]).sum(axis=1)
+            state = rows.next[state, idx]
+            np.add.at(visits, rows.position[state], 1)
+    return visits / (trials * (l + 1))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("l", [1, 7, 20])
+@pytest.mark.parametrize("name", ["barbell-5", "lollipop-10"])
+def test_mc_visit_frequencies_match_reference_loop(name, l, threads):
+    # 2100 trials: two full chunks and a short last one
+    g = gen_barbell(5) if name == "barbell-5" else gen_lollipop(10)
+    config = WalkConfig(length=0, seed=31)
+    for cell, u in enumerate((0, g.n // 2, g.n - 1)):
+        want = reference_visit_frequencies(g, config, u, l, 2100, cell)
+        got = mc_visit_frequencies(g, config, u, l, 2100, cell=cell, threads=threads)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_mc_visit_frequencies_only_plain_uniform_walks():

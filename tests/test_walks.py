@@ -10,21 +10,27 @@ from hypothesis import given, settings, strategies as st
 from walklab import (
     Constant,
     DegreeRule,
+    Fixed,
     MDLR,
     Node2Vec,
     RestartPeriod,
     RestartProb,
     Walk,
     WalkConfig,
+    batch_cover_samples,
     build_graph,
     conductance,
     enumerate_walk_distribution,
+    estimate_cover_time,
     gen_clique,
     gen_csl,
     gen_cycle,
     gen_path,
     gen_star,
+    local_cover_time,
+    mc_visit_frequencies,
     rng_stream,
+    sample_cover_time,
     sample_walk,
     step_distribution_first_order,
     step_distribution_second_order,
@@ -131,6 +137,22 @@ def test_walk_validation():
 def test_sample_walk_requires_seed():
     with pytest.raises(ValueError, match="seed"):
         sample_walk(gen_path(3), WalkConfig(length=2))
+
+
+def test_every_sampler_names_the_missing_seed_alike():
+    g, unseeded = gen_path(3), WalkConfig(length=2)
+    samplers = (
+        lambda: sample_walk(g, unseeded),
+        lambda: sample_cover_time(g, unseeded, 0, "vertex"),
+        lambda: batch_cover_samples(g, unseeded, 4, None),
+        lambda: estimate_cover_time(g, unseeded, "edge", 4, Fixed(0), method="scalar"),
+        lambda: local_cover_time(
+            g, 1, 1, WalkConfig(length=0, restart=RestartProb(0.5)), "vertex", 4),
+        lambda: mc_visit_frequencies(g, unseeded, 0, 2, 4),
+    )
+    for sample in samplers:
+        with pytest.raises(ValueError, match="^config.seed is required for sampling$"):
+            sample()
 
 
 def test_sample_walk_rejects_bad_start():
