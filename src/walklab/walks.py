@@ -277,31 +277,30 @@ class PaddedRows:
         bins = 1
         while bins < 4 * width:
             bins *= 2
-        # sum i of state s is <= b/B from bin ceil(cum[s, i] * B) on; sums
-        # of 1.0 or more, padding included, fall in the dropped bin B
+        # sum i of state s is <= b/B from bin first[s, i] = ceil(cum[s, i] * B)
+        # on, and a sum of 1.0 or more never is (its bin is clipped to B);
+        # by the prefix argument above first[s] does not decrease, so the
+        # guide holds slot i of state s over bins first[s, i-1] to first[s, i]-1
         first = np.minimum(np.ceil(cum * bins), bins).astype(np.intp)
-        first += np.arange(states)[:, None] * (bins + 1)
-        counts = np.bincount(first.ravel(), minlength=states * (bins + 1))
-        counts = counts.reshape(states, bins + 1)[:, :bins]
-        guide = counts.cumsum(axis=1, dtype=np.int32)
-        guide += np.arange(states, dtype=np.int32)[:, None] * width
+        spans = np.diff(first, axis=1, prepend=0, append=bins)
+        slots = np.arange(states)[:, None] * width + np.arange(width + 1)
         self._bins = bins
-        self._guide = guide.ravel()
-        self._cum, self._next = cum.ravel(), next.ravel()
+        self._guide = np.repeat(slots.astype(np.int32).ravel(), spans.ravel())
 
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of lanes at ``state`` given their uniforms ``u``."""
-        bins, cum = self._bins, self._cum
+        bins, cum = self._bins, self.cum
         slot = (u * bins).astype(np.intp)
         slot += state * bins
         slot = self._guide.take(slot).astype(np.intp)
-        # a lane moves on only past the sums of its row in (b/B, u]
+        # take() reads 2-D arrays flat; a lane moves on only past the sums
+        # of its row in (b/B, u]
         miss = (u >= cum.take(slot)).nonzero()[0]
         while miss.size:
             fixed = slot[miss] + 1
             slot[miss] = fixed
             miss = miss[u[miss] >= cum.take(fixed)]
-        return self._next.take(slot)
+        return self.next.take(slot)
 
 
 class StepTable:
