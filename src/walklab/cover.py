@@ -20,16 +20,17 @@ Draw contract of the cover kernel: a chunk draws its uniform starts
 first, if any, then each step draws one ``rng.random(k)`` for its ``k``
 live lanes, in lane order.  A lane leaves the draw once every time it
 tracks is known; lanes still live at the budget are censored.  The
-kernel keeps its arrays compacted to the live lanes and moves them with
-the guide-table draw of :meth:`~walklab.walks.PaddedRows.draw`; once fewer than
-``TAIL_LANES`` are left, it finishes the chunk in a Python loop that
-picks a lane's slot with ``bisect_right`` on its ``cum`` row.  For
-every ``u`` in [0, 1) both pick slot ``(u >= cum).sum()`` of the
-state's padded row, the count of its sums at most ``u`` (see
-:class:`~walklab.walks.PaddedRows`), so both phases consume the stream alike and give
-the bytes of the plain padded count.  How the ``k`` uniforms are
-grouped into calls does not matter (Philox hands out one flat sequence
-of doubles); their count and order do.
+kernel keeps its arrays compacted to the live lanes and moves them
+with the guide-table draw of :meth:`~walklab.walks.PaddedRows.draw`;
+once fewer than ``TAIL_LANES`` are left, it finishes the chunk in a
+Python loop that picks a lane's slot with ``bisect_right`` on its
+``cum`` row.  For every ``u`` in [0, 1) both pick slot
+``(u >= cum).sum()`` of the state's padded row, the count of its sums
+at most ``u`` (see :class:`~walklab.walks.PaddedRows`), so both phases
+consume the stream alike and give the bytes the plain padded count
+gave.  How the ``k`` uniforms are grouped into calls does not matter
+(Philox hands out one flat sequence of doubles); their count and order
+do.
 """
 from __future__ import annotations
 

@@ -288,7 +288,7 @@ class PaddedRows:
         self._guide = np.repeat(slots.astype(np.int32).ravel(), spans.ravel())
 
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next states of lanes at ``state`` given their uniforms ``u``."""
+        """Next states of lanes at ``state`` given their uniforms ``u`` in [0, 1)."""
         bins, cum = self._bins, self.cum
         slot = (u * bins).astype(np.intp)
         slot += state * bins

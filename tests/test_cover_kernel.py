@@ -197,9 +197,10 @@ def test_kernel_single_vertex(start, track):
 
 
 def slot_rows(cum):
-    """Rows over ``cum`` whose ``next`` is the flat slot, so a draw names its slot."""
+    """Rows over ``cum`` whose ``next`` is the flat slot: a draw names its slot."""
+    slots = np.arange(cum.size).reshape(cum.shape)
     unused = np.zeros(cum.shape[0], dtype=np.int64)
-    return PaddedRows(cum, np.arange(cum.size).reshape(cum.shape), unused, unused, unused)
+    return PaddedRows(cum, slots, unused, unused, unused)
 
 
 def probe_uniforms(row, bins):
@@ -218,7 +219,7 @@ def assert_guide_matches_padded_count(cum, extra):
     rows = slot_rows(cum)
     for s in range(states):
         u = np.concatenate([probe_uniforms(cum[s], bins), extra])
-        want = s * width + (u[:, None] >= cum[s]).sum(axis=1)
+        want = s * width + reference_draw(cum[s], u)
         got = rows.draw(np.full(u.size, s), u)
         assert np.array_equal(got, want), s
 
