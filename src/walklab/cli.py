@@ -3,7 +3,9 @@
 One executable, ten subcommands: gen, walk, record, decode, cover,
 reconstruct-test, invariance, mixing, fig3, sr16.  Every randomized
 subcommand requires --seed, and given the same arguments and seed the
-output is byte-identical regardless of --threads.
+output is byte-identical.  Every sampler runs on the calling thread;
+--threads is still accepted and range-checked, from argv and from
+config files, but changes nothing.
 
 Options may come from a key=value config file (--config); explicit
 flags override file values, file values pass the flags' type and range
@@ -300,6 +302,23 @@ def _parse_walk(line: str) -> Walk:
     return Walk(tuple(vertices), tuple(flags))
 
 
+def _check_walk(walk: Walk, g: Graph) -> None:
+    """Reject a walk that leaves ``g``, naming its first bad vertex or step.
+
+    The start and restart targets must be vertices of ``g``, and every
+    ordinary step to another vertex an edge.  A step onto the current
+    position is left to the recorder, whose message names it.
+    """
+    prev = None
+    for v, restart in zip(walk.vertices, walk.restart_flags):
+        if prev is None or restart or v == prev:
+            if not 0 <= v < g.n:
+                raise UsageError(f"walk vertex {v} is out of range for n={g.n}")
+        elif not g.has_edge(prev, v):
+            raise UsageError(f"walk step ({prev}, {v}) is not an edge of the graph")
+        prev = v
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -349,6 +368,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     out = []
     for line in walk_lines:
         walk = _parse_walk(line)
+        _check_walk(walk, g)
         if args.scheme == "anon":
             out.append(record_anonymized(walk).text)
         elif args.scheme == "named":
@@ -402,8 +422,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         else:
             policy = cover_mod.UniformRandom()
         stats = cover_mod.estimate_cover_time(
-            g, config, args.mode, args.trials, policy,
-            budget=args.budget, threads=args.threads,
+            g, config, args.mode, args.trials, policy, budget=args.budget
         )
     csv = cover_mod.cover_csv([(label, _walk_label(config), stats)])
     _warn_censored(csv, args.budget)
@@ -450,9 +469,7 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
     cell = 0
     for l in args.lengths:
         for u in range(g.n):
-            freqs = mixing_mod.mc_visit_frequencies(
-                g, config, u, l, args.trials, cell=cell, threads=args.threads
-            )
+            freqs = mixing_mod.mc_visit_frequencies(g, config, u, l, args.trials, cell)
             cell += 1
             for v in range(g.n):
                 exact = mixing_mod.jacobian_expectation(P, u, v, l)
@@ -466,8 +483,7 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
     csv = cover_mod.experiment_fig3(
-        seed=args.seed, sizes=args.sizes, trials=args.trials,
-        budget=args.budget, threads=args.threads,
+        seed=args.seed, sizes=args.sizes, trials=args.trials, budget=args.budget
     )
     _warn_censored(csv, args.budget)
     _write_out(args, csv)
@@ -475,9 +491,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_sr16(args: argparse.Namespace) -> int:
-    csv = cover_mod.experiment_sr16(
-        seed=args.seed, trials=args.trials, threads=args.threads
-    )
+    csv = cover_mod.experiment_sr16(seed=args.seed, trials=args.trials)
     # sr16 has no --budget flag; its sampler runs at the default budget
     _warn_censored(csv, cover_mod.DEFAULT_BUDGET)
     _write_out(args, csv)
@@ -515,7 +529,8 @@ def _add_common(sub: argparse.ArgumentParser, *, seed: bool) -> None:
     if seed:
         sub.add_argument("--seed", type=int, help="RNG seed (required)")
         sub.add_argument("--threads", type=_at_least(1), default=1,
-                         help="worker threads (default 1)")
+                         help="kept for compatibility; must be >= 1 and "
+                         "changes nothing (every run uses one thread)")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:

@@ -5,16 +5,18 @@ per call.  A scalar path steps one trial at a time through the table's
 rows and supports every walk configuration, restarts included.  A
 lockstep path advances a whole chunk of restart-free trials at once
 through the table's padded numpy view; it exists because edge-cover
-tails on the larger lollipops make the scalar path impractical.  Both
-paths implement the same chain; the test suite cross-checks them on
-small graphs.
+tails on the larger lollipops make the scalar path impractical.
+``sample_cover_time`` and ``local_cover_time`` take the scalar path,
+``estimate_cover_time``, ``batch_cover_samples`` and the experiments
+the lockstep one.  Both paths implement the same chain; the test suite
+cross-checks them on small graphs.
 
 Reproducibility contract: scalar trial ``i`` uses the Philox stream
 ``(seed, i)``.  Lockstep samplers, here and in :mod:`walklab.mixing`,
 share one chunk runner: it carves trials into fixed chunks of
 ``CHUNK_TRIALS``, runs chunk ``j`` of experiment cell ``c`` on stream
-``(seed, c, j)`` and merges results in chunk order.  Chunks are
-independent, so thread count never changes any output byte.
+``(seed, c, j)`` and returns results in chunk order, all on the
+calling thread.
 
 Draw contract of the cover kernel: a chunk draws its uniform starts
 first, if any, then each step draws one ``rng.random(k)`` for its ``k``
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -208,30 +209,6 @@ def _cover_time_scalar(
         prev = v
 
 
-def _scalar_samples(
-    table: StepTable,
-    seed: int,
-    trials: int,
-    start: int | None,
-    budget: int,
-    targets: frozenset,
-    arc_target: dict[tuple[int, int], tuple[int, int]] | None,
-    index_base: int = 0,
-) -> np.ndarray:
-    """Cover times of trials ``index_base + i``; -1 marks a censored trial.
-
-    ``start`` None draws each trial's start from its own stream.
-    """
-    out = np.full(trials, -1, dtype=np.int64)
-    for i in range(trials):
-        rng = rng_stream(seed, index_base + i)
-        s = int(rng.integers(table.g.n)) if start is None else start
-        got = _cover_time_scalar(table, s, rng, targets, arc_target, budget)
-        if got is not None:
-            out[i] = got
-    return out
-
-
 def sample_cover_time(
     g: Graph,
     config: WalkConfig,
@@ -269,28 +246,17 @@ def _run_chunks(
     seed: int,
     cell: int,
     trials: int,
-    threads: int,
     run_chunk: Callable[[np.random.Generator, int], object],
 ) -> list:
-    """``run_chunk(rng, lanes)`` over the fixed chunks of ``trials``.
+    """``run_chunk(rng, lanes)`` over the fixed chunks of ``trials``, in order.
 
     Chunk ``j`` holds trials ``j * CHUNK_TRIALS`` onward and draws from
-    stream ``(seed, cell, j)``.  Results come back in chunk order
-    whatever ``threads`` says; a pool is used only when it exceeds 1.
+    stream ``(seed, cell, j)``.
     """
-    jobs = [
-        (j, min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS))
-        for j in range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
+    return [
+        run_chunk(rng_stream(seed, cell, j), min(CHUNK_TRIALS, trials - lo))
+        for j, lo in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
-
-    def run(job: tuple[int, int]) -> object:
-        j, lanes = job
-        return run_chunk(rng_stream(seed, cell, j), lanes)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
 
 
 def _cover_chunk(
@@ -463,6 +429,30 @@ def _cover_tail(
                 e_rows = [e_rows[i] for i in live]
 
 
+def _lockstep_samples(
+    g: Graph,
+    rows: PaddedRows,
+    seed: int,
+    trials: int,
+    start: int | None,
+    budget: int,
+    cell: int,
+    track_edges: bool,
+    strict_edges: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_cover_samples` on rows compiled by the caller."""
+    parts = _run_chunks(
+        seed, cell, trials,
+        lambda rng, lanes: _cover_chunk(
+            g, rows, rng, lanes, start, budget, track_edges, strict_edges
+        ),
+    )
+    return (
+        np.concatenate([t_v for t_v, _ in parts]),
+        np.concatenate([t_e for _, t_e in parts]),
+    )
+
+
 def batch_cover_samples(
     g: Graph,
     config: WalkConfig,
@@ -470,7 +460,6 @@ def batch_cover_samples(
     start: int | None,
     budget: int = DEFAULT_BUDGET,
     cell: int = 0,
-    threads: int = 1,
     track_edges: bool = True,
     strict_edges: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -489,17 +478,9 @@ def batch_cover_samples(
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_budget(budget)
     seed = require_seed(config)
-    rows = StepTable(g, config).padded()
-
-    def run_chunk(rng: np.random.Generator, lanes: int) -> tuple[np.ndarray, np.ndarray]:
-        return _cover_chunk(
-            g, rows, rng, lanes, start, budget, track_edges, strict_edges
-        )
-
-    parts = _run_chunks(seed, cell, trials, threads, run_chunk)
-    return (
-        np.concatenate([t_v for t_v, _ in parts]),
-        np.concatenate([t_e for _, t_e in parts]),
+    return _lockstep_samples(
+        g, StepTable(g, config).padded(), seed, trials, start, budget, cell,
+        track_edges, strict_edges,
     )
 
 
@@ -527,17 +508,14 @@ def estimate_cover_time(
     trials: int,
     start_policy: StartPolicy,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
-    threads: int = 1,
 ) -> CoverStats:
-    """Monte Carlo cover-time estimate under a start policy.
+    """Monte Carlo cover-time estimate under a start policy, in lockstep.
 
     ``Fixed``/``UniformRandom`` average ``trials`` samples.
-    ``WorstOverStarts`` runs ``trials`` per start and reports the start
-    with the largest mean; if some start ends up fully censored the
-    worst case is unknown and the result is NaN.  ``method`` picks the
-    sampling path: "auto" vectorizes whenever the config is
-    restart-free, "scalar"/"batch" force one.
+    ``WorstOverStarts`` runs ``trials`` per start ``v``, as cell ``v``,
+    and reports the start with the largest mean; if some start ends up
+    fully censored the worst case is unknown and the result is NaN.
+    The step table is compiled once, whatever the number of starts.
     """
     _check_mode(mode)
     if trials < 1:
@@ -545,45 +523,37 @@ def estimate_cover_time(
     _check_budget(budget)
     if config.restart is not None:
         raise ValueError("global cover time expects a restart-free config")
-    if method not in ("auto", "scalar", "batch"):
-        raise ValueError(f"unknown method {method!r}")
-    use_batch = method in ("auto", "batch")
-    table = StepTable(g, config)
-    targets, arc_target = _targets(mode, range(g.n), g.edges())
-
-    def one_run(start: int | None, cell: int) -> np.ndarray:
-        if use_batch:
-            t_v, t_e = batch_cover_samples(
-                g, config, trials, start, budget, cell=cell, threads=threads,
-                track_edges=(mode != "vertex"),
-                strict_edges=(mode == "edge-strict"),
-            )
-            return t_v if mode == "vertex" else t_e
-        return _scalar_samples(
-            table, require_seed(config), trials, start, budget, targets,
-            arc_target, index_base=cell * trials,
-        )
-
+    seed = require_seed(config)
     if isinstance(start_policy, Fixed):
         if not 0 <= start_policy.vertex < g.n:
             raise ValueError(f"start {start_policy.vertex} out of range")
-        return _stats(one_run(start_policy.vertex, 0), mode, start_policy)
-    if isinstance(start_policy, UniformRandom):
-        return _stats(one_run(None, 0), mode, start_policy)
-    if isinstance(start_policy, WorstOverStarts):
-        per_start = [_stats(one_run(v, v), mode, start_policy) for v in range(g.n)]
-        censored_total = sum(s.censored for s in per_start)
-        if any(math.isnan(s.mean) for s in per_start):
-            # a fully censored start means the worst case is unknown
-            return CoverStats(
-                math.nan, math.nan, trials * g.n, mode, start_policy, censored_total
-            )
-        worst = max(per_start, key=lambda s: s.mean)
-        return CoverStats(
-            worst.mean, worst.std_err, trials * g.n, mode, start_policy,
-            censored_total,
+        starts: list[int | None] = [start_policy.vertex]
+    elif isinstance(start_policy, UniformRandom):
+        starts = [None]
+    elif isinstance(start_policy, WorstOverStarts):
+        starts = list(range(g.n))
+    else:
+        raise TypeError(f"unknown start policy {start_policy!r}")
+    rows = StepTable(g, config).padded()
+    per_start = []
+    for cell, start in enumerate(starts):
+        t_v, t_e = _lockstep_samples(
+            g, rows, seed, trials, start, budget, cell,
+            mode != "vertex", mode == "edge-strict",
         )
-    raise TypeError(f"unknown start policy {start_policy!r}")
+        per_start.append(_stats(t_v if mode == "vertex" else t_e, mode, start_policy))
+    if len(per_start) == 1:
+        return per_start[0]
+    censored_total = sum(s.censored for s in per_start)
+    if any(math.isnan(s.mean) for s in per_start):
+        # a fully censored start means the worst case is unknown
+        return CoverStats(
+            math.nan, math.nan, trials * g.n, mode, start_policy, censored_total
+        )
+    worst = max(per_start, key=lambda s: s.mean)
+    return CoverStats(
+        worst.mean, worst.std_err, trials * g.n, mode, start_policy, censored_total
+    )
 
 
 def local_cover_time(
@@ -615,9 +585,14 @@ def local_cover_time(
     seed = require_seed(config)
     ball = local_ball(g, v, r)
     targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())
-    out = _scalar_samples(
-        StepTable(g, config), seed, trials, v, budget, targets, arc_target
-    )
+    table = StepTable(g, config)
+    out = np.full(trials, -1, dtype=np.int64)
+    for i in range(trials):
+        got = _cover_time_scalar(
+            table, v, rng_stream(seed, i), targets, arc_target, budget
+        )
+        if got is not None:
+            out[i] = got
     return _stats(out, mode, Fixed(v))
 
 
@@ -703,12 +678,11 @@ def _paired_rows(
     trials: int,
     budget: int,
     cell: int,
-    threads: int,
     edge_mode: str = "edge",
 ) -> list[CsvRow]:
     """A vertex row and an ``edge_mode`` row, paired per trajectory."""
     t_v, t_e = batch_cover_samples(
-        g, config, trials, start=None, budget=budget, cell=cell, threads=threads,
+        g, config, trials, start=None, budget=budget, cell=cell,
         strict_edges=edge_mode == "edge-strict",
     )
     return [
@@ -722,7 +696,6 @@ def experiment_fig3(
     sizes: tuple[int, ...] = (10, 20, 40),
     trials: int = 2000,
     budget: int = 100_000,
-    threads: int = 1,
 ) -> str:
     """Cover-time table over lollipop graphs, as CSV text.
 
@@ -741,7 +714,7 @@ def experiment_fig3(
         label = f"lollipop-{2 * m}"
         for walk_label, config in _fig3_variants(seed):
             rows.extend(
-                _paired_rows(g, label, walk_label, config, trials, budget, cell, threads)
+                _paired_rows(g, label, walk_label, config, trials, budget, cell)
             )
             cell += 1
     return cover_csv(rows)
@@ -779,9 +752,7 @@ def _fig3_variants(seed: int) -> list[tuple[str, WalkConfig]]:
     return variants
 
 
-def experiment_sr16(
-    seed: int, trials: int = 10_000, threads: int = 1
-) -> str:
+def experiment_sr16(seed: int, trials: int = 10_000) -> str:
     """Cover times of the two strongly regular 16-vertex graphs, as CSV.
 
     Walk: minimum-degree conductance with non-backtracking (on these
@@ -801,7 +772,7 @@ def experiment_sr16(
         (("rook4x4", gen_rook4x4()), ("shrikhande", gen_shrikhande()))
     ):
         graph_rows = _paired_rows(
-            g, label, "mdlr+nb", config, trials, DEFAULT_BUDGET, cell, threads,
+            g, label, "mdlr+nb", config, trials, DEFAULT_BUDGET, cell,
             edge_mode="edge-strict",
         )
         per_graph[label] = {st.mode: st for _, _, st in graph_rows}

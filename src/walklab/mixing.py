@@ -149,7 +149,6 @@ def mc_visit_frequencies(
     l: int,
     trials: int,
     cell: int = 0,
-    threads: int = 1,
 ) -> np.ndarray:
     """Empirical visit frequencies of every vertex, walks of length ``l`` from ``u``.
 
@@ -159,7 +158,7 @@ def mc_visit_frequencies(
     lockstep over the step table's padded rows, counting visits per
     state and folding them onto vertices at the end, in the chunks of
     the cover sampler's runner (chunk ``j`` on Philox stream
-    ``(seed, cell, j)``), so thread count never changes the result.
+    ``(seed, cell, j)``).
     """
     if config.non_backtracking or config.node2vec is not None:
         raise ValueError("visit-frequency estimation expects a first-order walk")
@@ -186,7 +185,7 @@ def mc_visit_frequencies(
             counts += np.bincount(state, minlength=counts.size)
         return counts
 
-    per_state = sum(_run_chunks(seed, cell, trials, threads, run_chunk))
+    per_state = sum(_run_chunks(seed, cell, trials, run_chunk))
     visits = np.zeros(g.n, dtype=np.int64)
     np.add.at(visits, rows.position, per_state)
     return visits / (trials * (l + 1))

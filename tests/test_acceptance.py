@@ -22,7 +22,6 @@ from walklab import (
     batch_cover_samples,
     decode,
     expected_output,
-    experiment_fig3,
     experiment_sr16,
     gen_clique,
     gen_lollipop,
@@ -42,6 +41,7 @@ from walklab import (
     theorem2_bound,
     transition_matrix,
 )
+from walklab.cli import run
 
 
 def _rows(csv: str) -> list[dict[str, str]]:
@@ -146,7 +146,7 @@ def test_lollipop_cover_time_orderings():
             )
             t_v, t_e = batch_cover_samples(
                 g, config, trials=2_000, start=None, budget=10**6,
-                cell=gi * len(variants) + ci, threads=4,
+                cell=gi * len(variants) + ci,
             )
             assert (t_v >= 0).all() and (t_e >= 0).all(), "censored trials"
             samples[label] = (t_v.astype(float), t_e.astype(float))
@@ -176,7 +176,7 @@ def test_lollipop_cover_time_orderings():
 
 
 def test_sr16_cover_time_point_values():
-    csv = experiment_sr16(seed=2025, trials=10_000, threads=4)
+    csv = experiment_sr16(seed=2025, trials=10_000)
     means = {(r["graph"], r["mode"]): float(r["mean"]) for r in _rows(csv)}
     vertex_mean = means[("sr16-mean", "vertex")]
     edge_mean = means[("sr16-mean", "edge-strict")]
@@ -201,9 +201,7 @@ def test_visit_frequency_identity():
         P = transition_matrix(g, Constant())
         for l in (5, 20):
             for u in range(g.n):
-                freqs = mc_visit_frequencies(
-                    g, config, u, l, trials, cell=cell, threads=4
-                )
+                freqs = mc_visit_frequencies(g, config, u, l, trials, cell=cell)
                 cell += 1
                 for v in range(g.n):
                     exact = jacobian_expectation(P, u, v, l)
@@ -244,11 +242,14 @@ def test_restart_bound_dominates_path_ball_cover():
 # -- 9. experiments are deterministic across threads and reruns ---------------
 
 
-def test_experiments_byte_identical_across_threads_and_reruns():
-    sr = experiment_sr16(seed=7, trials=256, threads=1)
-    assert experiment_sr16(seed=7, trials=256, threads=3) == sr
-    assert experiment_sr16(seed=7, trials=256, threads=1) == sr
-
-    fig = experiment_fig3(seed=7, sizes=(5,), trials=128, budget=50_000, threads=1)
-    assert experiment_fig3(seed=7, sizes=(5,), trials=128, budget=50_000, threads=4) == fig
-    assert experiment_fig3(seed=7, sizes=(5,), trials=128, budget=50_000, threads=1) == fig
+def test_experiments_byte_identical_across_threads_and_reruns(capsys):
+    for argv in (
+        ["sr16", "--trials", "256", "--seed", "7"],
+        ["fig3", "--sizes", "5", "--trials", "128", "--budget", "50000", "--seed", "7"],
+    ):
+        outputs = []
+        for threads in ("1", "4", "1"):
+            assert run(argv + ["--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith("graph,walk,mode,")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

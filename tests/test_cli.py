@@ -378,6 +378,19 @@ def test_record_rejects_walk_off_graph(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line,why", [
+    ("0 2 0", "walk step (0, 2) is not an edge of the graph"),
+    ("0 99", "walk step (0, 99) is not an edge of the graph"),
+])
+def test_record_anon_rejects_walk_off_graph(line, why, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    rc = run(["record", "--family", "cycle", "--n", "6", "--scheme", "anon"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert why in captured.err
+
+
 @pytest.mark.parametrize("scheme", ["anon", "named"])
 @pytest.mark.parametrize("line,why", [
     ("0 1r", "restart to unvisited vertex"),
@@ -566,11 +579,30 @@ def test_reconstruct_test_reports_fraction(capsys):
     assert 0.0 < frac <= 1.0
 
 
-def test_sr16_threads_do_not_change_bytes(capsys):
-    args = ["sr16", "--trials", "192", "--seed", "7"]
+# every seeded subcommand, with arguments small enough to run in a moment
+SEEDED_ARGV = {
+    "walk": ["walk", "--family", "cycle", "--n", "6", "--length", "8",
+             "--walks", "3"],
+    "cover": ["cover", "--family", "lollipop", "--m", "3", "--trials", "40",
+              "--worst-starts"],
+    "reconstruct-test": ["reconstruct-test", "--family", "cycle", "--n", "4",
+                         "--length", "6", "--trials", "20"],
+    "invariance": ["invariance", "--max-n", "3", "--max-l", "2"],
+    "mixing": ["mixing", "--family", "barbell", "--k", "3", "--trials", "300",
+               "--lengths", "3"],
+    "fig3": ["fig3", "--sizes", "3", "--trials", "32", "--budget", "5000"],
+    "sr16": ["sr16", "--trials", "192"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+def test_threads_do_not_change_bytes(command, capsys):
+    # --threads changes nothing, but every seeded subcommand still takes it
+    args = SEEDED_ARGV[command] + ["--seed", "7"]
     assert run(args + ["--threads", "1"]) == 0
     first = out_of(capsys)
-    assert run(args + ["--threads", "4"]) == 0
+    assert first
+    assert run(args + ["--threads", "2"]) == 0
     assert out_of(capsys) == first
 
 

@@ -8,7 +8,6 @@ from walklab import (
     CHUNK_TRIALS,
     Constant,
     Fixed,
-    MDLR,
     RestartPeriod,
     RestartProb,
     UniformRandom,
@@ -27,10 +26,22 @@ from walklab import (
     sample_cover_time,
     theorem2_bound,
 )
+from walklab.walks import StepTable
 
 
 def cfg(seed=1, **kw):
     return WalkConfig(length=0, seed=seed, **kw)
+
+
+def scalar_estimate(g, config, mode, trials, start):
+    """Mean and standard error of scalar trials 0..trials-1 from ``start``.
+
+    Trial ``i`` draws from stream ``(seed, i)``, which the lockstep path
+    never reads, so the two paths' estimates are independent.
+    """
+    t = np.array([sample_cover_time(g, config, start, mode, walk_index=i)
+                  for i in range(trials)], dtype=float)
+    return t.mean(), t.std(ddof=1) / math.sqrt(trials)
 
 
 # -- exact single-sample oracles ---------------------------------------------
@@ -93,19 +104,19 @@ def test_estimate_p2_worst_over_starts_is_deterministic():
 
 def test_estimate_scalar_and_batch_agree():
     g = gen_cycle(3)
-    a = estimate_cover_time(g, cfg(), "vertex", 4000, Fixed(0), method="scalar")
-    b = estimate_cover_time(g, cfg(), "vertex", 4000, Fixed(0), method="batch")
+    mean, std_err = scalar_estimate(g, cfg(), "vertex", 4000, 0)
+    b = estimate_cover_time(g, cfg(), "vertex", 4000, Fixed(0))
     # independent streams, so agreement is statistical
-    gap = abs(a.mean - b.mean)
-    assert gap < 6 * math.hypot(a.std_err, b.std_err)
+    gap = abs(mean - b.mean)
+    assert gap < 6 * math.hypot(std_err, b.std_err)
 
 
 def test_single_vertex_cover_is_zero_on_both_paths():
     g = parse_edge_list("1 0\n")
-    for method in ("scalar", "batch"):
-        for mode in ("vertex", "edge", "edge-strict"):
-            st = estimate_cover_time(g, cfg(), mode, 8, UniformRandom(), method=method)
-            assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
+    for mode in ("vertex", "edge", "edge-strict"):
+        assert sample_cover_time(g, cfg(), 0, mode) == 0
+        st = estimate_cover_time(g, cfg(), mode, 8, UniformRandom())
+        assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
 
 
 def test_estimate_validation():
@@ -116,8 +127,6 @@ def test_estimate_validation():
         estimate_cover_time(g, cfg(), "vertex", 5, Fixed(9))
     with pytest.raises(ValueError):
         estimate_cover_time(g, cfg(restart=RestartProb(0.2)), "vertex", 5, Fixed(0))
-    with pytest.raises(ValueError):
-        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(0), method="vectorized")
 
 
 def test_censoring_reported_not_averaged():
@@ -131,15 +140,28 @@ def test_censoring_reported_not_averaged():
     assert math.isnan(worst.mean)
 
 
+def test_worst_over_starts_compiles_the_table_once(monkeypatch):
+    calls = []
+    padded = StepTable.padded
+
+    def counting_padded(self):
+        calls.append(self)
+        return padded(self)
+
+    monkeypatch.setattr(StepTable, "padded", counting_padded)
+    g = gen_lollipop(3)
+    stats = estimate_cover_time(g, cfg(), "edge", 8, WorstOverStarts())
+    assert len(calls) == 1
+    assert stats.trials == 8 * g.n and stats.censored == 0
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_rejected(budget):
     g = gen_cycle(4)
     with pytest.raises(ValueError, match="budget"):
         batch_cover_samples(g, cfg(), 5, start=0, budget=budget)
-    for method in ("batch", "scalar"):
-        with pytest.raises(ValueError, match="budget"):
-            estimate_cover_time(g, cfg(), "vertex", 5, Fixed(0), budget=budget,
-                                method=method)
+    with pytest.raises(ValueError, match="budget"):
+        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(0), budget=budget)
     with pytest.raises(ValueError, match="budget"):
         sample_cover_time(g, cfg(), 0, "vertex", budget=budget)
     with pytest.raises(ValueError, match="budget"):
@@ -188,23 +210,13 @@ def test_batch_rejects_restarts_and_bad_trials():
         batch_cover_samples(g, cfg(), 0, start=0)
 
 
-def test_batch_thread_count_does_not_change_samples():
-    g = gen_lollipop(3)
-    trials = 3 * CHUNK_TRIALS + 17
-    a = batch_cover_samples(g, cfg(conductance=MDLR()), trials, start=None, threads=1)
-    b = batch_cover_samples(g, cfg(conductance=MDLR()), trials, start=None, threads=4)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
 def test_batch_second_order_matches_scalar_law():
     """Vectorized NB sampling agrees with the scalar walker's estimate."""
     g = gen_lollipop(3)
     c = cfg(non_backtracking=True)
-    batch = estimate_cover_time(g, c, "vertex", 4000, Fixed(0), method="batch")
-    scalar = estimate_cover_time(g, c, "vertex", 4000, Fixed(0), method="scalar")
-    assert abs(batch.mean - scalar.mean) < 6 * math.hypot(
-        batch.std_err, scalar.std_err
-    )
+    batch = estimate_cover_time(g, c, "vertex", 4000, Fixed(0))
+    mean, std_err = scalar_estimate(g, c, "vertex", 4000, 0)
+    assert abs(batch.mean - mean) < 6 * math.hypot(batch.std_err, std_err)
 
 
 # -- local cover and the closed-form bound -------------------------------------
@@ -274,9 +286,8 @@ def test_theorem2_bound_validation():
 
 
 def test_experiment_sr16_shape_and_determinism():
-    a = experiment_sr16(7, trials=CHUNK_TRIALS + 5, threads=1)
-    b = experiment_sr16(7, trials=CHUNK_TRIALS + 5, threads=3)
-    assert a == b
+    a = experiment_sr16(7, trials=CHUNK_TRIALS + 5)
+    assert experiment_sr16(7, trials=CHUNK_TRIALS + 5) == a
     lines = a.strip().splitlines()
     assert lines[0] == "graph,walk,mode,mean,std_err,trials,censored"
     assert len(lines) == 7
@@ -299,9 +310,8 @@ def test_experiment_sr16_seed_changes_output():
 
 def test_experiment_fig3_shape_and_determinism():
     kw = dict(sizes=(2, 3), trials=96, budget=20_000)
-    a = experiment_fig3(5, threads=1, **kw)
-    b = experiment_fig3(5, threads=4, **kw)
-    assert a == b
+    a = experiment_fig3(5, **kw)
+    assert experiment_fig3(5, **kw) == a
     lines = a.strip().splitlines()
     assert lines[0] == "graph,walk,mode,mean,std_err,trials,censored"
     # 2 sizes x 6 walk variants x 2 cover modes

@@ -151,14 +151,6 @@ def test_mc_visit_frequencies_match_exact_identity():
         assert abs(float(freqs[v]) - exact) < 5 * sigma
 
 
-def test_mc_visit_frequencies_thread_independence():
-    g = gen_lollipop(3)
-    cfgd = WalkConfig(length=0, seed=9)
-    a = mc_visit_frequencies(g, cfgd, 2, 11, trials=5000, threads=1)
-    b = mc_visit_frequencies(g, cfgd, 2, 11, trials=5000, threads=4)
-    assert np.array_equal(a, b)
-
-
 def reference_visit_frequencies(g, config, u, l, trials, cell):
     rows = StepTable(g, config).padded()
     visits = np.zeros(g.n, dtype=np.int64)
@@ -174,16 +166,17 @@ def reference_visit_frequencies(g, config, u, l, trials, cell):
     return visits / (trials * (l + 1))
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("chunks", [1, 3])
 @pytest.mark.parametrize("l", [1, 7, 20])
 @pytest.mark.parametrize("name", ["barbell-5", "lollipop-10"])
-def test_mc_visit_frequencies_match_reference_loop(name, l, threads):
-    # 2100 trials: two full chunks and a short last one
+def test_mc_visit_frequencies_match_reference_loop(name, l, chunks):
+    # one short chunk of 52 trials, or 2100: two full chunks and a short one
+    trials = (chunks - 1) * CHUNK_TRIALS + 52
     g = gen_barbell(5) if name == "barbell-5" else gen_lollipop(10)
     config = WalkConfig(length=0, seed=31)
     for cell, u in enumerate((0, g.n // 2, g.n - 1)):
-        want = reference_visit_frequencies(g, config, u, l, 2100, cell)
-        got = mc_visit_frequencies(g, config, u, l, 2100, cell=cell, threads=threads)
+        want = reference_visit_frequencies(g, config, u, l, trials, cell)
+        got = mc_visit_frequencies(g, config, u, l, trials, cell=cell)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

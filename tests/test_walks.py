@@ -145,7 +145,7 @@ def test_every_sampler_names_the_missing_seed_alike():
         lambda: sample_walk(g, unseeded),
         lambda: sample_cover_time(g, unseeded, 0, "vertex"),
         lambda: batch_cover_samples(g, unseeded, 4, None),
-        lambda: estimate_cover_time(g, unseeded, "edge", 4, Fixed(0), method="scalar"),
+        lambda: estimate_cover_time(g, unseeded, "edge", 4, Fixed(0)),
         lambda: local_cover_time(
             g, 1, 1, WalkConfig(length=0, restart=RestartProb(0.5)), "vertex", 4),
         lambda: mc_visit_frequencies(g, unseeded, 0, 2, 4),
