@@ -311,10 +311,10 @@ def _check_walk(walk: Walk, g: Graph) -> None:
     """
     prev = None
     for v, restart in zip(walk.vertices, walk.restart_flags):
-        if prev is None or restart or v == prev:
+        if prev is None or restart:
             if not 0 <= v < g.n:
                 raise UsageError(f"walk vertex {v} is out of range for n={g.n}")
-        elif not g.has_edge(prev, v):
+        elif v != prev and not g.has_edge(prev, v):
             raise UsageError(f"walk step ({prev}, {v}) is not an edge of the graph")
         prev = v
 
