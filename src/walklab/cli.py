@@ -257,24 +257,37 @@ def _warn_censored(csv: str, budget: int) -> None:
 
     A cell is the rows of one (graph, walk), one per mode, over the same
     trials.  Censored trials are left out of the mean, which is
-    therefore biased low; the CSV keeps the count but says nothing
-    louder.  sr16's ``sr16-mean`` rows only sum its graphs' counts.
+    therefore biased low; a mode whose mean is NaN (every trial
+    censored, or under ``--worst-starts`` every trial of some start) has
+    no mean to bias, and the line says it is undefined.  The CSV keeps
+    the count but says nothing louder.  sr16's ``sr16-mean`` rows only
+    sum its graphs' counts.
     """
     cells: dict[tuple[str, str], list[list[str]]] = {}
     for line in csv.splitlines()[1:]:
         # from the right: a graph file's path may hold a comma, a walk label not
-        graph, walk, mode, _, _, trials, censored = line.rsplit(",", 6)
+        graph, walk, mode, mean, _, trials, censored = line.rsplit(",", 6)
         if graph != "sr16-mean":
-            cells.setdefault((graph, walk), []).append([mode, trials, censored])
+            cells.setdefault((graph, walk), []).append([mode, mean, trials, censored])
     for (graph, walk), rows in cells.items():
-        if any(int(censored) for _, _, censored in rows):
-            counts = ", ".join(f"{mode} {censored}" for mode, _, censored in rows)
-            print(
-                f"warning: {graph} {walk}: censored {counts} of {rows[0][1]} "
-                f"trials at budget {budget}; the mean leaves them out and is "
-                "biased low",
-                file=sys.stderr,
+        if not any(int(censored) for *_, censored in rows):
+            continue
+        counts = ", ".join(f"{mode} {censored}" for mode, _, _, censored in rows)
+        undefined = [mode for mode, mean, _, _ in rows if mean == "nan"]
+        biased = [mode for mode, mean, _, c in rows if int(c) and mean != "nan"]
+        why = "the mean leaves them out and is biased low"
+        if undefined:
+            why = f"the {' and '.join(undefined)} " + (
+                "mean is undefined" if len(undefined) == 1 else "means are undefined"
             )
+            if biased:
+                why += (f", and the {' and '.join(biased)} mean leaves them out "
+                        "and is biased low")
+        print(
+            f"warning: {graph} {walk}: censored {counts} of {rows[0][2]} "
+            f"trials at budget {budget}; {why}",
+            file=sys.stderr,
+        )
 
 
 def _format_walk(walk: Walk) -> str:

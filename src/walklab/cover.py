@@ -3,7 +3,7 @@
 Every sampler here reads one :class:`~walklab.walks.StepTable`, built
 per call.  A scalar path steps one trial at a time through the table's
 rows and supports every walk configuration, restarts included.  A
-lockstep path advances a whole chunk of restart-free trials at once
+lockstep path advances groups of chunks of restart-free trials at once
 through the table's padded numpy view; it exists because edge-cover
 tails on the larger lollipops make the scalar path impractical.
 ``sample_cover_time`` and ``local_cover_time`` take the scalar path,
@@ -13,33 +13,37 @@ cross-checks them on small graphs.
 
 Reproducibility contract: scalar trial ``i`` uses the Philox stream
 ``(seed, i)``.  Lockstep samplers, here and in :mod:`walklab.mixing`,
-share one chunk runner: it carves trials into fixed chunks of
-``CHUNK_TRIALS``, runs chunk ``j`` of experiment cell ``c`` on stream
-``(seed, c, j)`` and returns results in chunk order, all on the
-calling thread.
+share one chunk runner, :func:`chunk_groups`: it carves each cell's
+trials into fixed chunks of ``CHUNK_TRIALS``, gives chunk ``j`` of
+experiment cell ``c`` stream ``(seed, c, j)``, and cuts the call's
+chunks, in ``(c, j)`` order, into groups of at most ``GROUP_CHUNKS``
+that each step as one set of lanes, all on the calling thread.  Results
+come back in chunk order.  A chunk's draws never depend on its group,
+so grouping changes no byte.
 
-Draw contract of the cover kernel: a chunk draws its uniform starts
-first, if any, then each step draws one ``rng.random(k)`` for its ``k``
-live lanes, in lane order.  A lane leaves the draw once every time it
-tracks is known; lanes still live at the budget are censored.  The
-kernel keeps its arrays compacted to the live lanes and moves them
-with the guide-table draw of :meth:`~walklab.walks.PaddedRows.draw`;
-once fewer than ``TAIL_LANES`` are left, it finishes the chunk in a
-Python loop that picks a lane's slot with ``bisect_right`` on its
-``cum`` row.  For every ``u`` in [0, 1) both pick slot
-``(u >= cum).sum()`` of the state's padded row, the count of its sums
-at most ``u`` (see :class:`~walklab.walks.PaddedRows`), so both phases
-consume the stream alike and give the bytes the plain padded count
-gave.  How the ``k`` uniforms are grouped into calls does not matter
-(Philox hands out one flat sequence of doubles); their count and order
-do.
+Draw contract of the cover kernel: each chunk draws its uniform starts
+first, if any, then each step every chunk with ``k`` live lanes draws
+one ``rng.random(k)`` from its own stream, for its live lanes in lane
+order; the group joins these in chunk order.  A lane leaves the draw
+once every time it tracks is known; lanes still live at the budget are
+censored.  The kernel keeps its arrays compacted to the live lanes and
+moves them with the guide-table draw of
+:meth:`~walklab.walks.PaddedRows.draw`; once fewer than ``TAIL_LANES``
+of the group's lanes are left, it finishes the group in a Python loop
+that picks a lane's slot with ``bisect_right`` on its ``cum`` row.  For
+every ``u`` in [0, 1) both pick slot ``(u >= cum).sum()`` of the
+state's padded row, the count of its sums at most ``u`` (see
+:class:`~walklab.walks.PaddedRows`), so both phases consume each stream
+alike and give the bytes the plain padded count gave.  How a chunk's
+``k`` uniforms are grouped into calls does not matter (Philox hands out
+one flat sequence of doubles); their count and order do.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -76,11 +80,17 @@ __all__ = [
     "experiment_sr16",
     "DEFAULT_BUDGET",
     "CHUNK_TRIALS",
+    "GROUP_CHUNKS",
+    "chunk_groups",
+    "joined_random",
 ]
 
 DEFAULT_BUDGET = 10**9
 CHUNK_TRIALS = 1024
-# below this many live lanes a chunk finishes in a Python loop, where
+# a lockstep call steps up to this many of its chunks together as one set
+# of lanes, each chunk drawing from its own stream
+GROUP_CHUNKS = 4
+# below this many live lanes a group finishes in a Python loop, where
 # per-step numpy call overhead no longer pays for itself
 TAIL_LANES = 64
 
@@ -242,47 +252,89 @@ def sample_cover_time(
 # lockstep path (restart-free only)
 
 
-def _run_chunks(
-    seed: int,
-    cell: int,
-    trials: int,
-    run_chunk: Callable[[np.random.Generator, int], object],
-) -> list:
-    """``run_chunk(rng, lanes)`` over the fixed chunks of ``trials``, in order.
+def chunk_groups(
+    seed: int, cells: Iterable[int], trials: int
+) -> Iterator[list[tuple[int, np.random.Generator, int]]]:
+    """The chunks of ``trials`` trials per cell, in groups, as ``(cell, rng, lanes)``.
 
-    Chunk ``j`` holds trials ``j * CHUNK_TRIALS`` onward and draws from
-    stream ``(seed, cell, j)``.
+    Chunk ``j`` of cell ``c`` holds that cell's trials ``j * CHUNK_TRIALS``
+    onward and draws from stream ``(seed, c, j)``.  The chunks are listed
+    in ``(c, j)`` order and cut into groups of at most ``GROUP_CHUNKS``,
+    so the groups' lanes, joined in order, are the cells' trials in
+    order.  A group's streams are made when the group is reached.
     """
-    return [
-        run_chunk(rng_stream(seed, cell, j), min(CHUNK_TRIALS, trials - lo))
+    chunks = [
+        (c, j, min(CHUNK_TRIALS, trials - lo))
+        for c in cells
         for j, lo in enumerate(range(0, trials, CHUNK_TRIALS))
     ]
+    for i in range(0, len(chunks), GROUP_CHUNKS):
+        yield [
+            (c, rng_stream(seed, c, j), lanes)
+            for c, j, lanes in chunks[i:i + GROUP_CHUNKS]
+        ]
 
 
-def _cover_chunk(
+def joined_random(
+    draws: list[tuple[np.random.Generator, int]], out: np.ndarray
+) -> np.ndarray:
+    """One step's uniforms: ``rng.random(k)`` for each ``(rng, k)``, in order.
+
+    They are written one after another to the front of ``out``, which
+    is returned cut to their count.  Writing them in place costs less
+    than drawing fresh arrays and joining them, and reads the same
+    doubles from each stream.
+    """
+    lo = 0
+    for rng, k in draws:
+        rng.random(out=out[lo:lo + k])
+        lo += k
+    return out[:lo]
+
+
+def _live_draws(
+    rngs: list[np.random.Generator], live_before: list[int]
+) -> list[tuple[np.random.Generator, int]]:
+    """``(rng, k)`` for each chunk of a group with ``k > 0`` live lanes.
+
+    ``live_before[c]`` counts the live lanes before the end of chunk
+    ``c``'s lanes.
+    """
+    draws, done = [], 0
+    for rng, upto in zip(rngs, live_before):
+        if upto > done:
+            draws.append((rng, upto - done))
+        done = upto
+    return draws
+
+
+def _cover_group(
     g: Graph,
     rows: PaddedRows,
-    rng: np.random.Generator,
-    lanes: int,
-    start: int | None,
+    chunks: list[tuple[np.random.Generator, int, int | None]],
     budget: int,
     track_edges: bool,
     strict_edges: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cover times for one chunk of lanes; -1 marks a censored lane.
+    """Cover times for a group of chunks; -1 marks a censored lane.
 
-    Each step draws one ``rng.random(k)`` for the ``k`` live lanes, in
-    lane order, and moves every live lane once.  The per-lane state is
-    kept compacted to the live lanes, in lane order, and is compacted
-    again only in the steps where some lane finishes.  Once fewer than
-    ``TAIL_LANES`` lanes are live, :func:`_cover_tail` finishes the
-    chunk under the same draw contract.
+    ``chunks`` holds ``(rng, lanes, start)`` per chunk, and the returned
+    arrays hold the chunks' lanes joined in chunk order.  A chunk whose
+    ``start`` is None first draws its lanes' uniform starts.  Then each
+    step, every chunk with ``k`` live lanes draws one ``rng.random(k)``,
+    in lane order, and every live lane moves once.  The group's per-lane
+    state is kept compacted to the live lanes, in lane order and so
+    chunk by chunk, and is compacted again only in the steps where some
+    lane finishes; the chunks' live counts are recounted only then.
+    Once fewer than ``TAIL_LANES`` lanes of the group are live,
+    :func:`_cover_tail` finishes the group under the same draw contract.
     """
     n = g.n
-    if start is None:
-        state = rng.integers(n, size=lanes)
-    else:
-        state = np.full(lanes, start, dtype=np.int64)
+    state = np.concatenate([
+        rng.integers(n, size=k) if start is None else np.full(k, start, dtype=np.int64)
+        for rng, k, start in chunks
+    ])
+    lanes = state.size
     t_v = np.full(lanes, -1, dtype=np.int64)
     t_e = np.full(lanes, -1, dtype=np.int64)
     if n == 1:
@@ -292,6 +344,11 @@ def _cover_chunk(
             t_e[:] = 0
         return t_v, t_e
 
+    rngs = [rng for rng, _, _ in chunks]
+    # chunk c's lanes end before ends[c]
+    ends = np.cumsum([k for _, k, _ in chunks])
+    draws = [(rng, k) for rng, k, _ in chunks]
+    uniforms = np.empty(lanes)
     # strict edge cover tracks the 2m arcs, plain cover the m edges
     entered, e_total = (rows.arc, 2 * g.m) if strict_edges else (rows.edge, g.m)
     # Per live lane: its index, its state, how many vertices and edges it
@@ -312,7 +369,7 @@ def _cover_chunk(
     t = 0
     while lane.size >= TAIL_LANES:
         t += 1
-        s = rows.draw(s, rng.random(s.size))
+        s = rows.draw(s, joined_random(draws, uniforms))
         cell = v_row + rows.position[s]
         v_left -= unvisited[cell]
         unvisited[cell] = False
@@ -338,6 +395,7 @@ def _cover_chunk(
                 lane, s, v_left, v_row = lane[live], s[live], v_left[live], v_row[live]
                 if track_edges:
                     e_left, e_row = e_left[live], e_row[live]
+                draws = _live_draws(rngs, lane.searchsorted(ends).tolist())
         if t >= budget:
             return t_v, t_e
     if lane.size:
@@ -346,7 +404,7 @@ def _cover_chunk(
         else:
             entered = e_flags = None
         _cover_tail(
-            rows, entered, rng, t, budget, lane, s, v_left, e_left,
+            rows, entered, rngs, ends.tolist(), t, budget, lane, s, v_left, e_left,
             unvisited.reshape(lanes, n)[lane], e_flags, t_v, t_e,
         )
     return t_v, t_e
@@ -355,7 +413,8 @@ def _cover_chunk(
 def _cover_tail(
     rows: PaddedRows,
     entered: np.ndarray | None,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
+    ends: list[int],
     t: int,
     budget: int,
     lane: np.ndarray,
@@ -367,25 +426,28 @@ def _cover_tail(
     t_v: np.ndarray,
     t_e: np.ndarray,
 ) -> None:
-    """Finish a near-empty chunk one lane at a time, after step ``t``.
+    """Finish a near-empty group one lane at a time, after step ``t``.
 
-    Same chain and draws as the lockstep loop: one ``rng.random(k)`` per
-    step for the ``k`` live lanes, in lane order.  A slot is picked by
-    ``bisect_right`` on the state's padded ``cum`` row, which for every
-    ``u`` in [0, 1) is the slot the lockstep guide draw picks, the
-    count of the row's sums at most ``u``: the row's sums of
-    non-negative probabilities never decrease, except that the forced
-    final 1.0 may sit below its predecessor, and both exceed ``u``; the
-    2.0 padding exceeds it too.  So the entries at most ``u`` are a
-    prefix, which a binary search finds and the guide draw's advance
-    walks to (see :class:`~walklab.walks.PaddedRows`).  ``unvisited`` and
-    ``untraversed`` hold the live lanes' rows, in lane order, and
-    ``entered`` is None when only vertices are tracked; the times land
-    in ``t_v``/``t_e``.
+    Same chain and draws as the lockstep loop: each step, every chunk
+    with ``k`` live lanes draws one ``rng.random(k)``, in lane order; the
+    lanes of chunk ``c`` (drawing from ``rngs[c]``) end before
+    ``ends[c]``.  A slot is picked by ``bisect_right`` on the state's
+    padded ``cum`` row, which for every ``u`` in [0, 1) is the slot the
+    lockstep guide draw picks, the count of the row's sums at most
+    ``u``: the row's sums of non-negative probabilities never decrease,
+    except that the forced final 1.0 may sit below its predecessor, and
+    both exceed ``u``; the 2.0 padding exceeds it too.  So the entries
+    at most ``u`` are a prefix, which a binary search finds and the
+    guide draw's advance walks to (see :class:`~walklab.walks.PaddedRows`).
+    ``unvisited`` and ``untraversed`` hold the live lanes' rows, in lane
+    order, and ``entered`` is None when only vertices are tracked; the
+    times land in ``t_v``/``t_e``.
     """
     cum, nxt, position = rows.cum.tolist(), rows.next.tolist(), rows.position.tolist()
     track_edges = entered is not None
     ids, states, v_lefts = lane.tolist(), state.tolist(), v_left.tolist()
+    draws = _live_draws(rngs, [bisect_left(ids, end) for end in ends])
+    uniforms = np.empty(len(ids))
     n_v = unvisited.shape[1]
     v_rows = list(range(0, len(ids) * n_v, n_v))
     unvisited = bytearray(unvisited.tobytes())
@@ -400,7 +462,7 @@ def _cover_tail(
     while ids and t < budget:
         t += 1
         finished = False
-        for i, u in enumerate(rng.random(len(ids)).tolist()):
+        for i, u in enumerate(joined_random(draws, uniforms).tolist()):
             s = states[i]
             s = states[i] = nxt[s][bisect_right(cum[s], u)]
             cell = v_rows[i] + position[s]
@@ -427,6 +489,7 @@ def _cover_tail(
             e_lefts = [e_lefts[i] for i in live]
             if track_edges:
                 e_rows = [e_rows[i] for i in live]
+            draws = _live_draws(rngs, [bisect_left(ids, end) for end in ends])
 
 
 def _lockstep_samples(
@@ -434,19 +497,23 @@ def _lockstep_samples(
     rows: PaddedRows,
     seed: int,
     trials: int,
-    start: int | None,
+    starts: dict[int, int | None],
     budget: int,
-    cell: int,
     track_edges: bool,
     strict_edges: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_cover_samples` on rows compiled by the caller."""
-    parts = _run_chunks(
-        seed, cell, trials,
-        lambda rng, lanes: _cover_chunk(
-            g, rows, rng, lanes, start, budget, track_edges, strict_edges
-        ),
-    )
+    """``trials`` cover-time samples per cell, on rows compiled by the caller.
+
+    ``starts`` maps each cell to its start (None for uniform starts);
+    the arrays hold the cells' trials in the order of ``starts``.
+    """
+    parts = [
+        _cover_group(
+            g, rows, [(rng, lanes, starts[cell]) for cell, rng, lanes in group],
+            budget, track_edges, strict_edges,
+        )
+        for group in chunk_groups(seed, starts, trials)
+    ]
     return (
         np.concatenate([t_v for t_v, _ in parts]),
         np.concatenate([t_e for _, t_e in parts]),
@@ -479,7 +546,7 @@ def batch_cover_samples(
     _check_budget(budget)
     seed = require_seed(config)
     return _lockstep_samples(
-        g, StepTable(g, config).padded(), seed, trials, start, budget, cell,
+        g, StepTable(g, config).padded(), seed, trials, {cell: start}, budget,
         track_edges, strict_edges,
     )
 
@@ -534,14 +601,12 @@ def estimate_cover_time(
         starts = list(range(g.n))
     else:
         raise TypeError(f"unknown start policy {start_policy!r}")
-    rows = StepTable(g, config).padded()
-    per_start = []
-    for cell, start in enumerate(starts):
-        t_v, t_e = _lockstep_samples(
-            g, rows, seed, trials, start, budget, cell,
-            mode != "vertex", mode == "edge-strict",
-        )
-        per_start.append(_stats(t_v if mode == "vertex" else t_e, mode, start_policy))
+    t_v, t_e = _lockstep_samples(
+        g, StepTable(g, config).padded(), seed, trials, dict(enumerate(starts)),
+        budget, mode != "vertex", mode == "edge-strict",
+    )
+    samples = (t_v if mode == "vertex" else t_e).reshape(len(starts), trials)
+    per_start = [_stats(row, mode, start_policy) for row in samples]
     if len(per_start) == 1:
         return per_start[0]
     censored_total = sum(s.censored for s in per_start)

@@ -13,7 +13,7 @@ import collections
 
 import numpy as np
 
-from .cover import _run_chunks
+from .cover import chunk_groups, joined_random
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
 from .walks import Constant, StepTable, WalkConfig, require_seed
@@ -156,9 +156,12 @@ def mc_visit_frequencies(
     0..l) / (l+1).  Entries sum to 1.  Only the plain uniform walk is
     supported, matching the identity this estimates.  Trials advance in
     lockstep over the step table's padded rows, counting visits per
-    state and folding them onto vertices at the end, in the chunks of
-    the cover sampler's runner (chunk ``j`` on Philox stream
-    ``(seed, cell, j)``).
+    state and folding them onto vertices at the end.  They run in the
+    chunks of :func:`~walklab.cover.chunk_groups`, chunk ``j`` on Philox
+    stream ``(seed, cell, j)``, and the chunks of a group step together:
+    each step every chunk draws its ``rng.random(lanes)``, joined in
+    chunk order, and the group makes one guide draw and one
+    ``bincount``.  Grouping changes no byte.
     """
     if config.non_backtracking or config.node2vec is not None:
         raise ValueError("visit-frequency estimation expects a first-order walk")
@@ -175,17 +178,15 @@ def mc_visit_frequencies(
         raise ValueError("a walk cannot step on a graph without edges")
 
     rows = StepTable(g, config).padded()
-
-    def run_chunk(rng: np.random.Generator, lanes: int) -> np.ndarray:
-        state = np.full(lanes, u, dtype=np.int64)
-        counts = np.zeros(rows.position.size, dtype=np.int64)
-        counts[u] = lanes
+    per_state = np.zeros(rows.position.size, dtype=np.int64)
+    for group in chunk_groups(seed, [cell], trials):
+        draws = [(rng, lanes) for _, rng, lanes in group]
+        state = np.full(sum(lanes for _, lanes in draws), u, dtype=np.int64)
+        per_state[u] += state.size
+        uniforms = np.empty(state.size)
         for _ in range(l):
-            state = rows.draw(state, rng.random(lanes))
-            counts += np.bincount(state, minlength=counts.size)
-        return counts
-
-    per_state = sum(_run_chunks(seed, cell, trials, run_chunk))
+            state = rows.draw(state, joined_random(draws, uniforms))
+            per_state += np.bincount(state, minlength=per_state.size)
     visits = np.zeros(g.n, dtype=np.int64)
     np.add.at(visits, rows.position, per_state)
     return visits / (trials * (l + 1))

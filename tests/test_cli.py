@@ -508,6 +508,35 @@ def test_cover_warns_when_trials_censor(capsys, budget):
     assert_warnings_name(captured.err, cells, budget)
 
 
+def test_cover_warning_says_an_all_censored_mean_is_undefined(capsys):
+    argv = ["cover", "--family", "cycle", "--n", "5", "--trials", "2000",
+            "--node2vec", "1,2", "--worst-starts", "--budget", "3", "--seed", "1"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "cycle-5,node2vec(1/2),vertex,nan,nan,10000,10000"
+    assert captured.err == (
+        "warning: cycle-5 node2vec(1/2): censored vertex 10000 of 10000 trials "
+        "at budget 3; the vertex mean is undefined\n"
+    )
+
+
+def test_fig3_warning_tells_an_undefined_mean_from_a_biased_one(capsys):
+    argv = ["fig3", "--sizes", "3", "--trials", "64", "--seed", "3", "--budget", "5"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    rows = {tuple(line.split(",")[1:3]): line for line in captured.out.splitlines()}
+    assert rows["uniform", "vertex"].endswith(",64,63")
+    assert rows["uniform", "edge"].endswith(",nan,nan,64,64")
+    assert rows["node2vec(1/2)", "vertex"].endswith(",nan,nan,64,64")
+    lines = captured.err.splitlines()
+    assert lines[0].endswith(
+        "; the edge mean is undefined, and the vertex mean leaves them out "
+        "and is biased low"
+    )
+    assert lines[4].startswith("warning: lollipop-6 node2vec(1/2): ")
+    assert lines[4].endswith("; the vertex and edge means are undefined")
+
+
 def test_cover_warning_names_a_graph_path_with_a_comma(tmp_path, capsys):
     gfile = tmp_path / "a,b.txt"
     gfile.write_text("3 2\n0 1\n1 2\n")

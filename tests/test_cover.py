@@ -155,6 +155,25 @@ def test_worst_over_starts_compiles_the_table_once(monkeypatch):
     assert stats.trials == 8 * g.n and stats.censored == 0
 
 
+@pytest.mark.parametrize("mode", ["vertex", "edge", "edge-strict"])
+def test_worst_over_starts_is_the_worst_per_start_batch(mode):
+    # two chunks per start, so groups hold chunks of two starts; each
+    # start still runs as cell v from vertex v on its own streams
+    g, config, trials = gen_lollipop(3), cfg(seed=9), CHUNK_TRIALS + 300
+    worst = estimate_cover_time(g, config, mode, trials, WorstOverStarts(), budget=40)
+    per_start = []
+    for v in range(g.n):
+        t_v, t_e = batch_cover_samples(
+            g, config, trials, start=v, budget=40, cell=v,
+            track_edges=mode != "vertex", strict_edges=mode == "edge-strict",
+        )
+        samples = t_v if mode == "vertex" else t_e
+        ok = samples[samples >= 0]
+        per_start.append((ok.mean(), ok.std(ddof=1) / math.sqrt(ok.size)))
+    assert (worst.mean, worst.std_err) == max(per_start)
+    assert worst.censored > 0 or mode == "vertex"
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_rejected(budget):
     g = gen_cycle(4)

@@ -1,12 +1,13 @@
 """The lockstep cover kernel and its draw against references kept here.
 
-``reference_chunk`` is the straightforward lockstep loop: every
-iteration re-gathers each per-lane array through the index of the live
-lanes, draws with the padded count ``(u >= cum).sum()`` and stops at
-the budget.  The package kernel keeps its lanes compacted, draws with
-the guide table of :class:`~walklab.walks.PaddedRows` and finishes
-near-empty chunks in a Python loop with ``bisect_right``; its arrays
-must equal the reference's exactly, on the same Philox streams.  The
+``reference_chunk`` is the straightforward lockstep loop over one
+chunk: every iteration re-gathers each per-lane array through the index
+of the live lanes, draws with the padded count ``(u >= cum).sum()`` and
+stops at the budget.  The package kernel steps a group of chunks as one
+set of lanes, keeps them compacted, draws with the guide table of
+:class:`~walklab.walks.PaddedRows` and finishes near-empty groups in a
+Python loop with ``bisect_right``; chunk by chunk, its arrays must
+equal the reference's exactly, on the same Philox streams.  The
 guide draw itself is checked against the padded count on every state
 of a range of tables, at the uniforms where an off-by-one would show:
 each ``cum`` entry, each guide bin edge, and the doubles just below
@@ -30,7 +31,7 @@ from walklab import (
     parse_edge_list,
     rng_stream,
 )
-from walklab.cover import TAIL_LANES, _cover_chunk
+from walklab.cover import CHUNK_TRIALS, GROUP_CHUNKS, TAIL_LANES, _cover_group, chunk_groups
 from walklab.walks import PaddedRows, StepTable
 
 
@@ -120,7 +121,9 @@ LONG_BUDGET = 3000
 
 def both(g, rows, key, lanes, start, budget, track, strict):
     ref = reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
-    got = _cover_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+    got = _cover_group(
+        g, rows, [(rng_stream(*key), lanes, start)], budget, track, strict
+    )
     return ref, got
 
 
@@ -194,6 +197,115 @@ def test_kernel_single_vertex(start, track):
     rows = StepTable(g, WalkConfig(length=0, seed=3)).padded()
     for lanes in (1, TAIL_LANES, 1024):
         assert_same(*both(g, rows, (3, lanes), lanes, start, 10, track, False))
+
+
+def group_both(g, rows, chunks, budget, track, strict):
+    """The reference per chunk, joined in chunk order, and the group kernel.
+
+    ``chunks`` holds ``(key, lanes, start)`` per chunk, each chunk on
+    stream ``rng_stream(*key)``.
+    """
+    refs = [
+        reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+        for key, lanes, start in chunks
+    ]
+    ref = tuple(np.concatenate([r[i] for r in refs]) for i in (0, 1))
+    got = _cover_group(
+        g, rows, [(rng_stream(*key), lanes, start) for key, lanes, start in chunks],
+        budget, track, strict,
+    )
+    return ref, got
+
+
+def group_chunks(kind, size, seed, case, n, short):
+    """A group of ``size`` chunks as the runner makes them, the last one short.
+
+    "uniform" and "fixed" are consecutive chunks of one cell with uniform
+    or one fixed start; "cells" are chunks of consecutive cells, each cell
+    with a start of its own, as under ``WorstOverStarts``.
+    """
+    lanes = [CHUNK_TRIALS] * (size - 1) + [short]
+    if kind == "cells":
+        return [((seed, case + c, 0), k, (case + c) % n) for c, k in enumerate(lanes)]
+    start = None if kind == "uniform" else case % n
+    return [((seed, case, j), k, start) for j, k in enumerate(lanes)]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fixed", "cells"])
+@pytest.mark.parametrize("size", range(1, GROUP_CHUNKS + 1))
+def test_group_kernel_matches_reference_per_chunk(size, kind):
+    case = 10 * size + len(kind)
+    rnd = random.Random(case)
+    g = random_graph(rnd)
+    config = random_config(rnd, ("first-order", "nb", "node2vec")[size % 3], 2000 + case)
+    rows = StepTable(g, config).padded()
+    track, strict = EDGE_MODES[(size + len(kind)) % len(EDGE_MODES)]
+    chunks = group_chunks(kind, size, config.seed, case, g.n, 1 + rnd.randrange(CHUNK_TRIALS))
+    ref, got = group_both(g, rows, chunks, LONG_BUDGET, track, strict)
+    assert_same(ref, got)
+    times = ref[1] if track else ref[0]
+    life = np.where(times < 0, LONG_BUDGET, times)
+    # budgets that cut the group while it is wide, and in the tail
+    for alive in (life.size // 2, TAIL_LANES // 2):
+        budget = budget_leaving(life, alive)
+        if 0 < budget < LONG_BUDGET:
+            assert_same(*group_both(g, rows, chunks, budget, track, strict))
+
+
+def phase_ends(times, budget, ends):
+    """How each chunk of a group ends: "vector", "tail" or "censored".
+
+    ``times`` holds the group's lanes' times, -1 if censored.  The group
+    switches to the tail after the first step that leaves fewer than
+    ``TAIL_LANES`` lanes live.
+    """
+    life = np.where(times < 0, budget, times)
+    steps = np.arange(1, budget + 1)
+    live_after = (life[None, :] > steps[:, None]).sum(axis=1)
+    switch = int(steps[live_after < TAIL_LANES][0])
+    phases = []
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        chunk = times[lo:hi]
+        phases.append(
+            "censored" if (chunk < 0).any()
+            else "vector" if chunk.max() <= switch else "tail"
+        )
+    return phases
+
+
+def test_group_chunks_end_in_different_phases():
+    # a small chunk whose lanes all finish while the group is wide, one
+    # whose last lane finishes in the tail and one whose last lane
+    # censors, all in one group
+    g = gen_lollipop(4)
+    lanes = (8, CHUNK_TRIALS, CHUNK_TRIALS, 300)
+    ends = list(np.cumsum(lanes))
+    for seed in range(4):
+        config = WalkConfig(length=0, conductance=MDLR(), seed=seed)
+        rows = StepTable(g, config).padded()
+        chunks = [((seed, c, 0), k, None) for c, k in enumerate(lanes)]
+        ref, _ = group_both(g, rows, chunks, LONG_BUDGET, True, False)
+        life = np.where(ref[1] < 0, LONG_BUDGET, ref[1])
+        # one lane censors, in the chunk that then ends censored
+        budget = budget_leaving(life, 1)
+        ref, got = group_both(g, rows, chunks, budget, True, False)
+        assert_same(ref, got)
+        phases = phase_ends(ref[1], budget, ends)
+        assert {"vector", "tail", "censored"} <= set(phases), (seed, phases)
+
+
+def test_chunk_groups_list_the_chunks_in_cell_order():
+    trials = 2 * CHUNK_TRIALS + 3
+    groups = list(chunk_groups(7, [5, 9], trials))
+    assert [len(group) for group in groups] == [GROUP_CHUNKS, 2]
+    chunks = [chunk for group in groups for chunk in group]
+    assert [(cell, lanes) for cell, _, lanes in chunks] == [
+        (5, CHUNK_TRIALS), (5, CHUNK_TRIALS), (5, 3),
+        (9, CHUNK_TRIALS), (9, CHUNK_TRIALS), (9, 3),
+    ]
+    keys = [(5, 0), (5, 1), (5, 2), (9, 0), (9, 1), (9, 2)]
+    for (_, rng, _), key in zip(chunks, keys):
+        assert rng.random() == rng_stream(7, *key).random()
 
 
 def slot_rows(cum):

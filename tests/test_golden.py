@@ -59,6 +59,12 @@ CLI_CASES = {
          "--trials", "200", "--seed", "5"],
         "26fb6df699a54304d4ea8a8d8a016958a785efe78c50ff42be170340a3ebd48d",
     ),
+    # one chunk per start, grouped across starts
+    "cover-worst-starts": (
+        ["cover", "--family", "lollipop", "--m", "6", "--trials", "700",
+         "--worst-starts", "--seed", "3"],
+        "83dfe08b6bbb9dd4ea00750835f669c1073f3f412587cf48eb3cd742c7249e9b",
+    ),
     "fig3": (
         ["fig3", "--sizes", "4", "--trials", "64", "--seed", "2025"],
         "70e19e2107c4aeeea1962a8a8cf0bd2fc22bcd24ca33d294fb8a175ac4b7dd2d",
@@ -66,6 +72,11 @@ CLI_CASES = {
     "sr16": (
         ["sr16", "--trials", "300", "--seed", "2025"],
         "64b4bdbea283d9016b7fd7f66a5a75a627650e8b3ce26caa8a5d290176c5f482",
+    ),
+    # five chunks per graph: one full group of four and a one-chunk group
+    "sr16-five-chunks": (
+        ["sr16", "--trials", "5000", "--seed", "2025"],
+        "e7362c1184abc6e85b066f16b907d6e1abca4a3277ef28b94490fa5c8e677599",
     ),
     "sr16-threads": (
         ["sr16", "--trials", "300", "--seed", "2025", "--threads", "2"],
@@ -81,6 +92,12 @@ CLI_CASES = {
         ["mixing", "--family", "barbell", "--k", "5", "--trials", "2100",
          "--lengths", "1,7,20", "--seed", "8"],
         "f194455faf60743ce00095b5555e65beaeca88bc4483eb3744bbecf3fff2cbbb",
+    ),
+    # four full chunks and a short one per cell: a full group and a short one
+    "mixing-barbell-5-groups": (
+        ["mixing", "--family", "barbell", "--k", "5", "--trials", "4148",
+         "--lengths", "1,20", "--seed", "8"],
+        "438df103179f201695a03526f25d4918f21ce8a49488128e1a6e2323799a3a68",
     ),
     "invariance": (
         ["invariance", "--max-n", "4", "--max-l", "3", "--seed", "0"],
@@ -158,9 +175,10 @@ def arrays_digest(t_v, t_e):
 
 # Raw kernel arrays at its branch points: lanes censoring in the
 # near-empty tail, vertex-only tracking from a fixed start, lanes
-# censoring while the chunk is still wide, a short last chunk, full
-# chunks on the 20-wide rows of gen_lollipop(20), and a table whose
-# draws sometimes advance two slots past their guide bin.
+# censoring while the chunk is still wide, a short last chunk, a full
+# group of four chunks and a short group whose lanes censor at the
+# budget, full chunks on the 20-wide rows of gen_lollipop(20), and a
+# table whose draws sometimes advance two slots past their guide bin.
 KERNEL_CASES = {
     "node2vec-tail-censors": (
         lambda: batch_cover_samples(
@@ -192,6 +210,14 @@ KERNEL_CASES = {
             2100, None, strict_edges=True,
         ),
         "822d1524064210081a38c08214fe986c7d089c4c0e566543a420d52bc580e05a",
+    ),
+    "strict-two-groups-censor": (
+        lambda: batch_cover_samples(
+            gen_lollipop(5),
+            WalkConfig(length=0, conductance=MDLR(), non_backtracking=True, seed=41),
+            5 * 1024 + 7, None, budget=250, strict_edges=True,
+        ),
+        "5e54864728d98e1939859b1909a9d3cb72c3fd49d42349ce8f817323db899129",
     ),
     "wide-rows-uniform": (
         lambda: batch_cover_samples(

@@ -166,12 +166,14 @@ def reference_visit_frequencies(g, config, u, l, trials, cell):
     return visits / (trials * (l + 1))
 
 
-@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("chunks", [1, 3, 5, 10])
 @pytest.mark.parametrize("l", [1, 7, 20])
 @pytest.mark.parametrize("name", ["barbell-5", "lollipop-10"])
 def test_mc_visit_frequencies_match_reference_loop(name, l, chunks):
-    # one short chunk of 52 trials, or 2100: two full chunks and a short one
-    trials = (chunks - 1) * CHUNK_TRIALS + 52
+    # full chunks and a short last one of 52 trials (of 1 for 10 chunks):
+    # one group, one group, a full group and a short one, two full groups
+    # and a group of a full chunk and a one-trial chunk
+    trials = (chunks - 1) * CHUNK_TRIALS + (1 if chunks == 10 else 52)
     g = gen_barbell(5) if name == "barbell-5" else gen_lollipop(10)
     config = WalkConfig(length=0, seed=31)
     for cell, u in enumerate((0, g.n // 2, g.n - 1)):
