@@ -41,7 +41,7 @@ one flat sequence of doubles); their count and order do.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -293,15 +293,17 @@ def joined_random(
 
 
 def _live_draws(
-    rngs: list[np.random.Generator], live_before: list[int]
+    rngs: list[np.random.Generator], ends: np.ndarray, lane: np.ndarray | list[int]
 ) -> list[tuple[np.random.Generator, int]]:
     """``(rng, k)`` for each chunk of a group with ``k > 0`` live lanes.
 
-    ``live_before[c]`` counts the live lanes before the end of chunk
-    ``c``'s lanes.
+    ``lane`` holds the indices of the group's live lanes in increasing
+    order, and chunk ``c``'s lanes end before ``ends[c]``.
     """
+    if len(rngs) == 1:
+        return [(rngs[0], len(lane))]
     draws, done = [], 0
-    for rng, upto in zip(rngs, live_before):
+    for rng, upto in zip(rngs, np.searchsorted(lane, ends).tolist()):
         if upto > done:
             draws.append((rng, upto - done))
         done = upto
@@ -395,7 +397,7 @@ def _cover_group(
                 lane, s, v_left, v_row = lane[live], s[live], v_left[live], v_row[live]
                 if track_edges:
                     e_left, e_row = e_left[live], e_row[live]
-                draws = _live_draws(rngs, lane.searchsorted(ends).tolist())
+                draws = _live_draws(rngs, ends, lane)
         if t >= budget:
             return t_v, t_e
     if lane.size:
@@ -404,7 +406,7 @@ def _cover_group(
         else:
             entered = e_flags = None
         _cover_tail(
-            rows, entered, rngs, ends.tolist(), t, budget, lane, s, v_left, e_left,
+            rows, entered, rngs, ends, t, budget, lane, s, v_left, e_left,
             unvisited.reshape(lanes, n)[lane], e_flags, t_v, t_e,
         )
     return t_v, t_e
@@ -414,7 +416,7 @@ def _cover_tail(
     rows: PaddedRows,
     entered: np.ndarray | None,
     rngs: list[np.random.Generator],
-    ends: list[int],
+    ends: np.ndarray,
     t: int,
     budget: int,
     lane: np.ndarray,
@@ -446,8 +448,7 @@ def _cover_tail(
     cum, nxt, position = rows.cum.tolist(), rows.next.tolist(), rows.position.tolist()
     track_edges = entered is not None
     ids, states, v_lefts = lane.tolist(), state.tolist(), v_left.tolist()
-    draws = _live_draws(rngs, [bisect_left(ids, end) for end in ends])
-    uniforms = np.empty(len(ids))
+    draws = _live_draws(rngs, ends, ids)
     n_v = unvisited.shape[1]
     v_rows = list(range(0, len(ids) * n_v, n_v))
     unvisited = bytearray(unvisited.tobytes())
@@ -462,7 +463,12 @@ def _cover_tail(
     while ids and t < budget:
         t += 1
         finished = False
-        for i, u in enumerate(joined_random(draws, uniforms).tolist()):
+        # a direct draw per chunk: at a few lanes, writing into a buffer
+        # costs more than it saves
+        us: list[float] = []
+        for rng, k in draws:
+            us += rng.random(k).tolist()
+        for i, u in enumerate(us):
             s = states[i]
             s = states[i] = nxt[s][bisect_right(cum[s], u)]
             cell = v_rows[i] + position[s]
@@ -489,7 +495,7 @@ def _cover_tail(
             e_lefts = [e_lefts[i] for i in live]
             if track_edges:
                 e_rows = [e_rows[i] for i in live]
-            draws = _live_draws(rngs, [bisect_left(ids, end) for end in ends])
+            draws = _live_draws(rngs, ends, ids)
 
 
 def _lockstep_samples(

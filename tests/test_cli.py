@@ -513,7 +513,8 @@ def test_cover_warning_says_an_all_censored_mean_is_undefined(capsys):
             "--node2vec", "1,2", "--worst-starts", "--budget", "3", "--seed", "1"]
     assert run(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[1] == "cycle-5,node2vec(1/2),vertex,nan,nan,10000,10000"
+    row = captured.out.splitlines()[1]
+    assert row == "cycle-5,node2vec(1/2),vertex,nan,nan,10000,10000"
     assert captured.err == (
         "warning: cycle-5 node2vec(1/2): censored vertex 10000 of 10000 trials "
         "at budget 3; the vertex mean is undefined\n"

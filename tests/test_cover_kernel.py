@@ -31,7 +31,13 @@ from walklab import (
     parse_edge_list,
     rng_stream,
 )
-from walklab.cover import CHUNK_TRIALS, GROUP_CHUNKS, TAIL_LANES, _cover_group, chunk_groups
+from walklab.cover import (
+    CHUNK_TRIALS,
+    GROUP_CHUNKS,
+    TAIL_LANES,
+    _cover_group,
+    chunk_groups,
+)
 from walklab.walks import PaddedRows, StepTable
 
 
@@ -237,10 +243,12 @@ def test_group_kernel_matches_reference_per_chunk(size, kind):
     case = 10 * size + len(kind)
     rnd = random.Random(case)
     g = random_graph(rnd)
-    config = random_config(rnd, ("first-order", "nb", "node2vec")[size % 3], 2000 + case)
+    kinds = ("first-order", "nb", "node2vec")
+    config = random_config(rnd, kinds[size % 3], 2000 + case)
     rows = StepTable(g, config).padded()
     track, strict = EDGE_MODES[(size + len(kind)) % len(EDGE_MODES)]
-    chunks = group_chunks(kind, size, config.seed, case, g.n, 1 + rnd.randrange(CHUNK_TRIALS))
+    short = 1 + rnd.randrange(CHUNK_TRIALS)
+    chunks = group_chunks(kind, size, config.seed, case, g.n, short)
     ref, got = group_both(g, rows, chunks, LONG_BUDGET, track, strict)
     assert_same(ref, got)
     times = ref[1] if track else ref[0]
