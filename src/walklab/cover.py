@@ -463,12 +463,12 @@ def _cover_tail(
     while ids and t < budget:
         t += 1
         finished = False
-        # a direct draw per chunk: at a few lanes, writing into a buffer
-        # costs more than it saves
-        us: list[float] = []
-        for rng, k in draws:
-            us += rng.random(k).tolist()
-        for i, u in enumerate(us):
+        # at a few lanes, fresh draws cost less than writing into a buffer
+        if len(draws) == 1:
+            us = draws[0][0].random(len(ids))
+        else:
+            us = np.concatenate([rng.random(k) for rng, k in draws])
+        for i, u in enumerate(us.tolist()):
             s = states[i]
             s = states[i] = nxt[s][bisect_right(cum[s], u)]
             cell = v_rows[i] + position[s]
