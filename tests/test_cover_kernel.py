@@ -125,12 +125,31 @@ LANE_COUNTS = (TAIL_LANES - 1, TAIL_LANES, TAIL_LANES + 1, 1024)
 LONG_BUDGET = 3000
 
 
-def both(g, rows, key, lanes, start, budget, track, strict):
-    ref = reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+def reference_group(g, rows, chunks, budget, track, strict):
+    """``reference_chunk`` per chunk, joined in chunk order.
+
+    ``chunks`` holds ``(key, lanes, start)`` per chunk, each chunk on
+    stream ``rng_stream(*key)``.
+    """
+    refs = [
+        reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
+        for key, lanes, start in chunks
+    ]
+    return tuple(np.concatenate([r[i] for r in refs]) for i in (0, 1))
+
+
+def group_both(g, rows, chunks, budget, track, strict):
+    """The reference and the group kernel on the same chunks and streams."""
+    ref = reference_group(g, rows, chunks, budget, track, strict)
     got = _cover_group(
-        g, rows, [(rng_stream(*key), lanes, start)], budget, track, strict
+        g, rows, [(rng_stream(*key), lanes, start) for key, lanes, start in chunks],
+        budget, track, strict,
     )
     return ref, got
+
+
+def both(g, rows, key, lanes, start, budget, track, strict):
+    return group_both(g, rows, [(key, lanes, start)], budget, track, strict)
 
 
 def assert_same(ref, got):
@@ -205,24 +224,6 @@ def test_kernel_single_vertex(start, track):
         assert_same(*both(g, rows, (3, lanes), lanes, start, 10, track, False))
 
 
-def group_both(g, rows, chunks, budget, track, strict):
-    """The reference per chunk, joined in chunk order, and the group kernel.
-
-    ``chunks`` holds ``(key, lanes, start)`` per chunk, each chunk on
-    stream ``rng_stream(*key)``.
-    """
-    refs = [
-        reference_chunk(g, rows, rng_stream(*key), lanes, start, budget, track, strict)
-        for key, lanes, start in chunks
-    ]
-    ref = tuple(np.concatenate([r[i] for r in refs]) for i in (0, 1))
-    got = _cover_group(
-        g, rows, [(rng_stream(*key), lanes, start) for key, lanes, start in chunks],
-        budget, track, strict,
-    )
-    return ref, got
-
-
 def group_chunks(kind, size, seed, case, n, short):
     """A group of ``size`` chunks as the runner makes them, the last one short.
 
@@ -292,8 +293,8 @@ def test_group_chunks_end_in_different_phases():
         config = WalkConfig(length=0, conductance=MDLR(), seed=seed)
         rows = StepTable(g, config).padded()
         chunks = [((seed, c, 0), k, None) for c, k in enumerate(lanes)]
-        ref, _ = group_both(g, rows, chunks, LONG_BUDGET, True, False)
-        life = np.where(ref[1] < 0, LONG_BUDGET, ref[1])
+        _, t_e = reference_group(g, rows, chunks, LONG_BUDGET, True, False)
+        life = np.where(t_e < 0, LONG_BUDGET, t_e)
         # one lane censors, in the chunk that then ends censored
         budget = budget_leaving(life, 1)
         ref, got = group_both(g, rows, chunks, budget, True, False)
