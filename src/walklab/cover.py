@@ -588,7 +588,8 @@ def estimate_cover_time(
     ``WorstOverStarts`` runs ``trials`` per start ``v``, as cell ``v``,
     and reports the start with the largest mean; if some start ends up
     fully censored the worst case is unknown and the result is NaN.
-    The step table is compiled once, whatever the number of starts.
+    The step table is compiled once, whatever the number of starts, and
+    the starts' chunks run through the same groups of the chunk runner.
     """
     _check_mode(mode)
     if trials < 1:
