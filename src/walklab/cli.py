@@ -540,7 +540,7 @@ def _add_common(sub: argparse.ArgumentParser, *, seed: bool) -> None:
     sub.add_argument("--config", help="key = value config file; flags override")
     sub.add_argument("--out", help="output file (default stdout)")
     if seed:
-        sub.add_argument("--seed", type=int, help="RNG seed (required)")
+        sub.add_argument("--seed", type=_at_least(0), help="RNG seed (required)")
         sub.add_argument("--threads", type=_at_least(1), default=1,
                          help="kept for compatibility; must be >= 1 and "
                          "changes nothing (every run uses one thread)")

@@ -75,14 +75,10 @@ __all__ = [
     "batch_cover_samples",
     "local_cover_time",
     "theorem2_bound",
-    "cover_csv",
     "experiment_fig3",
     "experiment_sr16",
     "DEFAULT_BUDGET",
     "CHUNK_TRIALS",
-    "GROUP_CHUNKS",
-    "chunk_groups",
-    "joined_random",
 ]
 
 DEFAULT_BUDGET = 10**9

@@ -108,10 +108,8 @@ class LocalBall:
     """The radius-``r`` ball around a center vertex.
 
     ``members`` are vertex labels of the parent graph, sorted ascending.
-    ``induced`` is the subgraph they induce, relabeled ``0..k-1`` in
-    member order; ``induced`` may be built without the connectivity
-    check (a ball is always connected, but the constructor used for it
-    does not insist).
+    ``induced`` is the connected subgraph they induce, relabeled
+    ``0..k-1`` in member order.
     """
 
     center: int
@@ -196,10 +194,12 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     return Graph(n=n, adjacency=adjacency, m=len(edge_set))
 
 
-def induced_subgraph(
-    g: Graph, members: Sequence[int], *, require_connected: bool = False
-) -> Graph:
-    """Subgraph induced by ``members``, relabeled ``0..k-1`` in member order."""
+def induced_subgraph(g: Graph, members: Sequence[int]) -> Graph:
+    """Subgraph induced by ``members``, relabeled ``0..k-1`` in member order.
+
+    Raises ``ValueError`` unless the members induce a connected graph,
+    the guarantee every ``Graph`` carries.
+    """
     members = sorted(set(members))
     index = {v: i for i, v in enumerate(members)}
     edge_set = {
@@ -208,10 +208,9 @@ def induced_subgraph(
         if u in index and v in index
     }
     adjacency = _adjacency_from_edge_set(len(members), edge_set)
-    if require_connected:
-        comps = _components(len(members), adjacency)
-        if len(comps) > 1:
-            raise ValueError(f"induced subgraph disconnected: {comps}")
+    comps = _components(len(members), adjacency)
+    if len(comps) != 1:
+        raise ValueError(f"induced subgraph disconnected: {comps}")
     return Graph(n=len(members), adjacency=adjacency, m=len(edge_set))
 
 
@@ -246,7 +245,7 @@ def local_ball(g: Graph, v: int, r: int) -> LocalBall:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     members = tuple(sorted(dist))
-    induced = induced_subgraph(g, members, require_connected=False)
+    induced = induced_subgraph(g, members)
     return LocalBall(center=v, radius=r, members=members, induced=induced)
 
 

@@ -116,9 +116,10 @@ class _PairedWalkTree:
     """Walk and record distributions on ``g`` against its relabeling.
 
     One depth-first pass over ``g``'s walk tree walks the relabeled
-    graph's tree in step (see the module docstring).  A class rather than nested functions: a recursive closure is a
-    reference cycle, which would keep every check's tables and record
-    maps alive until the cyclic garbage collector next runs.
+    graph's tree in step (see the module docstring).  A class rather
+    than nested functions: a recursive closure is a reference cycle,
+    which would keep every check's tables and record maps alive until
+    the cyclic garbage collector next runs.
     """
 
     def __init__(self, g: Graph, perm: Permutation, config: WalkConfig,

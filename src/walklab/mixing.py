@@ -6,10 +6,16 @@ its expectation is ``(1/(l+1)) sum_t P^t x``.  The entries of the
 averaged matrix power are exactly the expected visit frequencies of the
 walk, which is what ``mc_visit_frequencies`` estimates and the test
 suite pins against the matrix computation.
+
+As ``l`` grows that average tends to the stationary mix ``pi @ x`` for
+any chain with one stationary distribution, periodic ones included.
+:func:`stationary` finds ``pi`` by one linear solve of
+``pi (P - I) = 0, sum(pi) = 1``, which has exactly one solution when
+the chain has a single closed class (every irreducible chain does).
 """
 from __future__ import annotations
 
-import collections
+from typing import Callable
 
 import numpy as np
 
@@ -26,18 +32,12 @@ __all__ = [
     "jacobian_expectation",
     "mc_visit_frequencies",
     "mixing_suite",
-    "POWER_TOL",
-    "POWER_MAX_ITER",
 ]
 
 # Type aliases: per-vertex feature vectors and probability vectors are
 # plain 1-D float arrays.
 FeatureVector = np.ndarray
 StationaryDistribution = np.ndarray
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10**6
-
 
 def _check_square(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
@@ -55,49 +55,37 @@ def _check_transition_matrix(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _is_bipartite(P: np.ndarray) -> bool:
-    # 2-color the support graph; transition support is symmetric for
-    # conductance walks, but symmetrize anyway for safety
-    n = P.shape[0]
-    support = (P > 0) | (P > 0).T
-    color = [-1] * n
-    for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = collections.deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in np.flatnonzero(support[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
 def stationary(P: np.ndarray) -> StationaryDistribution:
-    """Stationary distribution of ``P`` by power iteration from uniform.
+    """The stationary distribution of ``P``: ``pi P = pi`` with ``sum(pi) = 1``.
 
-    Requires an ergodic chain; a bipartite support graph is rejected
-    outright (the power iteration would oscillate forever) rather than
-    patched with a lazy walk.  Iterates until successive iterates agree
-    to ``POWER_TOL`` in max norm.
+    One least-squares solve of ``[P^T - I; 1^T] pi = [0; 1]``.  That
+    system has full rank exactly when the chain has a single closed
+    class, which is when ``pi`` is unique; periodic chains such as a
+    walk on a bipartite graph qualify.  Raises ``ValueError`` when
+    ``P`` has more than one stationary distribution (several closed
+    classes, e.g. a disconnected support).
     """
     P = _check_transition_matrix(P)
-    if _is_bipartite(P):
-        raise ValueError("bipartite transition support has no power-iteration limit")
     n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAX_ITER):
-        nxt = pi @ P
-        if np.abs(nxt - pi).max() < POWER_TOL:
-            return nxt
-        pi = nxt
-    raise RuntimeError(
-        f"power iteration did not converge in {POWER_MAX_ITER} iterations"
-    )
+    system = np.vstack([P.T - np.eye(n), np.ones(n)])
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(system, target, rcond=None)
+    if rank < n:
+        raise ValueError("transition matrix has more than one stationary distribution")
+    return pi
+
+
+def _position_average(
+    step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, l: int
+) -> np.ndarray:
+    """``(1/(l+1)) sum_{t=0..l} step^t(start)``, summed in order of ``t``."""
+    acc = start.copy()
+    cur = start
+    for _ in range(l):
+        cur = step(cur)
+        acc += cur
+    return acc / (l + 1)
 
 
 def expected_output(P: np.ndarray, x: np.ndarray, l: int) -> FeatureVector:
@@ -108,12 +96,7 @@ def expected_output(P: np.ndarray, x: np.ndarray, l: int) -> FeatureVector:
         raise ValueError(f"feature vector shape {x.shape} does not match n={P.shape[0]}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    acc = x.copy()
-    cur = x
-    for _ in range(l):
-        cur = P @ cur
-        acc += cur
-    return acc / (l + 1)
+    return _position_average(lambda cur: P @ cur, x, l)
 
 
 def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
@@ -135,11 +118,7 @@ def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
     P = _check_transition_matrix(P)
     row = np.zeros(n)
     row[u] = 1.0
-    acc = row.copy()
-    for _ in range(l):
-        row = row @ P
-        acc += row
-    return float(acc[v] / (l + 1))
+    return float(_position_average(lambda cur: cur @ P, row, l)[v])
 
 
 def mc_visit_frequencies(

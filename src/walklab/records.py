@@ -31,7 +31,6 @@ __all__ = [
     "Token",
     "Record",
     "AttributeProvider",
-    "Recorder",
     "record_anonymized",
     "record_named_neighbors",
     "record_attributed",

@@ -42,13 +42,9 @@ __all__ = [
     "conductance",
     "step_distribution_first_order",
     "step_distribution_second_order",
-    "StepRow",
-    "PaddedRows",
-    "StepTable",
     "transition_matrix",
     "sample_walk",
     "iter_walk_steps",
-    "check_enumeration_bound",
     "enumerate_walk_distribution",
     "rng_stream",
 ]

@@ -24,6 +24,7 @@ from walklab import (
     expected_output,
     experiment_sr16,
     gen_clique,
+    gen_cycle,
     gen_lollipop,
     gen_path,
     is_isomorphic,
@@ -216,7 +217,8 @@ def test_visit_frequency_identity():
 
 
 def test_averaged_output_reaches_stationary_mix():
-    for _name, g in mixing_suite():
+    # the even cycle is periodic: P^t x oscillates, but its average converges
+    for _name, g in mixing_suite() + [("cycle-4", gen_cycle(4))]:
         P = transition_matrix(g, Constant())
         x = np.zeros(g.n)
         x[0] = 1.0

@@ -148,6 +148,21 @@ def test_out_of_range_flag_names_the_flag(argv, flag, capsys):
     assert f"argument {flag}: " in captured.err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_names_the_flag(source, tmp_path, capsys):
+    argv = ["walk", "--family", "cycle", "--n", "3", "--length", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        conf = tmp_path / "walk.conf"
+        conf.write_text("seed = -1\n")
+        argv += ["--config", str(conf)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+
+
 BAD_WALK_VALUES = [
     ("walk", "restart-period", "0"),
     ("walk", "restart-period", "x"),

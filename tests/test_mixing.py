@@ -35,11 +35,14 @@ from walklab import (
 from walklab.walks import StepTable
 
 
+def _degree_share(g):
+    return np.array([g.degree(v) for v in range(g.n)], dtype=float) / (2 * g.m)
+
+
 def test_stationary_uniform_walk_proportional_to_degree():
-    g = gen_lollipop(4)
-    pi = stationary(transition_matrix(g, Constant()))
-    expect = np.array([g.degree(v) for v in range(g.n)], dtype=float) / (2 * g.m)
-    np.testing.assert_allclose(pi, expect, atol=1e-9)
+    for _name, g in mixing_suite() + [("lollipop-20", gen_lollipop(20))]:
+        pi = stationary(transition_matrix(g, Constant()))
+        assert np.abs(pi - _degree_share(g)).max() <= 1e-12
 
 
 def test_stationary_conductance_walk_weighted_by_strength():
@@ -58,9 +61,24 @@ def test_stationary_fixed_point():
 
 
 @pytest.mark.parametrize("g", [gen_path(2), gen_cycle(4)])
-def test_stationary_rejects_bipartite(g):
-    with pytest.raises(ValueError, match="bipartite"):
-        stationary(transition_matrix(g, Constant()))
+def test_stationary_solves_bipartite(g):
+    # periodic: x P^t oscillates from a point mass, yet pi is unique
+    pi = stationary(transition_matrix(g, Constant()))
+    assert np.abs(pi - _degree_share(g)).max() <= 1e-12
+
+
+def _two_closed_classes():
+    P = np.zeros((5, 5))
+    P[:3, :3] = transition_matrix(gen_cycle(3), Constant())
+    P[3:, 3:] = transition_matrix(gen_path(2), Constant())
+    return P
+
+
+@pytest.mark.parametrize("P", [np.eye(2), _two_closed_classes()],
+                         ids=["identity", "block-diagonal"])
+def test_stationary_rejects_several_stationary_distributions(P):
+    with pytest.raises(ValueError, match="more than one stationary"):
+        stationary(P)
 
 
 def test_transition_matrix_input_checks():
