@@ -197,10 +197,14 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 def induced_subgraph(g: Graph, members: Sequence[int]) -> Graph:
     """Subgraph induced by ``members``, relabeled ``0..k-1`` in member order.
 
-    Raises ``ValueError`` unless the members induce a connected graph,
-    the guarantee every ``Graph`` carries.
+    Raises ``ValueError`` on a member that is not a vertex of ``g``, and
+    unless the members induce a connected graph, the guarantee every
+    ``Graph`` carries.
     """
     members = sorted(set(members))
+    for v in members:
+        if not 0 <= v < g.n:
+            raise ValueError(f"member {v} is not a vertex of the graph (n={g.n})")
     index = {v: i for i, v in enumerate(members)}
     edge_set = {
         (index[u], index[v])

@@ -8,11 +8,17 @@ connected graph up to ``EXACT_N`` vertices, plus random connected
 samples above that, against random permutations, across the conductance
 and second-order grid.
 
-Each (graph, permutation, config) check is one depth-first pass over
-the graph's walk tree.  The relabeled graph's tree is walked in step:
-every branch must have its relabeled counterpart, with as many branches
-on both sides.  Both sides carry a :class:`~walklab.records.Recorder`,
-so a shared walk prefix is recorded once, and each leaf holds both walk
+A record depends only on the walk, not on its probability, so configs
+that put positive probability on the same walks (a support class: same
+length, restart mode and backtracking rule) share one depth-first pass
+per (graph, permutation) over the graph's walk tree.  The relabeled
+graph's tree is walked in step.  At each node the pass reads every
+config's branches on both graphs and checks, per config, that every
+branch has its relabeled counterpart, with as many branches on both
+sides, and that the config branches exactly as the class's first config
+does, so a wrong grouping fails loudly.  Both sides carry one
+:class:`~walklab.records.Recorder` for the class, so a shared walk
+prefix is recorded once, and each leaf holds, per config, both walk
 probabilities as the same left-to-right products
 :func:`~walklab.walks.enumerate_walk_distribution` forms.
 
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -116,97 +123,129 @@ class _PairedWalkTree:
     """Walk and record distributions on ``g`` against its relabeling.
 
     One depth-first pass over ``g``'s walk tree walks the relabeled
-    graph's tree in step (see the module docstring).  A class rather
-    than nested functions: a recursive closure is a reference cycle,
-    which would keep every check's tables and record maps alive until
-    the cyclic garbage collector next runs.
+    graph's tree in step, for every config of one support class at once
+    (see the module docstring).  A class rather than nested functions: a
+    recursive closure is a reference cycle, which would keep every
+    check's tables and record maps alive until the cyclic garbage
+    collector next runs.
     """
 
-    def __init__(self, g: Graph, perm: Permutation, config: WalkConfig,
-                 tol: float) -> None:
-        check_enumeration_bound(g, config, g.n)
-        self.g, self.config, self.tol = g, config, tol
+    def __init__(self, g: Graph, perm: Permutation,
+                 configs: Sequence[WalkConfig], tol: float) -> None:
+        for config in configs:
+            check_enumeration_bound(g, config, g.n)
+        self.g, self.configs, self.tol = g, tuple(configs), tol
         self.pg = apply_permutation(g, perm)
-        self.table = StepTable(g, config)
-        self.ptable = StepTable(self.pg, config)
+        self.tables = [StepTable(g, config) for config in configs]
+        self.ptables = [StepTable(self.pg, config) for config in configs]
         self.pm = perm.mapping
-        self.leaf_t = config.length + 1
+        self.leaf_t = configs[0].length + 1
         self.path: list[int] = []  # the walk on g, up to the current node
-        self.rec_dist_g: dict[tuple[str, str], float] = {}
-        self.rec_dist_pg: dict[tuple[str, str], float] = {}
-        self.walks = 0
+        # per config, the record distributions on g and on its relabeling
+        self.rec_dists: list[tuple[dict[tuple[str, str], float], ...]] = [
+            ({}, {}) for _ in configs
+        ]
+        self.leaves = 0  # walks per config: the class shares one support
         self.worst = 0.0
 
     def check(self) -> tuple[int, float]:
         """Walk every start's tree, then compare the record distributions.
 
-        Returns (walks compared, worst probability gap); raises on any
-        mismatch.
+        Returns (walks compared over all configs, worst probability gap);
+        raises on any mismatch.
         """
         g, pg, pm, path = self.g, self.pg, self.pm, self.path
-        start_prob = 1.0 / g.n
+        start_probs = [1.0 / g.n] * len(self.configs)
         for s in range(g.n):
             path.append(s)
             self._extend(Recorder(s, g), Recorder(pm[s], pg), None, False,
-                         start_prob, start_prob)
+                         start_probs, start_probs)
             path.pop()
 
         # aggregate record-distribution equality (follows from the per-walk
         # pairing, asserted anyway as the contract is stated over records)
-        for key, prob in self.rec_dist_g.items():
-            gap = abs(prob - self.rec_dist_pg[key])
-            self.worst = max(self.worst, gap)
-            if gap > self.tol:
-                raise AssertionError(
-                    f"record-distribution gap {gap:.3e} for record {key[0]!r}"
-                )
-        return self.walks, self.worst
+        for rec_dist_g, rec_dist_pg in self.rec_dists:
+            for key, prob in rec_dist_g.items():
+                gap = abs(prob - rec_dist_pg[key])
+                self.worst = max(self.worst, gap)
+                if gap > self.tol:
+                    raise AssertionError(
+                        f"record-distribution gap {gap:.3e} for record {key[0]!r}"
+                    )
+        return self.leaves * len(self.configs), self.worst
 
     def _extend(self, rec: Recorder, prec: Recorder, prev: int | None,
-                after_restart: bool, prob: float, mapped_prob: float) -> None:
+                after_restart: bool, probs: Sequence[float],
+                mapped_probs: Sequence[float]) -> None:
         path, pm = self.path, self.pm
         t = len(path)
         if t == self.leaf_t:
-            self._leaf(rec, prec, prob, mapped_prob)
+            self._leaf(rec, prec, probs, mapped_probs)
             return
         start, cur = path[0], path[-1]
-        branches = self.table.branches(start, prev, cur, t, after_restart)
-        mapped = {
-            (x, flag): q
-            for x, flag, q in self.ptable.branches(
-                pm[start], None if prev is None else pm[prev], pm[cur], t,
-                after_restart)
-        }
-        if len(branches) != len(mapped):
-            raise AssertionError(
-                f"walk supports differ under relabeling after {tuple(path)}: "
-                f"{len(branches)} vs {len(mapped)} branches on {self.g} "
-                f"with {self.config}"
-            )
-        mark, pmark = rec.mark(), prec.mark()
-        for x, flag, q in branches:
-            mapped_q = mapped.get((pm[x], flag))
-            if mapped_q is None:
+        pstart, pprev, pcur = pm[start], None if prev is None else pm[prev], pm[cur]
+        first = keys = None
+        # per config, the children's probabilities on g and on its relabeling
+        child_probs, child_mapped = [], []
+        for config, table, ptable, prob, mapped_prob in zip(
+                self.configs, self.tables, self.ptables, probs, mapped_probs):
+            branches = table.branches(start, prev, cur, t, after_restart)
+            mapped = {
+                (x, flag): q
+                for x, flag, q in ptable.branches(pstart, pprev, pcur, t, after_restart)
+            }
+            if len(branches) != len(mapped):
                 raise AssertionError(
-                    f"walk {(*path, x)} has no relabeled counterpart on {self.pg}"
+                    f"walk supports differ under relabeling after {tuple(path)}: "
+                    f"{len(branches)} vs {len(mapped)} branches on {self.g} "
+                    f"with {config}"
                 )
+            if first is None:
+                first = branches
+                keys = [(pm[x], flag) for x, flag, _ in branches]
+            elif ([(x, flag) for x, flag, _ in branches]
+                  != [(x, flag) for x, flag, _ in first]):
+                raise AssertionError(
+                    f"configs of one support class branch differently after "
+                    f"{tuple(path)} on {self.g}: {config} against {self.configs[0]}"
+                )
+            try:
+                child_mapped.append([mapped_prob * mapped[key] for key in keys])
+            except KeyError:
+                x = next(x for (x, flag, _), key in zip(first, keys) if key not in mapped)
+                raise AssertionError(
+                    f"walk {(*path, x)} has no relabeled counterpart on {self.pg} "
+                    f"with {config}"
+                ) from None
+            child_probs.append([prob * q for _, _, q in branches])
+        mark, pmark = rec.mark(), prec.mark()
+        last = t + 1 == self.leaf_t  # the children are leaves
+        for (x, flag, _), cprobs, cmapped in zip(first, zip(*child_probs),
+                                                zip(*child_mapped)):
             path.append(x)
             rec.step(x, flag)
             prec.step(pm[x], flag)
-            self._extend(rec, prec, cur, flag, prob * q, mapped_prob * mapped_q)
+            if last:
+                self._leaf(rec, prec, cprobs, cmapped)
+            else:
+                self._extend(rec, prec, cur, flag, cprobs, cmapped)
             rec.rollback(mark)
             prec.rollback(pmark)
             path.pop()
 
-    def _leaf(self, rec: Recorder, prec: Recorder, prob: float,
-              mapped_prob: float) -> None:
-        gap = abs(prob - mapped_prob)
-        self.worst = max(self.worst, gap)
-        if gap > self.tol:
-            raise AssertionError(
-                f"probability gap {gap:.3e} for walk {tuple(self.path)} "
-                f"under {self.config} on {self.g}"
-            )
+    def _leaf(self, rec: Recorder, prec: Recorder, probs: Sequence[float],
+              mapped_probs: Sequence[float]) -> None:
+        worst, tol = self.worst, self.tol
+        for config, prob, mapped_prob in zip(self.configs, probs, mapped_probs):
+            gap = abs(prob - mapped_prob)
+            if gap > worst:
+                worst = gap
+            if gap > tol:
+                raise AssertionError(
+                    f"probability gap {gap:.3e} for walk {tuple(self.path)} "
+                    f"under {config} on {self.g}"
+                )
+        self.worst = worst
         texts = ("".join(rec.anon_text), "".join(rec.named_text))
         mapped_texts = ("".join(prec.anon_text), "".join(prec.named_text))
         if texts != mapped_texts:
@@ -214,9 +253,25 @@ class _PairedWalkTree:
                 f"records differ under relabeling for walk {tuple(self.path)}: "
                 f"{texts} vs {mapped_texts}"
             )
-        self.rec_dist_g[texts] = self.rec_dist_g.get(texts, 0.0) + prob
-        self.rec_dist_pg[texts] = self.rec_dist_pg.get(texts, 0.0) + mapped_prob
-        self.walks += 1
+        for (rec_dist_g, rec_dist_pg), prob, mapped_prob in zip(
+                self.rec_dists, probs, mapped_probs):
+            rec_dist_g[texts] = rec_dist_g.get(texts, 0.0) + prob
+            rec_dist_pg[texts] = rec_dist_pg.get(texts, 0.0) + mapped_prob
+        self.leaves += 1
+
+
+def support_classes(configs: Sequence[WalkConfig]) -> list[list[WalkConfig]]:
+    """Group ``configs`` by walk support, keeping their order.
+
+    Configs of equal length, restart mode and backtracking rule put
+    positive probability on the same walks, whatever their conductance
+    and node2vec bias, so they share one walk tree.
+    """
+    classes: dict[tuple, list[WalkConfig]] = {}
+    for config in configs:
+        key = (config.length, config.restart, config.non_backtracking)
+        classes.setdefault(key, []).append(config)
+    return list(classes.values())
 
 
 def run_invariance_suite(
@@ -254,6 +309,7 @@ def run_invariance_suite(
         )
 
     configs = suite_configs(max_l)
+    classes = support_classes(configs)
     walks_total = 0
     worst = 0.0
     perms_total = 0
@@ -262,8 +318,8 @@ def run_invariance_suite(
         for _ in range(permutations_per_graph):
             perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
             perms_total += 1
-            for config in configs:
-                count, gap = _PairedWalkTree(g, perm, config, tol).check()
+            for configs_of_class in classes:
+                count, gap = _PairedWalkTree(g, perm, configs_of_class, tol).check()
                 walks_total += count
                 worst = max(worst, gap)
     return InvarianceReport(

@@ -201,13 +201,12 @@ class Recorder:
         The announced vertices are the already-named neighbors of ``v``
         whose edge to ``v`` is not yet recorded, ascending by id; their
         edges become recorded.  The traversed edge counts as recorded
-        first, so it is never announced redundantly.  Raises
-        ``ValueError`` when ``u``-``v`` is not an edge of the graph.
+        first, so it is never announced redundantly.  The move must be
+        an edge of the graph: callers check outside walks first (see
+        :func:`_check_steps`).
         """
         g = self.g
         n = g.n
-        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
-            raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
         recorded, log, unrecorded = self._recorded, self._recorded_log, self._unrecorded
         e = u * n + v if u < v else v * n + u
         if e not in recorded:
@@ -287,7 +286,25 @@ class Recorder:
         return Record._trusted(tokens, "".join(pieces))
 
 
+def _check_steps(walk: Walk, g: Graph) -> None:
+    """Refuse a walk whose ordinary steps are not all edges of ``g``.
+
+    A step onto the current position gets the recorder's message.
+    """
+    n = g.n
+    vs = walk.vertices
+    for u, v, restart in zip(vs, vs[1:], walk.restart_flags[1:]):
+        if restart:
+            continue
+        if u == v:
+            raise ValueError(f"step onto current position {v}")
+        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
+            raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
+
+
 def _record_walk(walk: Walk, g: Graph | None = None) -> Recorder:
+    if g is not None:
+        _check_steps(walk, g)
     rec = Recorder(walk.vertices[0], g)
     for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
         rec.step(v, restart)
@@ -363,6 +380,7 @@ def record_attributed(walk: Walk, g: Graph, attrs: AttributeProvider) -> str:
     become restart sentences, and announced neighbor edges become full
     sentences with direction words.
     """
+    _check_steps(walk, g)
     ent = attrs.entity
     rec = Recorder(walk.vertices[0], g)
     ids = rec.ids

@@ -26,6 +26,7 @@ from walklab import (
     gen_lollipop,
     gen_shrikhande,
     rng_stream,
+    run_invariance_suite,
 )
 from walklab import cover
 from walklab.cli import run
@@ -263,3 +264,58 @@ def test_enumeration_bytes_are_pinned():
     assert sha256("\n".join(texts)) == (
         "cf2e98cac63b2f73385773a41fad0d1ee7065e28d001e4c70f20db29870fe22f"
     )
+
+
+# repr(InvarianceReport) and the worst gap's float.hex, per parameter set
+INVARIANCE_REPORTS = {
+    "l1-exact": (
+        dict(max_n=4, max_l=1, seed=0, permutations_per_graph=2),
+        "InvarianceReport(graphs=43, permutations=86, configs_per_graph=7, "
+        "walks_compared=4312, max_probability_gap=0.0)",
+        "0x0.0p+0",
+    ),
+    "l2-exact": (
+        dict(max_n=4, max_l=2, seed=3, permutations_per_graph=1),
+        "InvarianceReport(graphs=43, permutations=43, configs_per_graph=7, "
+        "walks_compared=3740, max_probability_gap=0.0)",
+        "0x0.0p+0",
+    ),
+    "l2-sampled-5": (
+        dict(max_n=5, max_l=2, seed=0, samples_per_n=6, permutations_per_graph=1),
+        "InvarianceReport(graphs=49, permutations=49, configs_per_graph=7, "
+        "walks_compared=4698, max_probability_gap=0.0)",
+        "0x0.0p+0",
+    ),
+    "l3-sampled-5": (
+        dict(max_n=5, max_l=3, seed=11, samples_per_n=4, permutations_per_graph=2),
+        "InvarianceReport(graphs=47, permutations=94, configs_per_graph=7, "
+        "walks_compared=17780, max_probability_gap=5.551115123125783e-17)",
+        "0x1.0000000000000p-54",
+    ),
+    "l4-sampled-5": (
+        dict(max_n=5, max_l=4, seed=7, samples_per_n=3, permutations_per_graph=1),
+        "InvarianceReport(graphs=46, permutations=46, configs_per_graph=7, "
+        "walks_compared=17802, max_probability_gap=0.0)",
+        "0x0.0p+0",
+    ),
+    "l2-sampled-6": (
+        dict(max_n=6, max_l=2, seed=5, samples_per_n=3, permutations_per_graph=1),
+        "InvarianceReport(graphs=49, permutations=49, configs_per_graph=7, "
+        "walks_compared=4876, max_probability_gap=6.938893903907228e-18)",
+        "0x1.0000000000000p-57",
+    ),
+    "l1-sampled-6": (
+        dict(max_n=6, max_l=1, seed=2, samples_per_n=5, permutations_per_graph=3),
+        "InvarianceReport(graphs=53, permutations=159, configs_per_graph=7, "
+        "walks_compared=9492, max_probability_gap=1.3877787807814457e-17)",
+        "0x1.0000000000000p-56",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_REPORTS))
+def test_invariance_reports_are_pinned(name):
+    kw, text, gap_hex = INVARIANCE_REPORTS[name]
+    report = run_invariance_suite(**kw)
+    assert repr(report) == text
+    assert float.hex(report.max_probability_gap) == gap_hex

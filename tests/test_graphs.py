@@ -143,6 +143,12 @@ def test_induced_subgraph_connectivity_flag():
         induced_subgraph(g, [0, 2])
 
 
+@pytest.mark.parametrize("member", [99, -1])
+def test_induced_subgraph_rejects_a_member_outside_the_graph(member):
+    with pytest.raises(ValueError, match=f"member {member} is not a vertex"):
+        induced_subgraph(gen_cycle(5), [member])
+
+
 def test_parse_edge_list_roundtrip():
     g = gen_cycle(4)
     assert parse_edge_list(format_edge_list(g)).adjacency == g.adjacency

@@ -10,6 +10,7 @@ from walklab import (
     suite_configs,
 )
 from walklab import invariance
+from walklab.graphs import Permutation
 from walklab.records import Recorder
 from walklab.walks import StepRow, StepTable
 
@@ -38,6 +39,15 @@ def test_suite_configs_grid():
     restarting = [c for c in configs if c.restart is not None]
     assert len(restarting) == 1
     assert restarting[0].length == 3
+
+
+@pytest.mark.parametrize("max_l", [1, 2, 4])
+def test_suite_configs_form_three_support_classes(max_l):
+    # {uniform, mdlr} x {plain, node2vec}; {uniform, mdlr} + NB; restart
+    configs = suite_configs(max_l)
+    classes = invariance.support_classes(configs)
+    assert [[configs.index(c) for c in cls] for cls in classes] == [
+        [0, 2, 3, 5], [1, 4], [6]]
 
 
 def test_small_suite_run_is_clean():
@@ -103,3 +113,49 @@ def test_violations_would_raise():
     # tolerance proves the assertion path is wired up
     with pytest.raises(AssertionError):
         run_invariance_suite(max_n=3, max_l=3, seed=0, tol=-1.0)
+
+
+def test_misgrouped_config_is_caught(monkeypatch):
+    # node2vec loses its last branch on both graphs alike, so its own
+    # branch counts still agree; only the class-support check can see it
+    class Dropping(StepTable):
+        def branches(self, start, prev, cur, t, after_restart):
+            out = super().branches(start, prev, cur, t, after_restart)
+            return out[:-1] if self.config.node2vec is not None else out
+
+    monkeypatch.setattr(invariance, "StepTable", Dropping)
+    with pytest.raises(AssertionError, match="support class"):
+        run_invariance_suite(max_n=3, max_l=2)
+
+
+def _paired_trees(g, perm, classes):
+    trees = [invariance._PairedWalkTree(g, perm, cls, 1e-9) for cls in classes]
+    counts = [tree.check()[0] for tree in trees]
+    return trees, counts
+
+
+def _hex_dists(trees):
+    # per config: both record distributions, each sum as float.hex
+    return [
+        tuple({key: prob.hex() for key, prob in dist.items()} for dist in dists)
+        for tree in trees for dists in tree.rec_dists
+    ]
+
+
+def test_grouped_pass_matches_one_pass_per_config():
+    configs = suite_configs(3)
+    classes = invariance.support_classes(configs)
+    singletons = [[c] for cls in classes for c in cls]
+    rng = rng_stream(11, 0)
+    graphs = [g for n in range(2, EXACT_N + 1) for g in connected_graphs_exact(n)]
+    graphs += [random_connected_graph(5, rng) for _ in range(4)]
+    for g in graphs:
+        perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
+        grouped, grouped_counts = _paired_trees(g, perm, classes)
+        single, single_counts = _paired_trees(g, perm, singletons)
+        assert [tree.leaves for tree in grouped for _ in tree.configs] == [
+            tree.leaves for tree in single]
+        assert sum(grouped_counts) == sum(single_counts)
+        assert _hex_dists(grouped) == _hex_dists(single)
+        assert (max(tree.worst for tree in grouped).hex()
+                == max(tree.worst for tree in single).hex())

@@ -1,4 +1,6 @@
 """Record grammar, the three recording schemes, and parsing."""
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +86,28 @@ def test_named_neighbors_restart_announces_nothing():
 def test_named_neighbors_reject_non_edge_step():
     with pytest.raises(ValueError, match="not an edge"):
         record_named_neighbors(walk([0, 2]), gen_path(3))
+
+
+@pytest.mark.parametrize("w,step", [
+    (walk([0, 2]), "(0, 2)"),
+    (walk([0, 1, 9]), "(1, 9)"),
+    (walk([7, 1]), "(7, 1)"),
+    (walk([0, 1, 0, 2], restarts={2}), "(0, 2)"),
+])
+def test_walks_off_the_graph_are_refused_before_recording(w, step):
+    g = gen_path(3)
+    attrs = AttributeProvider(vertex_text={v: "t" for v in range(10)})
+    why = re.escape(f"walk step {step} is not an edge of the graph")
+    with pytest.raises(ValueError, match=why):
+        record_named_neighbors(w, g)
+    with pytest.raises(ValueError, match=why):
+        record_attributed(w, g, attrs)
+
+
+def test_attributed_refuses_a_step_onto_the_current_position():
+    attrs = AttributeProvider(vertex_text={0: "A", 1: "B"})
+    with pytest.raises(ValueError, match="step onto current position 1"):
+        record_attributed(walk([0, 1, 1]), gen_path(2), attrs)
 
 
 # -- record discipline -------------------------------------------------------
