@@ -1,187 +1,20 @@
 """Random walks on graphs: biased stepping, walk records that decode
 back to the graph, and cover-time estimation with restart bounds.
 """
-from .cover import (
-    CHUNK_TRIALS,
-    DEFAULT_BUDGET,
-    CoverStats,
-    Fixed,
-    RestartBound,
-    StartPolicy,
-    UniformRandom,
-    WorstOverStarts,
-    batch_cover_samples,
-    estimate_cover_time,
-    experiment_fig3,
-    experiment_sr16,
-    local_cover_time,
-    sample_cover_time,
-    theorem2_bound,
-)
-from .generators import (
-    gen_barbell,
-    gen_clique,
-    gen_csl,
-    gen_cycle,
-    gen_lollipop,
-    gen_path,
-    gen_rook4x4,
-    gen_shrikhande,
-    gen_star,
-)
-from .graphs import (
-    Graph,
-    LocalBall,
-    Permutation,
-    apply_permutation,
-    build_graph,
-    format_edge_list,
-    induced_subgraph,
-    local_ball,
-    parse_edge_list,
-)
-from .invariance import (
-    EXACT_N,
-    InvarianceReport,
-    connected_graphs_exact,
-    random_connected_graph,
-    run_invariance_suite,
-    suite_configs,
-)
-from .mixing import (
-    FeatureVector,
-    StationaryDistribution,
-    expected_output,
-    jacobian_expectation,
-    mc_visit_frequencies,
-    mixing_suite,
-    stationary,
-)
-from .reconstruct import (
-    ISOMORPHISM_GUARD,
-    DecodedGraph,
-    check_reconstruction,
-    decode,
-    is_isomorphic,
-)
-from .records import (
-    AttributeProvider,
-    Neighbor,
-    Record,
-    Restart,
-    Step,
-    Token,
-    parse,
-    record_anonymized,
-    record_attributed,
-    record_named_neighbors,
-    serialize,
-)
-from .walks import (
-    ENUMERATION_GUARD,
-    MDLR,
-    ConductanceKind,
-    Constant,
-    DegreeRule,
-    Node2Vec,
-    RestartMode,
-    RestartPeriod,
-    RestartProb,
-    Walk,
-    WalkConfig,
-    conductance,
-    enumerate_walk_distribution,
-    iter_walk_steps,
-    rng_stream,
-    sample_walk,
-    step_distribution_first_order,
-    step_distribution_second_order,
-    transition_matrix,
-)
+from . import cover, generators, graphs, invariance, mixing, reconstruct, records, walks
+from .cover import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .invariance import *  # noqa: F401,F403
+from .mixing import *  # noqa: F401,F403
+from .reconstruct import *  # noqa: F401,F403
+from .records import *  # noqa: F401,F403
+from .walks import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph",
-    "Permutation",
-    "LocalBall",
-    "build_graph",
-    "apply_permutation",
-    "local_ball",
-    "induced_subgraph",
-    "parse_edge_list",
-    "format_edge_list",
-    "gen_path",
-    "gen_cycle",
-    "gen_clique",
-    "gen_star",
-    "gen_lollipop",
-    "gen_barbell",
-    "gen_csl",
-    "gen_rook4x4",
-    "gen_shrikhande",
-    "Constant",
-    "MDLR",
-    "DegreeRule",
-    "ConductanceKind",
-    "Node2Vec",
-    "RestartProb",
-    "RestartPeriod",
-    "RestartMode",
-    "WalkConfig",
-    "Walk",
-    "conductance",
-    "step_distribution_first_order",
-    "step_distribution_second_order",
-    "transition_matrix",
-    "sample_walk",
-    "iter_walk_steps",
-    "enumerate_walk_distribution",
-    "rng_stream",
-    "ENUMERATION_GUARD",
-    "Step",
-    "Restart",
-    "Neighbor",
-    "Token",
-    "Record",
-    "AttributeProvider",
-    "record_anonymized",
-    "record_named_neighbors",
-    "record_attributed",
-    "serialize",
-    "parse",
-    "DecodedGraph",
-    "decode",
-    "is_isomorphic",
-    "check_reconstruction",
-    "ISOMORPHISM_GUARD",
-    "Fixed",
-    "WorstOverStarts",
-    "UniformRandom",
-    "StartPolicy",
-    "CoverStats",
-    "RestartBound",
-    "sample_cover_time",
-    "estimate_cover_time",
-    "batch_cover_samples",
-    "local_cover_time",
-    "theorem2_bound",
-    "experiment_fig3",
-    "experiment_sr16",
-    "DEFAULT_BUDGET",
-    "CHUNK_TRIALS",
-    "FeatureVector",
-    "StationaryDistribution",
-    "stationary",
-    "expected_output",
-    "jacobian_expectation",
-    "mc_visit_frequencies",
-    "mixing_suite",
-    "InvarianceReport",
-    "connected_graphs_exact",
-    "random_connected_graph",
-    "suite_configs",
-    "run_invariance_suite",
-    "EXACT_N",
-    "__version__",
-]
+    name
+    for module in (graphs, generators, walks, records, reconstruct, cover, mixing, invariance)
+    for name in module.__all__
+] + ["__version__"]

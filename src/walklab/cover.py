@@ -156,6 +156,11 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
 
+def _check_start(g: Graph, start: int) -> None:
+    if not 0 <= start < g.n:
+        raise ValueError(f"start {start} out of range for n={g.n}")
+
+
 # ---------------------------------------------------------------------------
 # scalar path
 
@@ -235,8 +240,7 @@ def sample_cover_time(
     _check_budget(budget)
     if config.restart is not None:
         raise ValueError("global cover time expects a restart-free config")
-    if not 0 <= start < g.n:
-        raise ValueError(f"start {start} out of range for n={g.n}")
+    _check_start(g, start)
     rng = rng_stream(require_seed(config), walk_index)
     targets, arc_target = _targets(mode, range(g.n), g.edges())
     return _cover_time_scalar(
@@ -546,6 +550,8 @@ def batch_cover_samples(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_budget(budget)
+    if start is not None:
+        _check_start(g, start)
     seed = require_seed(config)
     return _lockstep_samples(
         g, StepTable(g, config).padded(), seed, trials, {cell: start}, budget,
@@ -595,8 +601,7 @@ def estimate_cover_time(
         raise ValueError("global cover time expects a restart-free config")
     seed = require_seed(config)
     if isinstance(start_policy, Fixed):
-        if not 0 <= start_policy.vertex < g.n:
-            raise ValueError(f"start {start_policy.vertex} out of range")
+        _check_start(g, start_policy.vertex)
         starts: list[int | None] = [start_policy.vertex]
     elif isinstance(start_policy, UniformRandom):
         starts = [None]

@@ -103,27 +103,40 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     # Assign most-constrained vertices first; ties broken by index so
     # the search is deterministic.
     order = sorted(range(g.n), key=lambda u: (len(candidates[u]), u))
-    mapping = [-1] * g.n
-    used = [False] * h.n
+    adj_g = [set(x) for x in g.adjacency]
+    adj_h = [set(x) for x in h.adjacency]
+    return _extend(0, order, candidates, adj_g, adj_h, [-1] * g.n, [False] * h.n)
 
-    def assign(i: int) -> bool:
-        if i == g.n:
+
+def _extend(
+    i: int,
+    order: list[int],
+    candidates: dict[int, list[int]],
+    adj_g: list[set[int]],
+    adj_h: list[set[int]],
+    mapping: list[int],
+    used: list[bool],
+) -> bool:
+    """Extend ``mapping`` from ``order[:i]`` to every vertex, or say it cannot.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle that would keep both graphs alive until the cycle collector runs.
+    """
+    if i == len(order):
+        return True
+    u = order[i]
+    adj_u = adj_g[u]
+    for v in candidates[u]:
+        # v must be adjacent exactly to the images of u's assigned neighbors
+        adj_v = adj_h[v]
+        if used[v] or any((w in adj_u) != (mapping[w] in adj_v) for w in order[:i]):
+            continue
+        mapping[u] = v
+        used[v] = True
+        if _extend(i + 1, order, candidates, adj_g, adj_h, mapping, used):
             return True
-        u = order[i]
-        adj_u = set(g.neighbors(u))
-        for v in candidates[u]:
-            # v must be adjacent exactly to the images of u's assigned neighbors
-            adj_v = set(h.neighbors(v))
-            if used[v] or any((w in adj_u) != (mapping[w] in adj_v) for w in order[:i]):
-                continue
-            mapping[u] = v
-            used[v] = True
-            if assign(i + 1):
-                return True
-            used[v] = False
-        return False
-
-    return assign(0)
+        used[v] = False
+    return False
 
 
 def check_reconstruction(g: Graph, config: WalkConfig, trials: int) -> float:

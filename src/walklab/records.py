@@ -7,13 +7,14 @@ token string: ``-`` for an ordinary step, ``;`` for a restart jump,
 walks that differ only by a vertex relabeling produce byte-identical
 records, which is the whole point.
 
-The attributed variant renders the same structure as prose built from
-per-vertex text snippets, for feeding records to text models.
+The attributed variant renders the named-neighbor record as prose
+built from per-vertex text snippets, for feeding records to text models.
 
 All three schemes run on one incremental :class:`Recorder`.  It refuses
 the walk moves that would break the record discipline as they come, so
 its records skip the whole-record check that :class:`Record` makes on
-outside input (``Record(...)`` and :func:`parse`).
+outside input (``Record(...)`` and :func:`parse`).  Walks that may leave
+the graph are refused once, by :func:`check_walk`.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "Token",
     "Record",
     "AttributeProvider",
+    "check_walk",
     "record_anonymized",
     "record_named_neighbors",
     "record_attributed",
@@ -159,7 +161,8 @@ class Recorder:
     """Anonymized and named-neighbor records of one walk, built step by step.
 
     :meth:`step` appends the walk's next position to both records;
-    without a graph only the anonymized record is kept.  :meth:`mark`
+    without a graph only the anonymized record is kept, and with one the
+    moves must be edges (see :func:`check_walk`).  :meth:`mark`
     and :meth:`rollback` return to an earlier prefix, so a depth-first
     pass over a walk tree records each shared prefix once.  Each record
     is held as its text pieces (``"1"``, ``"-2"``, ``";1"``, ``"#3"``),
@@ -195,47 +198,17 @@ class Recorder:
             self._tokens[text] = cls(i)
         return text
 
-    def traverse(self, u: int, v: int) -> list[int]:
-        """Record the move ``u -> v`` and return what it announces.
-
-        The announced vertices are the already-named neighbors of ``v``
-        whose edge to ``v`` is not yet recorded, ascending by id; their
-        edges become recorded.  The traversed edge counts as recorded
-        first, so it is never announced redundantly.  The move must be
-        an edge of the graph: callers check outside walks first (see
-        :func:`_check_steps`).
-        """
-        g = self.g
-        n = g.n
-        recorded, log, unrecorded = self._recorded, self._recorded_log, self._unrecorded
-        e = u * n + v if u < v else v * n + u
-        if e not in recorded:
-            recorded.add(e)
-            log.append(e)
-            unrecorded[u] -= 1
-            unrecorded[v] -= 1
-        if not unrecorded[v]:
-            return []
-        ids = self.ids
-        announced = [x for x in g.neighbors(v)
-                     if x in ids and (x * n + v if x < v else v * n + x) not in recorded]
-        announced.sort(key=ids.__getitem__)
-        for x in announced:
-            e = x * n + v if x < v else v * n + x
-            recorded.add(e)
-            log.append(e)
-            unrecorded[x] -= 1
-        unrecorded[v] -= len(announced)
-        return announced
-
     def step(self, v: int, restart: bool = False) -> None:
         """Append position ``v``, reached by a restart jump if ``restart``.
 
-        In the named record an ordinary step is followed by the
-        neighbors it announces (see :meth:`traverse`); a restart
-        announces nothing.  Raises ``ValueError`` on a restart to a
-        vertex not yet visited or an ordinary step onto the current
-        position, which no record may state.
+        In the named record an ordinary step to ``v`` is followed by the
+        neighbors it announces: the already-named neighbors of ``v``
+        whose edge to ``v`` is not yet recorded, ascending by id.  Their
+        edges become recorded.  The traversed edge counts as recorded
+        first, so it is never announced redundantly; a restart announces
+        nothing.  Raises ``ValueError`` on a restart to a vertex not yet
+        visited or an ordinary step onto the current position, which no
+        record may state.
         """
         u = self.pos
         if restart:
@@ -246,12 +219,38 @@ class Recorder:
         self.pos = v
         text = self._text(Restart if restart else Step, self.name(v))
         self.anon_text.append(text)
-        if self.g is None:
+        g = self.g
+        if g is None:
             return
-        self.named_text.append(text)
-        if not restart:
-            for x in self.traverse(u, v):
-                self.named_text.append(self._text(Neighbor, self.ids[x]))
+        named_text = self.named_text
+        named_text.append(text)
+        if restart:
+            return
+        n = g.n
+        recorded, log, unrecorded = self._recorded, self._recorded_log, self._unrecorded
+        e = u * n + v if u < v else v * n + u
+        if e not in recorded:
+            recorded.add(e)
+            log.append(e)
+            unrecorded[u] -= 1
+            unrecorded[v] -= 1
+        if not unrecorded[v]:
+            return
+        # a plain loop, not a comprehension: one would make cells of the
+        # locals it reads, a cost every step would pay
+        ids = self.ids
+        announced = []
+        for x in g.neighbors(v):
+            if x in ids and (x * n + v if x < v else v * n + x) not in recorded:
+                announced.append((ids[x], x))
+        announced.sort()
+        for i, x in announced:
+            e = x * n + v if x < v else v * n + x
+            recorded.add(e)
+            log.append(e)
+            unrecorded[x] -= 1
+            named_text.append(self._text(Neighbor, i))
+        unrecorded[v] -= len(announced)
 
     def mark(self) -> tuple[int, ...]:
         """A handle on the current prefix, for :meth:`rollback`."""
@@ -286,25 +285,29 @@ class Recorder:
         return Record._trusted(tokens, "".join(pieces))
 
 
-def _check_steps(walk: Walk, g: Graph) -> None:
-    """Refuse a walk whose ordinary steps are not all edges of ``g``.
+def check_walk(walk: Walk, g: Graph) -> None:
+    """Refuse a walk that leaves ``g``, naming its first bad vertex or step.
 
-    A step onto the current position gets the recorder's message.
+    The start and restart targets must be vertices of ``g``, and every
+    ordinary step an edge.  A step onto the current position gets the
+    recorder's message.
     """
     n = g.n
-    vs = walk.vertices
-    for u, v, restart in zip(vs, vs[1:], walk.restart_flags[1:]):
-        if restart:
-            continue
-        if u == v:
+    prev = None
+    for v, restart in zip(walk.vertices, walk.restart_flags):
+        if prev is None or restart:
+            if not 0 <= v < n:
+                raise ValueError(f"walk vertex {v} is out of range for n={n}")
+        elif v == prev:
             raise ValueError(f"step onto current position {v}")
-        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v):
-            raise ValueError(f"walk step ({u}, {v}) is not an edge of the graph")
+        elif not g.has_edge(prev, v):
+            raise ValueError(f"walk step ({prev}, {v}) is not an edge of the graph")
+        prev = v
 
 
 def _record_walk(walk: Walk, g: Graph | None = None) -> Recorder:
     if g is not None:
-        _check_steps(walk, g)
+        check_walk(walk, g)
     rec = Recorder(walk.vertices[0], g)
     for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
         rec.step(v, restart)
@@ -372,36 +375,34 @@ class AttributeProvider:
 
 
 def record_attributed(walk: Walk, g: Graph, attrs: AttributeProvider) -> str:
-    """Render the walk as attributed prose.
+    """Render the walk's named-neighbor record as attributed prose.
 
-    Same structure as :func:`record_named_neighbors`, but vertices carry
-    text: the start and every first visit get a ``Title:`` clause (plus
-    ``Category:`` when labeled), revisits close with a period, restarts
-    become restart sentences, and announced neighbor edges become full
-    sentences with direction words.
+    Each token becomes one clause.  The start and every step to a new
+    id get a ``Title:`` clause (plus ``Category:`` when labeled), a step
+    to a known id closes with a period, a restart becomes a restart
+    sentence naming its target, and each announced neighbor becomes a
+    sentence with its direction word.
     """
-    _check_steps(walk, g)
+    rec = _record_walk(walk, g)
+    vertex = list(rec.ids)  # the vertex of id k is vertex[k - 1]
     ent = attrs.entity
-    rec = Recorder(walk.vertices[0], g)
-    ids = rec.ids
-    parts = [f"{ent} 1 - Title: {attrs.text_of(walk.vertices[0])}"]
-    for t in range(1, len(walk.vertices)):
-        v = walk.vertices[t]
-        fresh = v not in ids
-        rec.name(v)
-        if walk.restart_flags[t]:
-            parts.append(f" Restart at {ent} 1.")
-            continue
-        u_prev = walk.vertices[t - 1]
-        announced = rec.traverse(u_prev, v)
-        word = attrs.direction_word(u_prev, v)
-        parts.append(f" {ent} {ids[u_prev]} {word} {ent} {ids[v]}")
-        if fresh:
-            parts.append(f" - Title: {attrs.text_of(v)}")
-            if attrs.labels is not None and v in attrs.labels:
-                parts.append(f", Category: {attrs.labels[v]}")
+    parts = [f"{ent} 1 - Title: {attrs.text_of(vertex[0])}"]
+    pos = known = 1
+    for tok in rec.named_neighbors().tokens[1:]:
+        k = tok.id
+        if isinstance(tok, Restart):
+            parts.append(f" Restart at {ent} {k}.")
         else:
-            parts.append(".")
-        for u in announced:
-            parts.append(f" {ent} {ids[v]} {attrs.direction_word(v, u)} {ent} {ids[u]}.")
+            word = attrs.direction_word(vertex[pos - 1], vertex[k - 1])
+            parts.append(f" {ent} {pos} {word} {ent} {k}")
+            if isinstance(tok, Step) and k > known:
+                known = k
+                v = vertex[k - 1]
+                parts.append(f" - Title: {attrs.text_of(v)}")
+                if attrs.labels is not None and v in attrs.labels:
+                    parts.append(f", Category: {attrs.labels[v]}")
+            else:
+                parts.append(".")
+        if not isinstance(tok, Neighbor):
+            pos = k
     return "".join(parts)

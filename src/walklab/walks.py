@@ -47,6 +47,7 @@ __all__ = [
     "iter_walk_steps",
     "enumerate_walk_distribution",
     "rng_stream",
+    "ENUMERATION_GUARD",
 ]
 
 ENUMERATION_GUARD = 10**7

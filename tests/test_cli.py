@@ -20,7 +20,9 @@ from walklab import (
     gen_cycle,
     gen_path,
 )
+from walklab import cli as cli_mod
 from walklab import cover as cover_mod
+from walklab import records as records_mod
 from walklab.cli import run
 
 
@@ -406,26 +408,54 @@ def test_record_anon_rejects_walk_off_graph(line, why, capsys, monkeypatch):
     assert why in captured.err
 
 
-@pytest.mark.parametrize("scheme", ["anon", "named"])
+def record_cycle4(lines, scheme, tmp_path, monkeypatch):
+    afile = tmp_path / "attrs.tsv"
+    afile.write_text("".join(f"{v}\tT{v}\n" for v in range(4)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    return run(["record", "--family", "cycle", "--n", "4", "--scheme", scheme,
+                "--attrs", str(afile)])
+
+
+@pytest.mark.parametrize("scheme", ["anon", "named", "attributed"])
 @pytest.mark.parametrize("line,why", [
     ("0 1r", "restart to unvisited vertex"),
     ("0 0", "step onto current position"),
+    ("0 1 2r 1", "restart to unvisited vertex 2"),
 ])
-def test_record_rejects_walk_breaking_the_discipline(tmp_path, capsys,
+def test_record_rejects_walk_breaking_the_discipline(tmp_path, capsys, monkeypatch,
                                                      scheme, line, why):
-    gfile = tmp_path / "g.txt"
-    wfile = tmp_path / "w.txt"
-    gfile.write_text(format_edge_list(gen_path(3)))
-    wfile.write_text(line + "\n")
-    rc = run([
-        "record", "--graph", str(gfile), "--walks-file", str(wfile),
-        "--scheme", scheme,
-    ])
-    assert rc == 2
+    assert record_cycle4(line + "\n", scheme, tmp_path, monkeypatch) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if scheme == "anon":  # the named scheme may fail first on the non-edge
-        assert why in captured.err
+    assert why in captured.err
+
+
+def test_record_attributed_restart_names_its_target(tmp_path, capsys, monkeypatch):
+    assert record_cycle4("0 1 2 1r 0\n", "anon", tmp_path, monkeypatch) == 0
+    assert out_of(capsys) == "1-2-3;2-1\n"
+    assert record_cycle4("0 1 2 1r 0\n", "attributed", tmp_path, monkeypatch) == 0
+    assert out_of(capsys) == (
+        "Paper 1 - Title: T0 Paper 1 is linked to Paper 2 - Title: T1"
+        " Paper 2 is linked to Paper 3 - Title: T2"
+        " Restart at Paper 2. Paper 2 is linked to Paper 1.\n"
+    )
+
+
+@pytest.mark.parametrize("scheme", ["anon", "named", "attributed"])
+def test_record_checks_each_walk_line_once(scheme, tmp_path, capsys, monkeypatch):
+    calls = []
+    check_walk = records_mod.check_walk
+
+    def counted(walk, g):
+        calls.append(walk)
+        return check_walk(walk, g)
+
+    monkeypatch.setattr(cli_mod, "check_walk", counted)
+    monkeypatch.setattr(records_mod, "check_walk", counted)
+    lines = "0 1 2 3\n1 0 3 0r 1\n2\n"
+    assert record_cycle4(lines, scheme, tmp_path, monkeypatch) == 0
+    assert len(out_of(capsys).splitlines()) == 3
+    assert [w.vertices for w in calls] == [(0, 1, 2, 3), (1, 0, 3, 0, 1), (2,)]
 
 
 # -- cover, mixing, experiments --------------------------------------------------

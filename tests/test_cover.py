@@ -229,6 +229,18 @@ def test_batch_rejects_restarts_and_bad_trials():
         batch_cover_samples(g, cfg(), 0, start=0)
 
 
+@pytest.mark.parametrize("start", [-1, 5, 99])
+def test_starts_off_the_graph_are_refused(start):
+    g = gen_cycle(5)
+    why = f"start {start} out of range for n=5"
+    with pytest.raises(ValueError, match=why):
+        batch_cover_samples(g, cfg(), 5, start=start)
+    with pytest.raises(ValueError, match=why):
+        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(start))
+    with pytest.raises(ValueError, match=why):
+        sample_cover_time(g, cfg(), start, "vertex")
+
+
 def test_batch_second_order_matches_scalar_law():
     """Vectorized NB sampling agrees with the scalar walker's estimate."""
     g = gen_lollipop(3)

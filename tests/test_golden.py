@@ -7,6 +7,7 @@ change to a step rule, a Philox stream layout, a draw or a number
 format shows up as a moved digest.
 """
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -14,19 +15,27 @@ import pytest
 from test_cover_kernel import double_star
 from walklab import (
     MDLR,
+    AttributeProvider,
     Constant,
     Fixed,
     Node2Vec,
+    RestartPeriod,
     RestartProb,
     UniformRandom,
     WalkConfig,
     batch_cover_samples,
     enumerate_walk_distribution,
+    gen_barbell,
+    gen_clique,
     gen_csl,
+    gen_cycle,
     gen_lollipop,
+    gen_path,
     gen_shrikhande,
+    record_attributed,
     rng_stream,
     run_invariance_suite,
+    sample_walk,
 )
 from walklab import cover
 from walklab.cli import run
@@ -319,3 +328,49 @@ def test_invariance_reports_are_pinned(name):
     report = run_invariance_suite(**kw)
     assert repr(report) == text
     assert float.hex(report.max_probability_gap) == gap_hex
+
+
+def attributed_corpus(walks=640):
+    """Attributed texts of fuzzed sampled walks.
+
+    Walks restart by probability or period, graphs vary in shape, about
+    half the vertices carry a label, and every other walk renders its
+    edges with directions: each edge's direction is given from one end
+    or the other, so the reverse lookup is exercised too.
+    """
+    graphs = [gen_csl(8, 3), gen_lollipop(4), gen_barbell(3), gen_clique(5),
+              gen_cycle(6), gen_path(5), gen_shrikhande()]
+    restarts = [None, RestartProb(0.3), RestartPeriod(3), RestartProb(0.6)]
+    texts = []
+    for i in range(walks):
+        rnd = random.Random(i)
+        g = graphs[i % len(graphs)]
+        config = WalkConfig(
+            length=rnd.randrange(13),
+            non_backtracking=rnd.random() < 0.3 and g.n > 5,
+            restart=restarts[rnd.randrange(len(restarts))],
+            seed=rnd.randrange(2**31),
+        )
+        w = sample_walk(g, config, walk_index=i)
+        directions = None
+        if i % 2:
+            directions = {}
+            for u, v in g.edges():
+                d = rnd.choice(["cites", "cited-by"])
+                directions[(u, v) if rnd.random() < 0.5 else (v, u)] = d
+        attrs = AttributeProvider(
+            vertex_text={v: f"title {v * 7 % 11}" for v in range(g.n)},
+            edge_direction=directions,
+            labels={v: "ab"[v % 2] for v in range(g.n) if rnd.random() < 0.5} or None,
+            entity="Page" if i % 5 == 0 else "Paper",
+        )
+        texts.append(record_attributed(w, g, attrs))
+    return texts
+
+
+def test_attributed_records_are_pinned():
+    texts = attributed_corpus()
+    assert sum("Restart at" in t for t in texts) >= 100
+    assert sha256("\n".join(texts)) == (
+        "6cf2195bc1ad3c0d43669871c8ece9db747588e86a70e1e870c1110e0ca3f74c"
+    )

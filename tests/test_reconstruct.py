@@ -1,4 +1,7 @@
 """Decoding records to graphs and the isomorphism check behind it."""
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +78,23 @@ def test_is_isomorphic_same_degree_sequence_not_enough():
     k33 = build_graph([(i, 3 + j) for i in range(3) for j in range(3)], 6)
     assert prism.m == k33.m == 9
     assert not is_isomorphic(prism, k33)
+
+
+def test_is_isomorphic_frees_its_graphs_without_the_cycle_collector():
+    """The graphs die with the call's last reference, not at the next gc pass."""
+    refs = []
+    gc.disable()
+    try:
+        for k in range(5):
+            g = gen_csl(8, 3)
+            h = apply_permutation(g, Permutation((3, 0, 6, 1, 7, 2, 5, 4)))
+            assert is_isomorphic(g, h) and not is_isomorphic(g, gen_cycle(8))
+            refs += [weakref.ref(g), weakref.ref(h)]
+            del g, h
+        assert len(refs) == 10
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_is_isomorphic_guard():

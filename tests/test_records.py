@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from walklab import (
     AttributeProvider,
+    Permutation,
+    apply_permutation,
     Neighbor,
     Node2Vec,
     Record,
@@ -88,16 +90,16 @@ def test_named_neighbors_reject_non_edge_step():
         record_named_neighbors(walk([0, 2]), gen_path(3))
 
 
-@pytest.mark.parametrize("w,step", [
-    (walk([0, 2]), "(0, 2)"),
-    (walk([0, 1, 9]), "(1, 9)"),
-    (walk([7, 1]), "(7, 1)"),
-    (walk([0, 1, 0, 2], restarts={2}), "(0, 2)"),
-])
-def test_walks_off_the_graph_are_refused_before_recording(w, step):
+@pytest.mark.parametrize("w,why", [
+    (walk([0, 2]), "walk step (0, 2) is not an edge of the graph"),
+    (walk([0, 1, 9]), "walk step (1, 9) is not an edge of the graph"),
+    (walk([7, 1]), "walk vertex 7 is out of range for n=3"),
+    (walk([0, 1, 0, 2], restarts={2}), "walk step (0, 2) is not an edge of the graph"),
+], ids=["w0-(0, 2)", "w1-(1, 9)", "w2-(7, 1)", "w3-(0, 2)"])
+def test_walks_off_the_graph_are_refused_before_recording(w, why):
     g = gen_path(3)
     attrs = AttributeProvider(vertex_text={v: "t" for v in range(10)})
-    why = re.escape(f"walk step {step} is not an edge of the graph")
+    why = re.escape(why)
     with pytest.raises(ValueError, match=why):
         record_named_neighbors(w, g)
     with pytest.raises(ValueError, match=why):
@@ -293,6 +295,34 @@ def test_recorder_output_passes_the_full_check(gw):
         assert checked.text == rec.text
         assert repr(checked) == repr(rec)
         assert parse(rec.text) == rec
+
+
+@settings(deadline=None, max_examples=80)
+@given(engine_walks(), st.randoms(use_true_random=False), st.booleans())
+def test_attributed_prose_is_invariant_under_relabeling(gw, rnd, directed):
+    # attributes move with the vertices, so the text may not change
+    g, w = gw
+    mapping = list(range(g.n))
+    rnd.shuffle(mapping)
+    p = Permutation(tuple(mapping))
+    texts = {v: f"T{rnd.randrange(4)}" for v in range(g.n)}
+    labels = {v: rnd.choice("xy") for v in range(g.n) if rnd.random() < 0.5}
+    directions = None
+    if directed:
+        directions = {
+            (u, v) if rnd.random() < 0.5 else (v, u): rnd.choice(["cites", "cited-by"])
+            for u, v in g.edges()
+        }
+    attrs = AttributeProvider(texts, directions, labels or None)
+    moved = AttributeProvider(
+        {p(v): t for v, t in texts.items()},
+        None if directions is None
+        else {(p(u), p(v)): d for (u, v), d in directions.items()},
+        {p(v): c for v, c in labels.items()} or None,
+    )
+    relabeled = Walk(p.apply_sequence(w.vertices), w.restart_flags)
+    assert (record_attributed(relabeled, apply_permutation(g, p), moved)
+            == record_attributed(w, g, attrs))
 
 
 # K4 on 0..3 with a pendant path 0-4-5 and a leaf 6 on vertex 2: leaves
