@@ -348,13 +348,20 @@ def _read_attrs(path: str) -> AttributeProvider:
             cols = line.split("\t")
             if len(cols) < 2:
                 raise UsageError(f"{path}:{lineno}: expected vertex<TAB>text")
-            texts[int(cols[0])] = cols[1]
+            try:
+                v = int(cols[0])
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: vertex {cols[0]!r} is not an integer") from None
+            texts[v] = cols[1]
             if len(cols) > 2 and cols[2]:
-                labels[int(cols[0])] = cols[2]
+                labels[v] = cols[2]
     return AttributeProvider(vertex_text=texts, labels=labels or None)
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
+    if args.scheme == "attributed" and not args.attrs:
+        raise UsageError("--scheme attributed requires --attrs FILE")
     g, _ = _graph_from_args(args)
     if args.walks_file:
         with open(args.walks_file, encoding="utf-8") as fh:
@@ -371,8 +378,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         elif args.scheme == "named":
             out.append(record_named_neighbors(walk, g).text)
         else:
-            if attrs is None:
-                raise UsageError("--scheme attributed requires --attrs FILE")
             out.append(record_attributed(walk, g, attrs))
     _write_out(args, "\n".join(out) + "\n")
     return 0

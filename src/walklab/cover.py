@@ -369,19 +369,23 @@ def _cover_group(
         e_left = None
     s = state
     t = 0
+    # A lane with its vertex time has no vertex flag left set, so once
+    # every live lane has one (edge cover only) the vertex step is idle.
+    v_busy = True
     while lane.size >= TAIL_LANES:
         t += 1
         s = rows.draw(s, joined_random(draws, uniforms))
-        cell = v_row + rows.position[s]
-        v_left -= unvisited[cell]
-        unvisited[cell] = False
+        if v_busy:
+            cell = v_row + rows.position[s]
+            v_left -= unvisited[cell]
+            unvisited[cell] = False
         if track_edges:
             cell = e_row + entered[s]
             e_left -= untraversed[cell]
             untraversed[cell] = False
         # count_nonzero costs a fraction of .all() on short arrays
         finished = False
-        if np.count_nonzero(v_left) < v_left.size:
+        if v_busy and np.count_nonzero(v_left) < v_left.size:
             hit = v_left == 0
             t_v[lane[hit]] = t
             v_left[hit] = -1
@@ -398,6 +402,7 @@ def _cover_group(
                 if track_edges:
                     e_left, e_row = e_left[live], e_row[live]
                 draws = _live_draws(rngs, ends, lane)
+            v_busy = bool((v_left >= 0).any())
         if t >= budget:
             return t_v, t_e
     if lane.size:

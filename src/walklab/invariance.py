@@ -11,16 +11,16 @@ and second-order grid.
 A record depends only on the walk, not on its probability, so configs
 that put positive probability on the same walks (a support class: same
 length, restart mode and backtracking rule) share one depth-first pass
-per (graph, permutation) over the graph's walk tree.  The relabeled
-graph's tree is walked in step.  At each node the pass reads every
-config's branches on both graphs and checks, per config, that every
-branch has its relabeled counterpart, with as many branches on both
-sides, and that the config branches exactly as the class's first config
-does, so a wrong grouping fails loudly.  Both sides carry one
-:class:`~walklab.records.Recorder` for the class, so a shared walk
-prefix is recorded once, and each leaf holds, per config, both walk
-probabilities as the same left-to-right products
-:func:`~walklab.walks.enumerate_walk_distribution` forms.
+over a graph's walk tree.  At each node the pass reads every config's
+branches and checks that each config branches exactly as the class's
+first config does, so a wrong grouping fails loudly.  One
+:class:`~walklab.records.Recorder` serves the class, so a shared walk
+prefix is recorded once, and each leaf keeps its record texts and, per
+config, its probability as the same left-to-right product
+:func:`~walklab.walks.enumerate_walk_distribution` forms.  Per class, a
+graph's tree is enumerated once, and then the tree of each of its
+relabelings, which must hold, through the permutation, exactly the
+original's walks with the same texts and probabilities.
 
 Failures raise immediately with the offending graph and walk; the
 report only summarizes how much was checked.
@@ -119,145 +119,136 @@ class InvarianceReport:
     max_probability_gap: float
 
 
-class _PairedWalkTree:
-    """Walk and record distributions on ``g`` against its relabeling.
+# per config, the probability of each record (anonymized, named)
+_Dists = list[dict[tuple[str, str], float]]
 
-    One depth-first pass over ``g``'s walk tree walks the relabeled
-    graph's tree in step, for every config of one support class at once
-    (see the module docstring).  A class rather than nested functions: a
-    recursive closure is a reference cycle, which would keep every
-    check's tables and record maps alive until the cyclic garbage
-    collector next runs.
+
+class _WalkTree:
+    """Every walk of ``g`` under one support class, with its records.
+
+    One depth-first pass over ``g``'s walk tree, for every config of the
+    class at once (see the module docstring), fills :attr:`walks`: in
+    depth-first order, each walk ``(vertices, restart_flags)`` maps to
+    its ``(anonymized, named)`` record texts, stored once per distinct
+    record, and its probability under each config.  A class rather than
+    nested functions: a recursive closure is a reference cycle, which
+    would keep the tables and the walk map alive until the cyclic
+    garbage collector next runs.
     """
 
-    def __init__(self, g: Graph, perm: Permutation,
-                 configs: Sequence[WalkConfig], tol: float) -> None:
+    def __init__(self, g: Graph, configs: Sequence[WalkConfig]) -> None:
         for config in configs:
             check_enumeration_bound(g, config, g.n)
-        self.g, self.configs, self.tol = g, tuple(configs), tol
-        self.pg = apply_permutation(g, perm)
+        self.g, self.configs = g, tuple(configs)
         self.tables = [StepTable(g, config) for config in configs]
-        self.ptables = [StepTable(self.pg, config) for config in configs]
-        self.pm = perm.mapping
         self.leaf_t = configs[0].length + 1
-        self.path: list[int] = []  # the walk on g, up to the current node
-        # per config, the record distributions on g and on its relabeling
-        self.rec_dists: list[tuple[dict[tuple[str, str], float], ...]] = [
-            ({}, {}) for _ in configs
-        ]
-        self.leaves = 0  # walks per config: the class shares one support
-        self.worst = 0.0
-
-    def check(self) -> tuple[int, float]:
-        """Walk every start's tree, then compare the record distributions.
-
-        Returns (walks compared over all configs, worst probability gap);
-        raises on any mismatch.
-        """
-        g, pg, pm, path = self.g, self.pg, self.pm, self.path
-        start_probs = [1.0 / g.n] * len(self.configs)
+        self.walks: dict[tuple, tuple[tuple[str, str], tuple[float, ...]]] = {}
+        self._texts: dict[tuple[str, str], tuple[str, str]] = {}
+        start_probs = (1.0 / g.n,) * len(configs)
         for s in range(g.n):
-            path.append(s)
-            self._extend(Recorder(s, g), Recorder(pm[s], pg), None, False,
-                         start_probs, start_probs)
-            path.pop()
+            # the walk up to the current node
+            self.path, self.flags = [s], [False]
+            self._extend(Recorder(s, g), None, False, start_probs)
 
-        # aggregate record-distribution equality (follows from the per-walk
-        # pairing, asserted anyway as the contract is stated over records)
-        for rec_dist_g, rec_dist_pg in self.rec_dists:
-            for key, prob in rec_dist_g.items():
-                gap = abs(prob - rec_dist_pg[key])
-                self.worst = max(self.worst, gap)
-                if gap > self.tol:
-                    raise AssertionError(
-                        f"record-distribution gap {gap:.3e} for record {key[0]!r}"
-                    )
-        return self.leaves * len(self.configs), self.worst
-
-    def _extend(self, rec: Recorder, prec: Recorder, prev: int | None,
-                after_restart: bool, probs: Sequence[float],
-                mapped_probs: Sequence[float]) -> None:
-        path, pm = self.path, self.pm
+    def _extend(self, rec: Recorder, prev: int | None, after_restart: bool,
+                probs: tuple[float, ...]) -> None:
+        path, flags = self.path, self.flags
         t = len(path)
         if t == self.leaf_t:
-            self._leaf(rec, prec, probs, mapped_probs)
+            texts = ("".join(rec.anon_text), "".join(rec.named_text))
+            texts = self._texts.setdefault(texts, texts)
+            self.walks[tuple(path), tuple(flags)] = texts, probs
             return
         start, cur = path[0], path[-1]
-        pstart, pprev, pcur = pm[start], None if prev is None else pm[prev], pm[cur]
-        first = keys = None
-        # per config, the children's probabilities on g and on its relabeling
-        child_probs, child_mapped = [], []
-        for config, table, ptable, prob, mapped_prob in zip(
-                self.configs, self.tables, self.ptables, probs, mapped_probs):
+        keys = None
+        child_probs = []  # per config, its children's probabilities
+        for config, table, prob in zip(self.configs, self.tables, probs):
             branches = table.branches(start, prev, cur, t, after_restart)
-            mapped = {
-                (x, flag): q
-                for x, flag, q in ptable.branches(pstart, pprev, pcur, t, after_restart)
-            }
-            if len(branches) != len(mapped):
-                raise AssertionError(
-                    f"walk supports differ under relabeling after {tuple(path)}: "
-                    f"{len(branches)} vs {len(mapped)} branches on {self.g} "
-                    f"with {config}"
-                )
-            if first is None:
-                first = branches
-                keys = [(pm[x], flag) for x, flag, _ in branches]
-            elif ([(x, flag) for x, flag, _ in branches]
-                  != [(x, flag) for x, flag, _ in first]):
+            if keys is None:
+                keys = [(x, flag) for x, flag, _ in branches]
+            elif [(x, flag) for x, flag, _ in branches] != keys:
                 raise AssertionError(
                     f"configs of one support class branch differently after "
                     f"{tuple(path)} on {self.g}: {config} against {self.configs[0]}"
                 )
-            try:
-                child_mapped.append([mapped_prob * mapped[key] for key in keys])
-            except KeyError:
-                x = next(x for (x, flag, _), key in zip(first, keys) if key not in mapped)
-                raise AssertionError(
-                    f"walk {(*path, x)} has no relabeled counterpart on {self.pg} "
-                    f"with {config}"
-                ) from None
-            child_probs.append([prob * q for _, _, q in branches])
-        mark, pmark = rec.mark(), prec.mark()
-        last = t + 1 == self.leaf_t  # the children are leaves
-        for (x, flag, _), cprobs, cmapped in zip(first, zip(*child_probs),
-                                                zip(*child_mapped)):
+            # a plain loop: a comprehension would make prob a cell
+            cprobs = []
+            for _, _, q in branches:
+                cprobs.append(prob * q)
+            child_probs.append(cprobs)
+        mark = rec.mark()
+        for (x, flag), cprobs in zip(keys, zip(*child_probs)):
             path.append(x)
+            flags.append(flag)
             rec.step(x, flag)
-            prec.step(pm[x], flag)
-            if last:
-                self._leaf(rec, prec, cprobs, cmapped)
-            else:
-                self._extend(rec, prec, cur, flag, cprobs, cmapped)
+            self._extend(rec, cur, flag, cprobs)
             rec.rollback(mark)
-            prec.rollback(pmark)
             path.pop()
+            flags.pop()
 
-    def _leaf(self, rec: Recorder, prec: Recorder, probs: Sequence[float],
-              mapped_probs: Sequence[float]) -> None:
-        worst, tol = self.worst, self.tol
-        for config, prob, mapped_prob in zip(self.configs, probs, mapped_probs):
-            gap = abs(prob - mapped_prob)
+    def record_distributions(self) -> _Dists:
+        """Per config, the probability of each record, summed in walk order."""
+        dists: _Dists = [{} for _ in self.configs]
+        for texts, probs in self.walks.values():
+            for dist, prob in zip(dists, probs):
+                dist[texts] = dist.get(texts, 0.0) + prob
+        return dists
+
+
+def _compare_relabeled(tree: _WalkTree, dists: _Dists, ptree: _WalkTree,
+                       mapping: tuple[int, ...], tol: float) -> tuple[float, _Dists]:
+    """Check ``ptree``, the tree of ``tree``'s graph relabeled by ``mapping``.
+
+    Both trees must hold as many walks, and each walk of ``tree`` its
+    counterpart, with the same texts and per config a probability within
+    ``tol``; so must the record distributions ``dists`` of ``tree`` and
+    the relabeled ones, summed in ``tree``'s walk order.  Returns the
+    worst gap and the relabeled distributions; raises on any mismatch.
+    """
+    walks, pwalks = tree.walks, ptree.walks
+    if len(walks) != len(pwalks):
+        raise AssertionError(
+            f"walk supports differ under relabeling: {len(walks)} vs "
+            f"{len(pwalks)} walks on {tree.g} with {tree.configs[0]}"
+        )
+    worst = 0.0
+    pdists: _Dists = [{} for _ in tree.configs]
+    for (vertices, flags), (texts, probs) in walks.items():
+        try:
+            ptexts, pprobs = pwalks[tuple(map(mapping.__getitem__, vertices)), flags]
+        except KeyError:
+            raise AssertionError(
+                f"walk {vertices} has no relabeled counterpart on {ptree.g} "
+                f"with {tree.configs[0]}"
+            ) from None
+        for config, prob, pprob in zip(tree.configs, probs, pprobs):
+            gap = abs(prob - pprob)
             if gap > worst:
                 worst = gap
             if gap > tol:
                 raise AssertionError(
-                    f"probability gap {gap:.3e} for walk {tuple(self.path)} "
-                    f"under {config} on {self.g}"
+                    f"probability gap {gap:.3e} for walk {vertices} "
+                    f"under {config} on {tree.g}"
                 )
-        self.worst = worst
-        texts = ("".join(rec.anon_text), "".join(rec.named_text))
-        mapped_texts = ("".join(prec.anon_text), "".join(prec.named_text))
-        if texts != mapped_texts:
+        if texts != ptexts:
             raise AssertionError(
-                f"records differ under relabeling for walk {tuple(self.path)}: "
-                f"{texts} vs {mapped_texts}"
+                f"records differ under relabeling for walk {vertices}: "
+                f"{texts} vs {ptexts}"
             )
-        for (rec_dist_g, rec_dist_pg), prob, mapped_prob in zip(
-                self.rec_dists, probs, mapped_probs):
-            rec_dist_g[texts] = rec_dist_g.get(texts, 0.0) + prob
-            rec_dist_pg[texts] = rec_dist_pg.get(texts, 0.0) + mapped_prob
-        self.leaves += 1
+        for pdist, pprob in zip(pdists, pprobs):
+            pdist[texts] = pdist.get(texts, 0.0) + pprob
+
+    # aggregate record-distribution equality (follows from the per-walk
+    # pairing, asserted anyway as the contract is stated over records)
+    for dist, pdist in zip(dists, pdists):
+        for key, prob in dist.items():
+            gap = abs(prob - pdist[key])
+            worst = max(worst, gap)
+            if gap > tol:
+                raise AssertionError(
+                    f"record-distribution gap {gap:.3e} for record {key[0]!r}"
+                )
+    return worst, pdists
 
 
 def support_classes(configs: Sequence[WalkConfig]) -> list[list[WalkConfig]]:
@@ -287,9 +278,9 @@ def run_invariance_suite(
     Graphs with at most ``EXACT_N`` vertices are enumerated completely;
     each larger size contributes ``samples_per_n`` random connected
     graphs.  Every graph is checked against random permutations drawn
-    from the stream ``(seed, graph index)``.  A run that would check
-    nothing (``max_n < 2``, ``permutations_per_graph < 1``) or a negative
-    ``samples_per_n`` raises ``ValueError``.
+    from the stream ``(seed, 10_000 + graph index)``.  A run that would
+    check nothing (``max_n < 2``, ``permutations_per_graph < 1``) or a
+    negative ``samples_per_n`` raises ``ValueError``.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
@@ -312,19 +303,22 @@ def run_invariance_suite(
     classes = support_classes(configs)
     walks_total = 0
     worst = 0.0
-    perms_total = 0
     for gi, g in enumerate(graphs):
         rng = rng_stream(seed, 10_000 + gi)
-        for _ in range(permutations_per_graph):
-            perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
-            perms_total += 1
-            for configs_of_class in classes:
-                count, gap = _PairedWalkTree(g, perm, configs_of_class, tol).check()
-                walks_total += count
+        perms = [Permutation(tuple(int(x) for x in rng.permutation(g.n)))
+                 for _ in range(permutations_per_graph)]
+        relabeled = [apply_permutation(g, perm) for perm in perms]
+        for configs_of_class in classes:
+            tree = _WalkTree(g, configs_of_class)
+            dists = tree.record_distributions()
+            for perm, pg in zip(perms, relabeled):
+                gap, _ = _compare_relabeled(
+                    tree, dists, _WalkTree(pg, configs_of_class), perm.mapping, tol)
+                walks_total += len(tree.walks) * len(configs_of_class)
                 worst = max(worst, gap)
     return InvarianceReport(
         graphs=len(graphs),
-        permutations=perms_total,
+        permutations=len(graphs) * permutations_per_graph,
         configs_per_graph=len(configs),
         walks_compared=walks_total,
         max_probability_gap=worst,

@@ -383,6 +383,33 @@ def test_record_attributed_via_files(tmp_path, capsys):
     )
 
 
+def test_record_attrs_with_non_integer_vertex_names_file_and_line(tmp_path, capsys,
+                                                                 monkeypatch):
+    afile = tmp_path / "attrs.tsv"
+    afile.write_text("0\tAlpha\nx\tT\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
+    rc = run(["record", "--family", "path", "--n", "2", "--scheme", "attributed",
+              "--attrs", str(afile)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{afile}:2: vertex 'x' is not an integer" in captured.err
+
+
+class _Unread(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+def test_record_attributed_without_attrs_fails_before_reading_walks(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _Unread())
+    rc = run(["record", "--family", "path", "--n", "2", "--scheme", "attributed"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--scheme attributed requires --attrs FILE" in captured.err
+
+
 def test_record_rejects_walk_off_graph(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     wfile = tmp_path / "w.txt"

@@ -84,16 +84,23 @@ def test_leaky_anonymizer_is_caught(monkeypatch):
         run_invariance_suite(max_n=3, max_l=3)
 
 
-def test_perturbed_relabeled_row_is_caught(monkeypatch):
-    # shift 1e-6 of probability between the first two successors of every
-    # row on the relabeled graph only; the supports stay equal
-    relabeled = []
+@pytest.fixture
+def relabeled(monkeypatch):
+    # every graph the suite relabels, so a mutant can act on those alone
+    graphs = []
     real_apply = invariance.apply_permutation
 
     def apply(g, perm):
-        relabeled.append(real_apply(g, perm))
-        return relabeled[-1]
+        graphs.append(real_apply(g, perm))
+        return graphs[-1]
 
+    monkeypatch.setattr(invariance, "apply_permutation", apply)
+    return graphs
+
+
+def test_perturbed_relabeled_row_is_caught(monkeypatch, relabeled):
+    # shift 1e-6 of probability between the first two successors of every
+    # row on the relabeled graph only; the supports stay equal
     class Perturbed(StepTable):
         def row(self, prev, cur):
             row = super().row(prev, cur)
@@ -102,7 +109,6 @@ def test_perturbed_relabeled_row_is_caught(monkeypatch):
             probs = [row.probs[0] + 1e-6, row.probs[1] - 1e-6, *row.probs[2:]]
             return StepRow(row.successors, probs, row.cum)
 
-    monkeypatch.setattr(invariance, "apply_permutation", apply)
     monkeypatch.setattr(invariance, "StepTable", Perturbed)
     with pytest.raises(AssertionError, match="probability gap"):
         run_invariance_suite(max_n=3, max_l=3)
@@ -128,18 +134,36 @@ def test_misgrouped_config_is_caught(monkeypatch):
         run_invariance_suite(max_n=3, max_l=2)
 
 
-def _paired_trees(g, perm, classes):
-    trees = [invariance._PairedWalkTree(g, perm, cls, 1e-9) for cls in classes]
-    counts = [tree.check()[0] for tree in trees]
-    return trees, counts
+def test_branch_dropped_on_relabeled_graphs_is_caught(monkeypatch, relabeled):
+    # every config loses its last branch on the relabeled graph only, so
+    # each tree is consistent within its class but the walk sets differ
+    class Dropping(StepTable):
+        def branches(self, start, prev, cur, t, after_restart):
+            out = super().branches(start, prev, cur, t, after_restart)
+            return out[:-1] if any(self.g is pg for pg in relabeled) else out
+
+    monkeypatch.setattr(invariance, "StepTable", Dropping)
+    with pytest.raises(AssertionError, match="walk supports differ"):
+        run_invariance_suite(max_n=3, max_l=2)
 
 
-def _hex_dists(trees):
-    # per config: both record distributions, each sum as float.hex
-    return [
-        tuple({key: prob.hex() for key, prob in dist.items()} for dist in dists)
-        for tree in trees for dists in tree.rec_dists
-    ]
+def _checked(g, perm, classes):
+    # per config: its walk count and both record distributions, each sum
+    # as float.hex; and the worst gap over the classes
+    pg = invariance.apply_permutation(g, perm)
+    counts, dists, worst = [], [], 0.0
+    for cls in classes:
+        tree = invariance._WalkTree(g, cls)
+        own = tree.record_distributions()
+        gap, relabeled = invariance._compare_relabeled(
+            tree, own, invariance._WalkTree(pg, cls), perm.mapping, 1e-9)
+        worst = max(worst, gap)
+        counts += [len(tree.walks)] * len(cls)
+        dists += [
+            tuple({key: prob.hex() for key, prob in dist.items()} for dist in pair)
+            for pair in zip(own, relabeled)
+        ]
+    return counts, dists, worst.hex()
 
 
 def test_grouped_pass_matches_one_pass_per_config():
@@ -151,11 +175,4 @@ def test_grouped_pass_matches_one_pass_per_config():
     graphs += [random_connected_graph(5, rng) for _ in range(4)]
     for g in graphs:
         perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
-        grouped, grouped_counts = _paired_trees(g, perm, classes)
-        single, single_counts = _paired_trees(g, perm, singletons)
-        assert [tree.leaves for tree in grouped for _ in tree.configs] == [
-            tree.leaves for tree in single]
-        assert sum(grouped_counts) == sum(single_counts)
-        assert _hex_dists(grouped) == _hex_dists(single)
-        assert (max(tree.worst for tree in grouped).hex()
-                == max(tree.worst for tree in single).hex())
+        assert _checked(g, perm, classes) == _checked(g, perm, singletons)
