@@ -16,6 +16,9 @@ Exit codes: 0 success, 1 failed assertion/check, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -231,20 +234,6 @@ def _walk_config_from_args(args: argparse.Namespace, length: int = 0) -> WalkCon
         raise UsageError(str(exc)) from None
 
 
-def _walk_label(config: WalkConfig) -> str:
-    base = "mdlr" if isinstance(config.conductance, MDLR) else "uniform"
-    if config.node2vec is not None:
-        # slash, not comma: the label lands in an unquoted CSV field
-        base = f"node2vec({config.node2vec.p:g}/{config.node2vec.q:g})"
-    if config.non_backtracking:
-        base += "+nb"
-    if isinstance(config.restart, RestartProb):
-        base += f"+restart(a={config.restart.alpha:g})"
-    if isinstance(config.restart, RestartPeriod):
-        base += f"+restart(k={config.restart.k})"
-    return base
-
-
 def _write_out(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -253,8 +242,8 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _warn_censored(csv: str, budget: int) -> None:
-    """One stderr line per cover-CSV cell whose trials censored.
+def _warn_censored(rows: Sequence[cover_mod.CsvRow], budget: int) -> None:
+    """One stderr line per cover cell whose trials censored.
 
     A cell is the rows of one (graph, walk), one per mode, over the same
     trials.  Censored trials are left out of the mean, which is
@@ -264,18 +253,16 @@ def _warn_censored(csv: str, budget: int) -> None:
     the count but says nothing louder.  sr16's ``sr16-mean`` rows only
     sum its graphs' counts.
     """
-    cells: dict[tuple[str, str], list[list[str]]] = {}
-    for line in csv.splitlines()[1:]:
-        # from the right: a graph file's path may hold a comma, a walk label not
-        graph, walk, mode, mean, _, trials, censored = line.rsplit(",", 6)
+    cells: dict[tuple[str, str], list[cover_mod.CoverStats]] = {}
+    for graph, walk, st in rows:
         if graph != "sr16-mean":
-            cells.setdefault((graph, walk), []).append([mode, mean, trials, censored])
-    for (graph, walk), rows in cells.items():
-        if not any(int(censored) for *_, censored in rows):
+            cells.setdefault((graph, walk), []).append(st)
+    for (graph, walk), stats in cells.items():
+        if not any(st.censored for st in stats):
             continue
-        counts = ", ".join(f"{mode} {censored}" for mode, _, _, censored in rows)
-        undefined = [mode for mode, mean, _, _ in rows if mean == "nan"]
-        biased = [mode for mode, mean, _, c in rows if int(c) and mean != "nan"]
+        counts = ", ".join(f"{st.mode} {st.censored}" for st in stats)
+        undefined = [st.mode for st in stats if math.isnan(st.mean)]
+        biased = [st.mode for st in stats if st.censored and not math.isnan(st.mean)]
         why = "the mean leaves them out and is biased low"
         if undefined:
             why = f"the {' and '.join(undefined)} " + (
@@ -285,10 +272,16 @@ def _warn_censored(csv: str, budget: int) -> None:
                 why += (f", and the {' and '.join(biased)} mean leaves them out "
                         "and is biased low")
         print(
-            f"warning: {graph} {walk}: censored {counts} of {rows[0][2]} "
+            f"warning: {graph} {walk}: censored {counts} of {stats[0].trials} "
             f"trials at budget {budget}; {why}",
             file=sys.stderr,
         )
+
+
+def _write_cover(args: argparse.Namespace, rows: Sequence[cover_mod.CsvRow],
+                 budget: int) -> None:
+    _warn_censored(rows, budget)
+    _write_out(args, cover_mod.cover_csv(rows))
 
 
 def _format_walk(walk: Walk) -> str:
@@ -301,18 +294,14 @@ def _format_walk(walk: Walk) -> str:
 def _parse_walk(line: str) -> Walk:
     vertices = []
     flags = []
-    for i, token in enumerate(line.split()):
+    for token in line.split():
         flag = token.endswith("r")
         raw = token[:-1] if flag else token
         try:
             vertices.append(int(raw))
         except ValueError:
             raise UsageError(f"bad walk token {token!r}") from None
-        if flag and i == 0:
-            raise UsageError("first walk position cannot be a restart")
         flags.append(flag)
-    if not vertices:
-        raise UsageError("empty walk line")
     return Walk(tuple(vertices), tuple(flags))
 
 
@@ -368,7 +357,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             walk_lines = [l for l in fh.read().splitlines() if l.strip()]
     else:
         walk_lines = [l for l in sys.stdin.read().splitlines() if l.strip()]
-    attrs = _read_attrs(args.attrs) if args.attrs else None
+    attrs = _read_attrs(args.attrs) if args.scheme == "attributed" else None
     out = []
     for line in walk_lines:
         walk = _parse_walk(line)
@@ -379,7 +368,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             out.append(record_named_neighbors(walk, g).text)
         else:
             out.append(record_attributed(walk, g, attrs))
-    _write_out(args, "\n".join(out) + "\n")
+    _write_out(args, "".join(text + "\n" for text in out))
     return 0
 
 
@@ -426,9 +415,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         stats = cover_mod.estimate_cover_time(
             g, config, args.mode, args.trials, policy, budget=args.budget
         )
-    csv = cover_mod.cover_csv([(label, _walk_label(config), stats)])
-    _warn_censored(csv, args.budget)
-    _write_out(args, csv)
+    _write_cover(args, [(label, cover_mod.walk_label(config), stats)], args.budget)
     return 0
 
 
@@ -436,9 +423,12 @@ def _cmd_reconstruct_test(args: argparse.Namespace) -> int:
     g, label = _graph_from_args(args)
     config = _walk_config_from_args(args, length=args.length)
     fraction = check_reconstruction(g, config, args.trials)
-    header = "graph,walk,length,trials,covering_fraction"
-    row = f"{label},{_walk_label(config)},{args.length},{args.trials},{fraction:.6f}"
-    _write_out(args, header + "\n" + row + "\n")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([
+        ["graph", "walk", "length", "trials", "covering_fraction"],
+        [label, cover_mod.walk_label(config), args.length, args.trials, f"{fraction:.6f}"],
+    ])
+    _write_out(args, out.getvalue())
     return 0
 
 
@@ -484,19 +474,17 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    csv = cover_mod.experiment_fig3(
+    rows = cover_mod.experiment_fig3(
         seed=args.seed, sizes=args.sizes, trials=args.trials, budget=args.budget
     )
-    _warn_censored(csv, args.budget)
-    _write_out(args, csv)
+    _write_cover(args, rows, args.budget)
     return 0
 
 
 def _cmd_sr16(args: argparse.Namespace) -> int:
-    csv = cover_mod.experiment_sr16(seed=args.seed, trials=args.trials)
+    rows = cover_mod.experiment_sr16(seed=args.seed, trials=args.trials)
     # sr16 has no --budget flag; its sampler runs at the default budget
-    _warn_censored(csv, cover_mod.DEFAULT_BUDGET)
-    _write_out(args, csv)
+    _write_cover(args, rows, cover_mod.DEFAULT_BUDGET)
     return 0
 
 

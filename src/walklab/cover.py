@@ -40,6 +40,8 @@ one flat sequence of doubles); their count and order do.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -75,6 +77,8 @@ __all__ = [
     "batch_cover_samples",
     "local_cover_time",
     "theorem2_bound",
+    "walk_label",
+    "cover_csv",
     "experiment_fig3",
     "experiment_sr16",
     "DEFAULT_BUDGET",
@@ -733,25 +737,45 @@ def theorem2_bound(
 CsvRow = tuple[str, str, CoverStats]
 
 
+def walk_label(config: WalkConfig) -> str:
+    """The walk column of a cover CSV: conductance or node2vec bias, then
+    ``+nb`` and the restart mode, e.g. ``node2vec(1/2)+nb``."""
+    base = "mdlr" if isinstance(config.conductance, MDLR) else "uniform"
+    if config.node2vec is not None:
+        # slash, not comma, so the label never needs CSV quoting
+        base = f"node2vec({config.node2vec.p:g}/{config.node2vec.q:g})"
+    if config.non_backtracking:
+        base += "+nb"
+    if isinstance(config.restart, RestartProb):
+        base += f"+restart(a={config.restart.alpha:g})"
+    if isinstance(config.restart, RestartPeriod):
+        base += f"+restart(k={config.restart.k})"
+    return base
+
+
 def _fmt(x: float) -> str:
     return "nan" if math.isnan(x) else f"{x:.6f}"
 
 
 def cover_csv(rows: Iterable[CsvRow]) -> str:
-    """CSV text, header first, one line per ``(graph, walk, stats)`` row."""
-    lines = ["graph,walk,mode,mean,std_err,trials,censored"]
-    for graph, walk, st in rows:
-        lines.append(
-            f"{graph},{walk},{st.mode},{_fmt(st.mean)},{_fmt(st.std_err)},"
-            f"{st.trials},{st.censored}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV text, header first, one line per ``(graph, walk, stats)`` row.
+
+    A field holding a comma, a quote or a line break is quoted.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["graph", "walk", "mode", "mean", "std_err", "trials", "censored"])
+    writer.writerows(
+        [graph, walk, st.mode, _fmt(st.mean), _fmt(st.std_err), st.trials, st.censored]
+        for graph, walk, st in rows
+    )
+    return out.getvalue()
 
 
 def _paired_rows(
     g: Graph,
     label: str,
-    walk_label: str,
+    walk: str,
     config: WalkConfig,
     trials: int,
     budget: int,
@@ -764,7 +788,7 @@ def _paired_rows(
         strict_edges=edge_mode == "edge-strict",
     )
     return [
-        (label, walk_label, _stats(samples, mode, UniformRandom()))
+        (label, walk, _stats(samples, mode, UniformRandom()))
         for mode, samples in (("vertex", t_v), (edge_mode, t_e))
     ]
 
@@ -774,8 +798,8 @@ def experiment_fig3(
     sizes: tuple[int, ...] = (10, 20, 40),
     trials: int = 2000,
     budget: int = 100_000,
-) -> str:
-    """Cover-time table over lollipop graphs, as CSV text.
+) -> list[CsvRow]:
+    """Cover-time table over lollipop graphs, as rows for :func:`cover_csv`.
 
     Walk variants: uniform and minimum-degree conductances with and
     without non-backtracking, plus the p=1, q=2 biased walk.  Starts
@@ -783,74 +807,61 @@ def experiment_fig3(
     trajectories.  The default budget censors the biased walk's hopeless
     cells (its backward drift on the lollipop handle grows
     exponentially with size) instead of hanging; censored counts land
-    in the CSV.
+    in the rows.
     """
     rows: list[CsvRow] = []
     cell = 0
     for m in sizes:
         g = gen_lollipop(m)
         label = f"lollipop-{2 * m}"
-        for walk_label, config in _fig3_variants(seed):
-            rows.extend(
-                _paired_rows(g, label, walk_label, config, trials, budget, cell)
-            )
+        for walk, config in _fig3_variants(seed):
+            rows.extend(_paired_rows(g, label, walk, config, trials, budget, cell))
             cell += 1
-    return cover_csv(rows)
+    return rows
 
 
 def _fig3_variants(seed: int) -> list[tuple[str, WalkConfig]]:
-    variants: list[tuple[str, WalkConfig]] = []
-    for cond_label, cond in (("uniform", Constant()), ("mdlr", MDLR())):
-        for nb in (False, True):
-            variants.append(
-                (
-                    cond_label + ("+nb" if nb else ""),
-                    WalkConfig(length=0, conductance=cond,
-                               non_backtracking=nb, seed=seed),
-                )
-            )
-    # p/q rendered with a slash: the label sits in an unquoted CSV field
-    variants.append(
-        (
-            "node2vec(1/2)",
-            WalkConfig(length=0, conductance=Constant(),
-                       node2vec=Node2Vec(1.0, 2.0), seed=seed),
-        )
-    )
+    configs = [
+        WalkConfig(length=0, conductance=cond, non_backtracking=nb, seed=seed)
+        for cond in (Constant(), MDLR())
+        for nb in (False, True)
+    ]
+    configs.append(WalkConfig(length=0, conductance=Constant(),
+                              node2vec=Node2Vec(1.0, 2.0), seed=seed))
+    variants = [(walk_label(config), config) for config in configs]
     # second-order rules are exclusive, so the non-backtracking "variant"
     # of the biased walk is plain NB (on degree-2 handle vertices they
     # coincide anyway: excluding the predecessor leaves one candidate)
     variants.append(
-        (
-            "node2vec(1/2)+nb",
-            WalkConfig(length=0, conductance=Constant(),
-                       non_backtracking=True, seed=seed),
-        )
+        ("node2vec(1/2)+nb",
+         WalkConfig(length=0, conductance=Constant(), non_backtracking=True, seed=seed))
     )
     return variants
 
 
-def experiment_sr16(seed: int, trials: int = 10_000) -> str:
-    """Cover times of the two strongly regular 16-vertex graphs, as CSV.
+def experiment_sr16(seed: int, trials: int = 10_000) -> list[CsvRow]:
+    """Cover times of the two strongly regular 16-vertex graphs, as rows
+    for :func:`cover_csv`.
 
     Walk: minimum-degree conductance with non-backtracking (on these
     6-regular graphs the conductance is degree-constant, so this is the
     non-backtracking uniform walk).  Uniformly random starts, vertex and
-    edge times paired per trajectory; the summary rows average the two
-    graphs' means.  The edge rows use the strict both-directions notion
-    (every edge traversed each way), the quantity this experiment is
-    meant to estimate.
+    edge times paired per trajectory; the ``sr16-mean`` summary rows
+    average the two graphs' means.  The edge rows use the strict
+    both-directions notion (every edge traversed each way), the quantity
+    this experiment is meant to estimate.
     """
     rows: list[CsvRow] = []
     config = WalkConfig(
         length=0, conductance=MDLR(), non_backtracking=True, seed=seed
     )
+    walk = walk_label(config)
     per_graph: dict[str, dict[str, CoverStats]] = {}
     for cell, (label, g) in enumerate(
         (("rook4x4", gen_rook4x4()), ("shrikhande", gen_shrikhande()))
     ):
         graph_rows = _paired_rows(
-            g, label, "mdlr+nb", config, trials, DEFAULT_BUDGET, cell,
+            g, label, walk, config, trials, DEFAULT_BUDGET, cell,
             edge_mode="edge-strict",
         )
         per_graph[label] = {st.mode: st for _, _, st in graph_rows}
@@ -863,5 +874,5 @@ def experiment_sr16(seed: int, trials: int = 10_000) -> str:
             mean, std_err, pair[0].trials + pair[1].trials, mode, UniformRandom(),
             pair[0].censored + pair[1].censored,
         )
-        rows.append(("sr16-mean", "mdlr+nb", summary))
-    return cover_csv(rows)
+        rows.append(("sr16-mean", walk, summary))
+    return rows

@@ -196,14 +196,14 @@ class _WalkTree:
 
 
 def _compare_relabeled(tree: _WalkTree, dists: _Dists, ptree: _WalkTree,
-                       mapping: tuple[int, ...], tol: float) -> tuple[float, _Dists]:
+                       mapping: tuple[int, ...], tol: float) -> float:
     """Check ``ptree``, the tree of ``tree``'s graph relabeled by ``mapping``.
 
     Both trees must hold as many walks, and each walk of ``tree`` its
     counterpart, with the same texts and per config a probability within
     ``tol``; so must the record distributions ``dists`` of ``tree`` and
     the relabeled ones, summed in ``tree``'s walk order.  Returns the
-    worst gap and the relabeled distributions; raises on any mismatch.
+    worst gap; raises on any mismatch.
     """
     walks, pwalks = tree.walks, ptree.walks
     if len(walks) != len(pwalks):
@@ -248,7 +248,7 @@ def _compare_relabeled(tree: _WalkTree, dists: _Dists, ptree: _WalkTree,
                 raise AssertionError(
                     f"record-distribution gap {gap:.3e} for record {key[0]!r}"
                 )
-    return worst, pdists
+    return worst
 
 
 def support_classes(configs: Sequence[WalkConfig]) -> list[list[WalkConfig]]:
@@ -312,7 +312,7 @@ def run_invariance_suite(
             tree = _WalkTree(g, configs_of_class)
             dists = tree.record_distributions()
             for perm, pg in zip(perms, relabeled):
-                gap, _ = _compare_relabeled(
+                gap = _compare_relabeled(
                     tree, dists, _WalkTree(pg, configs_of_class), perm.mapping, tol)
                 walks_total += len(tree.walks) * len(configs_of_class)
                 worst = max(worst, gap)

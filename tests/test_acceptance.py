@@ -20,6 +20,7 @@ from walklab import (
     Walk,
     WalkConfig,
     batch_cover_samples,
+    cover_csv,
     decode,
     expected_output,
     experiment_sr16,
@@ -177,7 +178,7 @@ def test_lollipop_cover_time_orderings():
 
 
 def test_sr16_cover_time_point_values():
-    csv = experiment_sr16(seed=2025, trials=10_000)
+    csv = cover_csv(experiment_sr16(seed=2025, trials=10_000))
     means = {(r["graph"], r["mode"]): float(r["mean"]) for r in _rows(csv)}
     vertex_mean = means[("sr16-mean", "vertex")]
     edge_mean = means[("sr16-mean", "edge-strict")]

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, config merging, CSV output."""
+import csv
 import io
 import os
 import pathlib
@@ -448,6 +449,7 @@ def record_cycle4(lines, scheme, tmp_path, monkeypatch):
     ("0 1r", "restart to unvisited vertex"),
     ("0 0", "step onto current position"),
     ("0 1 2r 1", "restart to unvisited vertex 2"),
+    ("0r 1", "the start position is not a restart"),
 ])
 def test_record_rejects_walk_breaking_the_discipline(tmp_path, capsys, monkeypatch,
                                                      scheme, line, why):
@@ -466,6 +468,26 @@ def test_record_attributed_restart_names_its_target(tmp_path, capsys, monkeypatc
         " Paper 2 is linked to Paper 3 - Title: T2"
         " Restart at Paper 2. Paper 2 is linked to Paper 1.\n"
     )
+
+
+@pytest.mark.parametrize("scheme", ["anon", "named"])
+def test_record_without_walks_prints_nothing(scheme, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert run(["record", "--family", "cycle", "--n", "4", "--scheme", scheme]) == 0
+    assert out_of(capsys) == ""
+
+
+def test_record_named_ignores_attrs(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "attrs.tsv"
+    afile.write_text("x\tT\n")
+    argv = ["record", "--family", "cycle", "--n", "4", "--scheme", "named"]
+    outputs = []
+    for extra in ([], ["--attrs", str(afile)]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2 1r 0\n"))
+        assert run(argv + extra) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[0].out.count("\n") == 1
 
 
 @pytest.mark.parametrize("scheme", ["anon", "named", "attributed"])
@@ -561,7 +583,8 @@ def test_fig3_warns_about_censored_cells_on_stderr_only(capsys, budget):
     assert run(argv + ["--budget", str(budget)]) == 0
     captured = capsys.readouterr()
     # the warnings leave stdout byte for byte what the experiment returns
-    assert captured.out == experiment_fig3(3, sizes=(3, 4), trials=64, budget=budget)
+    assert captured.out == cover_mod.cover_csv(
+        experiment_fig3(3, sizes=(3, 4), trials=64, budget=budget))
     cells = censored_cells(captured.out)
     assert bool(cells) == (budget == 40)
     assert_warnings_name(captured.err, cells, budget)
@@ -620,6 +643,22 @@ def test_cover_warning_names_a_graph_path_with_a_comma(tmp_path, capsys):
     assert captured.err.startswith(f"warning: {gfile} uniform: censored vertex 8 of 8 ")
 
 
+@pytest.mark.parametrize("argv,header", [
+    (["cover", "--trials", "8", "--seed", "2"],
+     "graph,walk,mode,mean,std_err,trials,censored"),
+    (["reconstruct-test", "--length", "4", "--trials", "8", "--seed", "2"],
+     "graph,walk,length,trials,covering_fraction"),
+], ids=["cover", "reconstruct-test"])
+def test_graph_path_with_a_comma_is_one_csv_field(tmp_path, capsys, argv, header):
+    gfile = tmp_path / "a,b.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    assert run(argv + ["--graph", str(gfile)]) == 0
+    rows = list(csv.reader(io.StringIO(out_of(capsys))))
+    assert rows[0] == header.split(",")
+    assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+    assert rows[1][:2] == [str(gfile), "uniform"]
+
+
 def test_sr16_warns_per_graph_not_for_the_summary(monkeypatch, capsys):
     argv = ["sr16", "--trials", "40", "--seed", "5"]
     assert run(argv) == 0
@@ -632,7 +671,7 @@ def test_sr16_warns_per_graph_not_for_the_summary(monkeypatch, capsys):
                         lambda *args, **kw: sample(*args, **{**kw, "budget": 60}))
     assert run(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == experiment_sr16(5, trials=40)
+    assert captured.out == cover_mod.cover_csv(experiment_sr16(5, trials=40))
     cells = censored_cells(captured.out)
     assert [graph for graph, _ in cells] == ["rook4x4", "shrikhande"]
     assert_warnings_name(captured.err, cells, cover_mod.DEFAULT_BUDGET)

@@ -14,6 +14,7 @@ from walklab import (
     WalkConfig,
     WorstOverStarts,
     batch_cover_samples,
+    cover_csv,
     estimate_cover_time,
     experiment_fig3,
     experiment_sr16,
@@ -317,8 +318,8 @@ def test_theorem2_bound_validation():
 
 
 def test_experiment_sr16_shape_and_determinism():
-    a = experiment_sr16(7, trials=CHUNK_TRIALS + 5)
-    assert experiment_sr16(7, trials=CHUNK_TRIALS + 5) == a
+    a = cover_csv(experiment_sr16(7, trials=CHUNK_TRIALS + 5))
+    assert cover_csv(experiment_sr16(7, trials=CHUNK_TRIALS + 5)) == a
     lines = a.strip().splitlines()
     assert lines[0] == "graph,walk,mode,mean,std_err,trials,censored"
     assert len(lines) == 7
@@ -336,13 +337,14 @@ def test_experiment_sr16_shape_and_determinism():
 
 
 def test_experiment_sr16_seed_changes_output():
-    assert experiment_sr16(7, trials=64) != experiment_sr16(8, trials=64)
+    assert (cover_csv(experiment_sr16(7, trials=64))
+            != cover_csv(experiment_sr16(8, trials=64)))
 
 
 def test_experiment_fig3_shape_and_determinism():
     kw = dict(sizes=(2, 3), trials=96, budget=20_000)
-    a = experiment_fig3(5, **kw)
-    assert experiment_fig3(5, **kw) == a
+    a = cover_csv(experiment_fig3(5, **kw))
+    assert cover_csv(experiment_fig3(5, **kw)) == a
     lines = a.strip().splitlines()
     assert lines[0] == "graph,walk,mode,mean,std_err,trials,censored"
     # 2 sizes x 6 walk variants x 2 cover modes

@@ -153,10 +153,9 @@ def _checked(g, perm, classes):
     pg = invariance.apply_permutation(g, perm)
     counts, dists, worst = [], [], 0.0
     for cls in classes:
-        tree = invariance._WalkTree(g, cls)
-        own = tree.record_distributions()
-        gap, relabeled = invariance._compare_relabeled(
-            tree, own, invariance._WalkTree(pg, cls), perm.mapping, 1e-9)
+        tree, ptree = invariance._WalkTree(g, cls), invariance._WalkTree(pg, cls)
+        own, relabeled = tree.record_distributions(), ptree.record_distributions()
+        gap = invariance._compare_relabeled(tree, own, ptree, perm.mapping, 1e-9)
         worst = max(worst, gap)
         counts += [len(tree.walks)] * len(cls)
         dists += [
