@@ -250,13 +250,11 @@ def _warn_censored(rows: Sequence[cover_mod.CsvRow], budget: int) -> None:
     therefore biased low; a mode whose mean is NaN (every trial
     censored, or under ``--worst-starts`` every trial of some start) has
     no mean to bias, and the line says it is undefined.  The CSV keeps
-    the count but says nothing louder.  sr16's ``sr16-mean`` rows only
-    sum its graphs' counts.
+    the count but says nothing louder.
     """
     cells: dict[tuple[str, str], list[cover_mod.CoverStats]] = {}
     for graph, walk, st in rows:
-        if graph != "sr16-mean":
-            cells.setdefault((graph, walk), []).append(st)
+        cells.setdefault((graph, walk), []).append(st)
     for (graph, walk), stats in cells.items():
         if not any(st.censored for st in stats):
             continue
@@ -483,8 +481,11 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 def _cmd_sr16(args: argparse.Namespace) -> int:
     rows = cover_mod.experiment_sr16(seed=args.seed, trials=args.trials)
-    # sr16 has no --budget flag; its sampler runs at the default budget
-    _write_cover(args, rows, cover_mod.DEFAULT_BUDGET)
+    # sr16 has no --budget flag; its sampler runs at the default budget.
+    # The sr16-mean summary rows only sum the two graphs' censored counts.
+    _warn_censored([row for row in rows if row[0] != "sr16-mean"],
+                   cover_mod.DEFAULT_BUDGET)
+    _write_out(args, cover_mod.cover_csv(rows))
     return 0
 
 

@@ -26,8 +26,8 @@ first, if any, then each step every chunk with ``k`` live lanes draws
 one ``rng.random(k)`` from its own stream, for its live lanes in lane
 order; the group joins these in chunk order.  A lane leaves the draw
 once every time it tracks is known; lanes still live at the budget are
-censored.  The kernel keeps its arrays compacted to the live lanes and
-moves them with the guide-table draw of
+censored.  The kernel, :func:`_cover_group`, keeps its arrays
+compacted to the live lanes and moves them with the guide-table draw of
 :meth:`~walklab.walks.PaddedRows.draw`; once fewer than ``TAIL_LANES``
 of the group's lanes are left, it finishes the group in a Python loop
 that picks a lane's slot with ``bisect_right`` on its ``cum`` row.  For
@@ -45,6 +45,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -319,28 +320,32 @@ def _cover_group(
     rows: PaddedRows,
     chunks: list[tuple[np.random.Generator, int, int | None]],
     budget: int,
-    track_edges: bool,
-    strict_edges: bool,
+    entered: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cover times for a group of chunks; -1 marks a censored lane.
 
     ``chunks`` holds ``(rng, lanes, start)`` per chunk, and the returned
-    arrays hold the chunks' lanes joined in chunk order.  A chunk whose
+    arrays hold the chunks' lanes joined in chunk order.  ``entered``
+    maps each state to the edge target that moving into it covers
+    (``rows.edge``, or ``rows.arc`` for edge-strict cover); with None
+    only vertices are tracked and the edge times stay -1.  A chunk whose
     ``start`` is None first draws its lanes' uniform starts.  Then each
     step, every chunk with ``k`` live lanes draws one ``rng.random(k)``,
     in lane order, and every live lane moves once.  The group's per-lane
     state is kept compacted to the live lanes, in lane order and so
     chunk by chunk, and is compacted again only in the steps where some
     lane finishes; the chunks' live counts are recounted only then.
-    Once fewer than ``TAIL_LANES`` lanes of the group are live,
-    :func:`_cover_tail` finishes the group under the same draw contract.
+    Below ``TAIL_LANES`` live lanes the group finishes in a Python loop.
     """
     n = g.n
-    state = np.concatenate([
-        rng.integers(n, size=k) if start is None else np.full(k, start, dtype=np.int64)
-        for rng, k, start in chunks
-    ])
+    starts = []
+    for rng, k, start in chunks:
+        starts.append(
+            rng.integers(n, size=k) if start is None else np.full(k, start, dtype=np.int64)
+        )
+    state = np.concatenate(starts)
     lanes = state.size
+    track_edges = entered is not None
     t_v = np.full(lanes, -1, dtype=np.int64)
     t_e = np.full(lanes, -1, dtype=np.int64)
     if n == 1:
@@ -355,8 +360,6 @@ def _cover_group(
     ends = np.cumsum([k for _, k, _ in chunks])
     draws = [(rng, k) for rng, k, _ in chunks]
     uniforms = np.empty(lanes)
-    # strict edge cover tracks the 2m arcs, plain cover the m edges
-    entered, e_total = (rows.arc, 2 * g.m) if strict_edges else (rows.edge, g.m)
     # Per live lane: its index, its state, how many vertices and edges it
     # has left to cover (-1 once the cover time is recorded) and the
     # offsets of its rows in the flat "not yet covered" flags.
@@ -366,17 +369,17 @@ def _cover_group(
     unvisited[v_row + state] = False
     v_left = np.full(lanes, n - 1, dtype=np.int64)
     if track_edges:
+        # the m edges, or the 2m arcs
+        e_total = int(entered.max()) + 1
         e_row = lane * e_total
         untraversed = np.ones(lanes * e_total, dtype=bool)
         e_left = np.full(lanes, e_total, dtype=np.int64)
-    else:
-        e_left = None
     s = state
     t = 0
     # A lane with its vertex time has no vertex flag left set, so once
     # every live lane has one (edge cover only) the vertex step is idle.
     v_busy = True
-    while lane.size >= TAIL_LANES:
+    while lane.size >= TAIL_LANES and t < budget:
         t += 1
         s = rows.draw(s, joined_random(draws, uniforms))
         if v_busy:
@@ -407,68 +410,26 @@ def _cover_group(
                     e_left, e_row = e_left[live], e_row[live]
                 draws = _live_draws(rngs, ends, lane)
             v_busy = bool((v_left >= 0).any())
-        if t >= budget:
-            return t_v, t_e
-    if lane.size:
-        if track_edges:
-            e_flags = untraversed.reshape(lanes, e_total)[lane]
-        else:
-            entered = e_flags = None
-        _cover_tail(
-            rows, entered, rngs, ends, t, budget, lane, s, v_left, e_left,
-            unvisited.reshape(lanes, n)[lane], e_flags, t_v, t_e,
-        )
-    return t_v, t_e
+    if not lane.size or t >= budget:
+        return t_v, t_e
 
-
-def _cover_tail(
-    rows: PaddedRows,
-    entered: np.ndarray | None,
-    rngs: list[np.random.Generator],
-    ends: np.ndarray,
-    t: int,
-    budget: int,
-    lane: np.ndarray,
-    state: np.ndarray,
-    v_left: np.ndarray,
-    e_left: np.ndarray | None,
-    unvisited: np.ndarray,
-    untraversed: np.ndarray | None,
-    t_v: np.ndarray,
-    t_e: np.ndarray,
-) -> None:
-    """Finish a near-empty group one lane at a time, after step ``t``.
-
-    Same chain and draws as the lockstep loop: each step, every chunk
-    with ``k`` live lanes draws one ``rng.random(k)``, in lane order; the
-    lanes of chunk ``c`` (drawing from ``rngs[c]``) end before
-    ``ends[c]``.  A slot is picked by ``bisect_right`` on the state's
-    padded ``cum`` row, which for every ``u`` in [0, 1) is the slot the
-    lockstep guide draw picks, the count of the row's sums at most
-    ``u``: the row's sums of non-negative probabilities never decrease,
-    except that the forced final 1.0 may sit below its predecessor, and
-    both exceed ``u``; the 2.0 padding exceeds it too.  So the entries
-    at most ``u`` are a prefix, which a binary search finds and the
-    guide draw's advance walks to (see :class:`~walklab.walks.PaddedRows`).
-    ``unvisited`` and ``untraversed`` hold the live lanes' rows, in lane
-    order, and ``entered`` is None when only vertices are tracked; the
-    times land in ``t_v``/``t_e``.
-    """
+    # The tail: per-step numpy calls no longer pay for themselves, so
+    # each lane steps in Python.  bisect_right on the state's padded cum
+    # row picks the slot draw picks (see PaddedRows), so the streams are
+    # read alike.  The flags become bytearrays of the live lanes' rows,
+    # in lane order.
     cum, nxt, position = rows.cum.tolist(), rows.next.tolist(), rows.position.tolist()
-    track_edges = entered is not None
-    ids, states, v_lefts = lane.tolist(), state.tolist(), v_left.tolist()
-    draws = _live_draws(rngs, ends, ids)
-    n_v = unvisited.shape[1]
-    v_rows = list(range(0, len(ids) * n_v, n_v))
-    unvisited = bytearray(unvisited.tobytes())
+    ids, states, v_lefts = lane.tolist(), s.tolist(), v_left.tolist()
+    v_rows = list(range(0, len(ids) * n, n))
+    unvisited = bytearray(unvisited.reshape(lanes, n)[lane].tobytes())
     if track_edges:
         arc_cell = entered.tolist()
         e_lefts = e_left.tolist()
-        n_e = untraversed.shape[1]
-        e_rows = list(range(0, len(ids) * n_e, n_e))
-        untraversed = bytearray(untraversed.tobytes())
+        e_rows = list(range(0, len(ids) * e_total, e_total))
+        untraversed = bytearray(untraversed.reshape(lanes, e_total)[lane].tobytes())
     else:
-        e_lefts = [-1] * len(ids)
+        # no edge target: a lane lives while it lacks its vertex time
+        e_lefts = e_rows = [-1] * len(ids)
     while ids and t < budget:
         t += 1
         finished = False
@@ -498,13 +459,12 @@ def _cover_tail(
                         e_lefts[i] = -1
                         finished = True
         if finished:
-            live = [i for i in range(len(ids)) if v_lefts[i] >= 0 or e_lefts[i] >= 0]
-            ids, states = [ids[i] for i in live], [states[i] for i in live]
-            v_lefts, v_rows = [v_lefts[i] for i in live], [v_rows[i] for i in live]
-            e_lefts = [e_lefts[i] for i in live]
-            if track_edges:
-                e_rows = [e_rows[i] for i in live]
+            keep = [v >= 0 or e >= 0 for v, e in zip(v_lefts, e_lefts)]
+            ids, states = list(compress(ids, keep)), list(compress(states, keep))
+            v_lefts, v_rows = list(compress(v_lefts, keep)), list(compress(v_rows, keep))
+            e_lefts, e_rows = list(compress(e_lefts, keep)), list(compress(e_rows, keep))
             draws = _live_draws(rngs, ends, ids)
+    return t_v, t_e
 
 
 def _lockstep_samples(
@@ -514,18 +474,18 @@ def _lockstep_samples(
     trials: int,
     starts: dict[int, int | None],
     budget: int,
-    track_edges: bool,
-    strict_edges: bool,
+    entered: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``trials`` cover-time samples per cell, on rows compiled by the caller.
 
     ``starts`` maps each cell to its start (None for uniform starts);
     the arrays hold the cells' trials in the order of ``starts``.
+    ``entered`` says which edge targets to track, as for :func:`_cover_group`.
     """
     parts = [
         _cover_group(
             g, rows, [(rng, lanes, starts[cell]) for cell, rng, lanes in group],
-            budget, track_edges, strict_edges,
+            budget, entered,
         )
         for group in chunk_groups(seed, starts, trials)
     ]
@@ -562,10 +522,9 @@ def batch_cover_samples(
     if start is not None:
         _check_start(g, start)
     seed = require_seed(config)
-    return _lockstep_samples(
-        g, StepTable(g, config).padded(), seed, trials, {cell: start}, budget,
-        track_edges, strict_edges,
-    )
+    rows = StepTable(g, config).padded()
+    entered = (rows.arc if strict_edges else rows.edge) if track_edges else None
+    return _lockstep_samples(g, rows, seed, trials, {cell: start}, budget, entered)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +577,10 @@ def estimate_cover_time(
         starts = list(range(g.n))
     else:
         raise TypeError(f"unknown start policy {start_policy!r}")
+    rows = StepTable(g, config).padded()
+    entered = {"vertex": None, "edge": rows.edge, "edge-strict": rows.arc}[mode]
     t_v, t_e = _lockstep_samples(
-        g, StepTable(g, config).padded(), seed, trials, dict(enumerate(starts)),
-        budget, mode != "vertex", mode == "edge-strict",
+        g, rows, seed, trials, dict(enumerate(starts)), budget, entered
     )
     samples = (t_v if mode == "vertex" else t_e).reshape(len(starts), trials)
     per_start = [_stats(row, mode, start_policy) for row in samples]

@@ -257,27 +257,31 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: ``n m`` header, then ``u v`` lines.
 
     Blank lines and ``#`` comments are skipped.  The declared edge count
-    must match after dedup.
+    must match after dedup; it is checked before connectivity.
     """
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
+            rows.append((lineno, line))
     if not rows:
         raise ValueError("empty edge list")
-    if len(rows[0]) != 2:
-        raise ValueError(f"expected 'n m' header, got {rows[0]!r}")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"expected 'u v' edge line, got {row!r}")
-        edges.append((int(row[0]), int(row[1])))
-    g = build_graph(edges, n)
-    if g.m != m:
-        raise ValueError(f"header declares {m} edges, found {g.m}")
-    return g
+    n, m = _int_pair(*rows[0], "'n m' header")
+    edges = [_int_pair(lineno, line, "'u v' edge line") for lineno, line in rows[1:]]
+    edge_set = _normalize_edges(edges, n)
+    if len(edge_set) != m:
+        raise ValueError(f"header declares {m} edges, found {len(edge_set)}")
+    return build_graph(edge_set, n)
+
+
+def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    fields = line.split()
+    if len(fields) != 2:
+        raise ValueError(f"expected {what}, got {fields!r}")
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: {line!r} is not an integer {what}") from None
 
 
 def format_edge_list(g: Graph) -> str:

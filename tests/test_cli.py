@@ -305,6 +305,19 @@ def test_graph_file_input_roundtrips(tmp_path, capsys):
     assert out_of(capsys) == format_edge_list(gen_cycle(5))
 
 
+@pytest.mark.parametrize("text,lineno", [("a b\n", 1), ("3 2\n0 1\n1 b\n", 3)],
+                         ids=["header", "edge-line"])
+def test_graph_file_with_a_non_integer_field_names_the_line(tmp_path, capsys,
+                                                            text, lineno):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    assert run(["gen", "--graph", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = text.splitlines()[lineno - 1]
+    assert captured.err.startswith(f"error: line {lineno}: {line!r} is not an integer ")
+
+
 def test_walk_output_shape(capsys):
     rc = run([
         "walk", "--family", "cycle", "--n", "4", "--length", "5",
@@ -641,6 +654,20 @@ def test_cover_warning_names_a_graph_path_with_a_comma(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].endswith(",vertex,nan,nan,8,8")
     assert captured.err.startswith(f"warning: {gfile} uniform: censored vertex 8 of 8 ")
+
+
+def test_cover_warns_for_a_graph_file_named_like_the_sr16_summary(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sr16-mean").write_text("3 2\n0 1\n1 2\n")
+    argv = ["cover", "--graph", "sr16-mean", "--trials", "8", "--seed", "2", "--budget", "1"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "sr16-mean,uniform,vertex,nan,nan,8,8"
+    assert captured.err == (
+        "warning: sr16-mean uniform: censored vertex 8 of 8 trials at budget 1; "
+        "the vertex mean is undefined\n"
+    )
 
 
 @pytest.mark.parametrize("argv,header", [

@@ -23,6 +23,7 @@ from walklab import (
     Constant,
     Node2Vec,
     WalkConfig,
+    batch_cover_samples,
     build_graph,
     gen_barbell,
     gen_lollipop,
@@ -118,9 +119,8 @@ def random_config(rnd, kind, seed):
                       non_backtracking=kind == "nb", seed=seed)
 
 
-# (track_edges, strict_edges): vertex only, plain edges, strict edges,
-# and strict edges asked for but not tracked
-EDGE_MODES = ((False, False), (True, False), (True, True), (False, True))
+# (track_edges, strict_edges): vertex only, plain edges, strict edges
+EDGE_MODES = ((False, False), (True, False), (True, True))
 LANE_COUNTS = (TAIL_LANES - 1, TAIL_LANES, TAIL_LANES + 1, 1024)
 LONG_BUDGET = 3000
 
@@ -141,9 +141,10 @@ def reference_group(g, rows, chunks, budget, track, strict):
 def group_both(g, rows, chunks, budget, track, strict):
     """The reference and the group kernel on the same chunks and streams."""
     ref = reference_group(g, rows, chunks, budget, track, strict)
+    entered = (rows.arc if strict else rows.edge) if track else None
     got = _cover_group(
         g, rows, [(rng_stream(*key), lanes, start) for key, lanes, start in chunks],
-        budget, track, strict,
+        budget, entered,
     )
     return ref, got
 
@@ -213,6 +214,18 @@ def test_kernel_budget_one_and_censoring_in_both_phases():
         assert_same(ref, got)
         censored = int((ref[1] < 0).sum())
         assert (censored >= TAIL_LANES) == (alive >= TAIL_LANES)
+
+
+def test_batch_strict_edges_untracked_are_vertex_only():
+    # strict edge cover asked for but edges not tracked: the vertex-only run
+    g = gen_lollipop(4)
+    config = WalkConfig(length=0, conductance=MDLR(), seed=8)
+    want = batch_cover_samples(g, config, 300, None, budget=60, track_edges=False)
+    got = batch_cover_samples(
+        g, config, 300, None, budget=60, track_edges=False, strict_edges=True
+    )
+    assert_same(want, got)
+    assert (got[1] == -1).all() and (got[0] >= 0).any() and (got[0] < 0).any()
 
 
 @pytest.mark.parametrize("start", [None, 0])

@@ -174,6 +174,22 @@ def test_parse_edge_list_rejects_malformed(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # the duplicate leaves vertex 2 isolated; the count is the first fault
+        ("3 2\n0 1\n0 1\n", "header declares 2 edges, found 1"),
+        ("a b\n", "line 1: 'a b' is not an integer 'n m' header"),
+        ("# c\n3 2\n0 1\n\n1 x  # tail\n", "line 5: '1 x' is not an integer 'u v' edge line"),
+    ],
+    ids=["duplicate-edge", "header", "edge-line"],
+)
+def test_parse_edge_list_names_the_first_fault(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
 def test_edge_list_roundtrip_random(n, rnd):
     """format -> parse is the identity on arbitrary connected graphs."""

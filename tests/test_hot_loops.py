@@ -1,0 +1,21 @@
+"""Functions run per walk step or per enumeration node keep no cell variables.
+
+A local that a nested function or (before Python 3.12) a comprehension
+reads becomes a cell, and every access to it then goes through the cell
+instead of the fast local slot.  Cells that crept into ``Recorder.step``
+once made it measurably slower, so the per-step and per-node functions
+write such code as plain loops.
+"""
+import pytest
+
+from walklab.cover import _cover_group
+from walklab.invariance import _WalkTree
+from walklab.records import Recorder
+from walklab.walks import PaddedRows, StepTable
+
+HOT = [Recorder.step, _WalkTree._extend, StepTable.steps, PaddedRows.draw, _cover_group]
+
+
+@pytest.mark.parametrize("fn", HOT, ids=lambda fn: fn.__qualname__)
+def test_hot_function_has_no_cell_variables(fn):
+    assert fn.__code__.co_cellvars == ()
