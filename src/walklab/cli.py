@@ -452,7 +452,9 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
 def _cmd_mixing(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
     P = transition_matrix(g, Constant())
-    if g.m == 0 and any(l > 0 for l in args.lengths):
+    if g.m > 0:
+        P = mixing_mod._check_transition_matrix(P)
+    elif any(l > 0 for l in args.lengths):
         raise UsageError("vertex 0 has no neighbor to step to")
     lines = ["l,u,v,mc_estimate,exact_value,abs_err"]
     config = WalkConfig(length=0, conductance=Constant(), seed=args.seed)
@@ -461,8 +463,9 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
         for u in range(g.n):
             freqs = mixing_mod.mc_visit_frequencies(g, config, u, l, args.trials, cell)
             cell += 1
+            row = mixing_mod._averaged_row(P, u, l)
             for v in range(g.n):
-                exact = mixing_mod.jacobian_expectation(P, u, v, l)
+                exact = float(row[v])
                 mc = float(freqs[v])
                 lines.append(
                     f"{l},{u},{v},{mc:.8f},{exact:.8f},{abs(mc - exact):.8f}"

@@ -8,7 +8,7 @@ up front instead of every consumer re-checking.
 from __future__ import annotations
 
 import collections
-import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -28,6 +28,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Graph:
     """A simple connected undirected graph on vertices ``0..n-1``.
+
+    It holds these three fields and caches nothing on itself;
+    ``has_edge`` bisects the sorted neighbor tuple, O(log deg).
 
     Attributes
     ----------
@@ -50,7 +53,9 @@ class Graph:
         return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as ``(u, v)`` with ``u < v``."""
@@ -61,12 +66,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adjacency)
-
-    @functools.cached_property
-    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        # computed on first use, then an instance attribute: cached_property
-        # writes the instance __dict__, which frozen dataclasses still have
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
     def __repr__(self) -> str:  # the default dataclass repr drowns the terminal
         return f"Graph(n={self.n}, m={self.m})"
@@ -277,7 +276,7 @@ def parse_edge_list(text: str) -> Graph:
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
     fields = line.split()
     if len(fields) != 2:
-        raise ValueError(f"expected {what}, got {fields!r}")
+        raise ValueError(f"line {lineno}: expected {what}, got {fields!r}")
     try:
         return int(fields[0]), int(fields[1])
     except ValueError:

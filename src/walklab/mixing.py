@@ -113,12 +113,16 @@ def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
         raise ValueError(f"indices ({u}, {v}) out of range for n={n}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    if l == 0:
-        return float(u == v)
-    P = _check_transition_matrix(P)
-    row = np.zeros(n)
+    if l > 0:
+        P = _check_transition_matrix(P)
+    return float(_averaged_row(P, u, l)[v])
+
+
+def _averaged_row(P: np.ndarray, u: int, l: int) -> np.ndarray:
+    """Row ``u`` of ``(1/(l+1)) sum_{t=0..l} P^t``, for a checked ``P``."""
+    row = np.zeros(P.shape[0])
     row[u] = 1.0
-    return float(_position_average(lambda cur: cur @ P, row, l)[v])
+    return _position_average(lambda cur: cur @ P, row, l)
 
 
 def mc_visit_frequencies(

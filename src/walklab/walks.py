@@ -171,6 +171,11 @@ def conductance(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
     """Conductance of the edge ``(u, v)``; the edge must exist."""
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
+    return _weight(g, kind, u, v)
+
+
+def _weight(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
+    # conductance of an edge the caller knows exists
     if isinstance(kind, Constant):
         return 1.0
     if isinstance(kind, MDLR):
@@ -187,7 +192,7 @@ def step_distribution_first_order(
     g: Graph, kind: ConductanceKind, u: int
 ) -> dict[int, float]:
     """Transition distribution out of ``u``: neighbor -> probability."""
-    weights = {x: conductance(g, kind, u, x) for x in g.neighbors(u)}
+    weights = {x: _weight(g, kind, u, x) for x in g.neighbors(u)}
     total = sum(weights.values())
     return {x: w / total for x, w in weights.items()}
 

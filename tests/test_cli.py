@@ -318,6 +318,20 @@ def test_graph_file_with_a_non_integer_field_names_the_line(tmp_path, capsys,
     assert captured.err.startswith(f"error: line {lineno}: {line!r} is not an integer ")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [("3\n0 1\n1 2\n", "line 1: expected 'n m' header, got ['3']"),
+     ("3 2\n0 1 9\n1 2\n", "line 2: expected 'u v' edge line, got ['0', '1', '9']")],
+    ids=["header", "edge-line"],
+)
+def test_graph_file_with_a_wrong_field_count_names_the_line(tmp_path, capsys,
+                                                            text, message):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    assert run(["gen", "--graph", str(gfile)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_walk_output_shape(capsys):
     rc = run([
         "walk", "--family", "cycle", "--n", "4", "--length", "5",

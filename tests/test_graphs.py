@@ -1,21 +1,34 @@
 """Graph core: construction, relabeling, balls, edge-list I/O."""
+import gc
+import tracemalloc
+from itertools import repeat
+
 import pytest
 from hypothesis import given, strategies as st
 
 from walklab import (
     Graph,
     LocalBall,
+    Node2Vec,
     Permutation,
+    WalkConfig,
     apply_permutation,
     build_graph,
+    decode,
     format_edge_list,
     gen_cycle,
+    gen_lollipop,
     gen_path,
     gen_star,
     induced_subgraph,
     local_ball,
     parse_edge_list,
+    random_connected_graph,
+    record_named_neighbors,
+    rng_stream,
+    sample_walk,
 )
+from walklab.walks import StepTable
 
 
 def test_build_graph_dedups_edges():
@@ -61,6 +74,62 @@ def test_has_edge_both_directions():
     g = gen_path(3)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
+
+
+def _fuzz_graphs(seed, count):
+    rng = rng_stream(seed, 0)
+    return [random_connected_graph(int(rng.integers(2, 13)), rng) for _ in range(count)]
+
+
+def _has_edge_graphs():
+    lollipop = gen_lollipop(20)
+    walk = sample_walk(lollipop, WalkConfig(length=400, seed=3), start=0)
+    rng = rng_stream(5, 0)
+    return _fuzz_graphs(4, 200) + [
+        lollipop,
+        gen_star(2000),
+        decode(record_named_neighbors(walk, lollipop)).graph,
+        apply_permutation(lollipop, Permutation(tuple(int(x) for x in rng.permutation(40)))),
+    ]
+
+
+def test_has_edge_agrees_with_adjacency_on_every_ordered_pair():
+    """Every (u, v), v from -1 to n: the vertex itself, below the first
+    neighbor, above the last, between two, and out of range."""
+    for g in _has_edge_graphs():
+        values = range(-1, g.n + 1)
+        for u, nbrs in enumerate(g.adjacency):
+            assert list(map(g.has_edge, repeat(u), values)) == [v in nbrs for v in values]
+
+
+def test_using_a_graph_does_not_grow_it():
+    """What the samplers, recorders and balls do with a graph leaves it
+    holding its three fields, and retains no memory per graph."""
+    graphs = _fuzz_graphs(6, 500)
+    node2vec = WalkConfig(length=0, node2vec=Node2Vec(2.0, 0.5))
+    walk = WalkConfig(length=30, seed=1)
+    bound = 64 * 1024  # bytes for all 500 graphs; a cache of one set per vertex exceeds it
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for g in graphs:
+            for u in range(g.n):
+                for v in range(g.n):
+                    g.has_edge(u, v)
+            StepTable(g, node2vec).padded()
+            record_named_neighbors(sample_walk(g, walk, start=0), g)
+            local_ball(g, 0, 1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    for g in graphs:
+        assert sorted(vars(g)) == ["adjacency", "m", "n"]
+    assert retained < bound
 
 
 def test_edges_yields_each_once_ordered():
@@ -181,8 +250,10 @@ def test_parse_edge_list_rejects_malformed(text):
         ("3 2\n0 1\n0 1\n", "header declares 2 edges, found 1"),
         ("a b\n", "line 1: 'a b' is not an integer 'n m' header"),
         ("# c\n3 2\n0 1\n\n1 x  # tail\n", "line 5: '1 x' is not an integer 'u v' edge line"),
+        ("\n3\n0 1\n1 2\n", "line 2: expected 'n m' header, got ['3']"),
+        ("3 2\n0 1 9\n1 2\n", "line 2: expected 'u v' edge line, got ['0', '1', '9']"),
     ],
-    ids=["duplicate-edge", "header", "edge-line"],
+    ids=["duplicate-edge", "header", "edge-line", "header-fields", "edge-line-fields"],
 )
 def test_parse_edge_list_names_the_first_fault(text, message):
     with pytest.raises(ValueError) as err:

@@ -25,10 +25,12 @@ from walklab import (
     gen_clique,
     gen_csl,
     gen_cycle,
+    gen_lollipop,
     gen_path,
     gen_star,
     local_cover_time,
     mc_visit_frequencies,
+    random_connected_graph,
     rng_stream,
     sample_cover_time,
     sample_walk,
@@ -57,6 +59,35 @@ def test_degree_rule_positivity_enforced():
     rule = DegreeRule(lambda a, b: a + b - 3.0)  # zero on the (1,2)-degree edge
     with pytest.raises(ValueError, match="nonpositive"):
         conductance(g, rule, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "kind", [Constant(), MDLR(), DegreeRule(lambda a, b: 1.0 / (a + 2 * b))],
+    ids=["constant", "mdlr", "degree-rule"],
+)
+def test_first_order_distribution_is_normalized_public_conductance(kind):
+    """Same floats as weighting each neighbor by ``conductance``, which
+    still refuses every non-edge."""
+    rng = rng_stream(8, 0)
+    graphs = [gen_lollipop(5), gen_star(4)] + [
+        random_connected_graph(int(rng.integers(2, 9)), rng) for _ in range(20)
+    ]
+    for g in graphs:
+        for u in range(g.n):
+            weights = {x: conductance(g, kind, u, x) for x in g.neighbors(u)}
+            total = sum(weights.values())
+            expected = [(x, (w / total).hex()) for x, w in weights.items()]
+            got = step_distribution_first_order(g, kind, u)
+            assert [(x, p.hex()) for x, p in got.items()] == expected
+            for v in set(range(g.n)) - set(g.neighbors(u)):
+                with pytest.raises(ValueError, match="not an edge"):
+                    conductance(g, kind, u, v)
+
+
+def test_first_order_distribution_refuses_a_zero_degree_rule_weight():
+    rule = DegreeRule(lambda a, b: a + b - 3.0)  # zero on the (1,2)-degree edge
+    with pytest.raises(ValueError, match="nonpositive weight 0.0 on \\(1, 0\\)"):
+        step_distribution_first_order(gen_path(3), rule, 1)
 
 
 def test_first_order_distribution_mdlr_oracle():
