@@ -40,9 +40,9 @@ from .invariance import run_invariance_suite
 from .reconstruct import check_reconstruction, decode
 from .records import (
     AttributeProvider,
+    Recorder,
     check_walk,
     parse,
-    record_anonymized,
     record_attributed,
     record_named_neighbors,
 )
@@ -360,8 +360,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
     for line in walk_lines:
         walk = _parse_walk(line)
         if args.scheme == "anon":
-            check_walk(walk, g)  # the other schemes' recorders check it
-            out.append(record_anonymized(walk).text)
+            check_walk(walk, g)  # against the graph, which the anonymized record omits
+            out.append(Recorder.of(walk).anonymized().text)
         elif args.scheme == "named":
             out.append(record_named_neighbors(walk, g).text)
         else:
@@ -451,11 +451,9 @@ def _cmd_invariance(args: argparse.Namespace) -> int:
 
 def _cmd_mixing(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
-    P = transition_matrix(g, Constant())
-    if g.m > 0:
-        P = mixing_mod._check_transition_matrix(P)
-    elif any(l > 0 for l in args.lengths):
+    if g.m == 0 and any(l > 0 for l in args.lengths):
         raise UsageError("vertex 0 has no neighbor to step to")
+    P = transition_matrix(g, Constant())
     lines = ["l,u,v,mc_estimate,exact_value,abs_err"]
     config = WalkConfig(length=0, conductance=Constant(), seed=args.seed)
     cell = 0

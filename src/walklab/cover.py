@@ -63,6 +63,7 @@ from .walks import (
     StepTable,
     WalkConfig,
     require_seed,
+    require_start,
     rng_stream,
 )
 
@@ -161,11 +162,6 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
 
-def _check_start(g: Graph, start: int) -> None:
-    if not 0 <= start < g.n:
-        raise ValueError(f"start {start} out of range for n={g.n}")
-
-
 # ---------------------------------------------------------------------------
 # scalar path
 
@@ -245,7 +241,7 @@ def sample_cover_time(
     _check_budget(budget)
     if config.restart is not None:
         raise ValueError("global cover time expects a restart-free config")
-    _check_start(g, start)
+    require_start(g, start)
     rng = rng_stream(require_seed(config), walk_index)
     targets, arc_target = _targets(mode, range(g.n), g.edges())
     return _cover_time_scalar(
@@ -520,7 +516,7 @@ def batch_cover_samples(
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_budget(budget)
     if start is not None:
-        _check_start(g, start)
+        require_start(g, start)
     seed = require_seed(config)
     rows = StepTable(g, config).padded()
     entered = (rows.arc if strict_edges else rows.edge) if track_edges else None
@@ -569,7 +565,7 @@ def estimate_cover_time(
         raise ValueError("global cover time expects a restart-free config")
     seed = require_seed(config)
     if isinstance(start_policy, Fixed):
-        _check_start(g, start_policy.vertex)
+        require_start(g, start_policy.vertex)
         starts: list[int | None] = [start_policy.vertex]
     elif isinstance(start_policy, UniformRandom):
         starts = [None]

@@ -204,27 +204,24 @@ def induced_subgraph(g: Graph, members: Sequence[int]) -> Graph:
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"member {v} is not a vertex of the graph (n={g.n})")
+    # from the members' own neighbors, O(sum of their degrees); the
+    # relabeling keeps order, so each neighbor tuple stays sorted
     index = {v: i for i, v in enumerate(members)}
-    edge_set = {
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    }
-    adjacency = _adjacency_from_edge_set(len(members), edge_set)
+    adjacency = tuple(
+        tuple(index[w] for w in g.adjacency[v] if w in index) for v in members
+    )
     comps = _components(len(members), adjacency)
     if len(comps) != 1:
         raise ValueError(f"induced subgraph disconnected: {comps}")
-    return Graph(n=len(members), adjacency=adjacency, m=len(edge_set))
+    return Graph(n=len(members), adjacency=adjacency, m=sum(map(len, adjacency)) // 2)
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
     """Relabel ``g`` by ``p``: vertex ``u`` becomes ``p(u)``."""
     if len(p) != g.n:
         raise ValueError(f"permutation on {len(p)} points, graph has {g.n} vertices")
-    edge_set = {
-        (p(u), p(v)) if p(u) < p(v) else (p(v), p(u)) for u, v in g.edges()
-    }
-    adjacency = _adjacency_from_edge_set(g.n, edge_set)
+    new, old = p.mapping, p.inverse().mapping  # vertex v of the result is old[v]
+    adjacency = tuple(tuple(sorted(new[w] for w in g.adjacency[u])) for u in old)
     return Graph(n=g.n, adjacency=adjacency, m=g.m)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .cover import chunk_groups, joined_random
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
-from .walks import Constant, StepTable, WalkConfig, require_seed
+from .walks import Constant, StepTable, WalkConfig, require_seed, require_start
 
 __all__ = [
     "FeatureVector",
@@ -153,8 +153,7 @@ def mc_visit_frequencies(
     if config.restart is not None:
         raise ValueError("visit-frequency estimation expects no restarts")
     seed = require_seed(config)
-    if not 0 <= u < g.n:
-        raise ValueError(f"start {u} out of range for n={g.n}")
+    require_start(g, u)
     if l < 0 or trials < 1:
         raise ValueError("need l >= 0 and trials >= 1")
     if l > 0 and g.m == 0:

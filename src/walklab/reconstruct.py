@@ -84,7 +84,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
     Backtracking over vertices, pruned by (degree, sorted neighbor
     degrees) signatures; candidates for each vertex of ``g`` are the
-    vertices of ``h`` in the same signature class.
+    vertices of ``h`` in its signature class.  Each vertex ``v`` of ``h``
+    is a bitmask of its neighbors (bits ``0..n-1``) and itself (bit ``n + v``).
     """
     if g.n > ISOMORPHISM_GUARD or h.n > ISOMORPHISM_GUARD:
         raise ValueError(
@@ -96,46 +97,48 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     sig_h = _signatures(h)
     if sorted(sig_g) != sorted(sig_h):
         return False
-
-    candidates: dict[int, list[int]] = {
-        u: [v for v in range(h.n) if sig_h[v] == sig_g[u]] for u in range(g.n)
-    }
+    classes: dict[tuple, list[int]] = {}
+    for v, sig in enumerate(sig_h):
+        classes.setdefault(sig, []).append(v)
+    candidates = [classes[sig] for sig in sig_g]
     # Assign most-constrained vertices first; ties broken by index so
     # the search is deterministic.
     order = sorted(range(g.n), key=lambda u: (len(candidates[u]), u))
-    adj_g = [set(x) for x in g.adjacency]
-    adj_h = [set(x) for x in h.adjacency]
-    return _extend(0, order, candidates, adj_g, adj_h, [-1] * g.n, [False] * h.n)
+    h_bits = [sum(1 << x for x in xs) | 1 << (h.n + v) for v, xs in enumerate(h.adjacency)]
+    return _extend(0, order, candidates, g.adjacency, h_bits, [0] * g.n, 0)
 
 
 def _extend(
     i: int,
     order: list[int],
-    candidates: dict[int, list[int]],
-    adj_g: list[set[int]],
-    adj_h: list[set[int]],
-    mapping: list[int],
-    used: list[bool],
+    candidates: list[list[int]],
+    adj_g: tuple[tuple[int, ...], ...],
+    h_bits: list[int],
+    image: list[int],
+    placed: int,
 ) -> bool:
-    """Extend ``mapping`` from ``order[:i]`` to every vertex, or say it cannot.
+    """Extend the map from ``order[:i]`` to every vertex, or say it cannot.
 
+    ``image[u]`` is the bit of ``u``'s image (0 while unplaced); ``placed``
+    sets both bits of each placed image, so one comparison refuses a used
+    candidate and one whose adjacency to the placed images differs.
     A module function, not a closure: a recursive closure is a reference
     cycle that would keep both graphs alive until the cycle collector runs.
     """
     if i == len(order):
         return True
     u = order[i]
-    adj_u = adj_g[u]
+    want = 0  # the images of u's placed neighbors
+    for w in adj_g[u]:
+        want |= image[w]
+    shift = len(h_bits)
     for v in candidates[u]:
-        # v must be adjacent exactly to the images of u's assigned neighbors
-        adj_v = adj_h[v]
-        if used[v] or any((w in adj_u) != (mapping[w] in adj_v) for w in order[:i]):
-            continue
-        mapping[u] = v
-        used[v] = True
-        if _extend(i + 1, order, candidates, adj_g, adj_h, mapping, used):
-            return True
-        used[v] = False
+        if h_bits[v] & placed == want:
+            bit = image[u] = 1 << v
+            if _extend(i + 1, order, candidates, adj_g, h_bits, image,
+                       placed | bit | bit << shift):
+                return True
+    image[u] = 0
     return False
 
 

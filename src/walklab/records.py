@@ -10,11 +10,11 @@ records, which is the whole point.
 The attributed variant renders the named-neighbor record as prose
 built from per-vertex text snippets, for feeding records to text models.
 
-All three schemes run on one incremental :class:`Recorder`.  It refuses
-the walk moves that would break the record discipline as they come, so
-its records skip the whole-record check that :class:`Record` makes on
-outside input (``Record(...)`` and :func:`parse`).  Walks that may leave
-the graph are refused once, by :func:`check_walk`.
+All three schemes run on one incremental :class:`Recorder`, which
+refuses nothing.  Each scheme first refuses a walk no record may state,
+and with a graph a walk that leaves it, by :func:`check_walk`, so the
+records skip the whole-record check that :class:`Record` makes on
+outside input (``Record(...)`` and :func:`parse`).
 """
 from __future__ import annotations
 
@@ -73,7 +73,8 @@ class Record:
     known ids; Neighbor tokens attach to the preceding step, never to a
     restart; and no token states a self-loop (a step onto the current
     position, or a neighbor equal to it).  :class:`Recorder` builds its
-    records without the check, through :meth:`_trusted`.
+    records, of walks :func:`check_walk` has passed, without the check,
+    through :meth:`_trusted`.
     """
 
     tokens: tuple[Token, ...]
@@ -118,8 +119,8 @@ class Record:
 
     @classmethod
     def _trusted(cls, tokens: tuple[Token, ...], text: str) -> Record:
-        """A record from :class:`Recorder`, which keeps the discipline
-        step by step: no re-check, and ``text`` given."""
+        """A record from :class:`Recorder`, of a walk that keeps the
+        discipline: no re-check, and ``text`` given."""
         rec = object.__new__(cls)
         object.__setattr__(rec, "tokens", tokens)
         object.__setattr__(rec, "_text", text)
@@ -161,15 +162,14 @@ class Recorder:
     """Anonymized and named-neighbor records of one walk, built step by step.
 
     :meth:`step` appends the walk's next position to both records;
-    without a graph only the anonymized record is kept, and with one the
-    moves must be edges (see :func:`check_walk`).  :meth:`mark`
-    and :meth:`rollback` return to an earlier prefix, so a depth-first
-    pass over a walk tree records each shared prefix once.  Each record
-    is held as its text pieces (``"1"``, ``"-2"``, ``";1"``, ``"#3"``),
-    which join to :attr:`Record.text`; its tokens are looked up from the
-    pieces when the record is taken.  :meth:`step` refuses the moves
-    that would break the record discipline, so the records come out
-    without a second check.  Recorded edges ``u < v`` are kept as keys
+    without a graph only the anonymized record is kept.  It trusts its
+    caller and refuses nothing: the moves come from a step table or a
+    walk :func:`check_walk` passed.  :meth:`mark` and :meth:`rollback`
+    return to an earlier prefix, so a depth-first pass over a walk tree
+    records each shared prefix once.  Each record is held as its text
+    pieces (``"1"``, ``"-2"``, ``";1"``, ``"#3"``), which join to
+    :attr:`Record.text`; its tokens are looked up from the pieces when
+    the record is taken.  Recorded edges ``u < v`` are kept as keys
     ``u * n + v``, and per vertex a count of edges not yet recorded lets
     a saturated vertex announce nothing at once.
     """
@@ -185,6 +185,14 @@ class Recorder:
         self._unrecorded = [] if g is None else [len(x) for x in g.adjacency]
         self._texts: dict[tuple[type, int], str] = {}
         self._tokens: dict[str, Token] = {"1": Step(1)}
+
+    @classmethod
+    def of(cls, walk: Walk, g: Graph | None = None) -> Recorder:
+        """The recorder after every step of ``walk``, a walk it trusts."""
+        rec = cls(walk.vertices[0], g)
+        for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
+            rec.step(v, restart)
+        return rec
 
     def name(self, v: int) -> int:
         """The id of ``v``, assigning the next one on first discovery."""
@@ -206,16 +214,9 @@ class Recorder:
         whose edge to ``v`` is not yet recorded, ascending by id.  Their
         edges become recorded.  The traversed edge counts as recorded
         first, so it is never announced redundantly; a restart announces
-        nothing.  Raises ``ValueError`` on a restart to a vertex not yet
-        visited or an ordinary step onto the current position, which no
-        record may state.
+        nothing.  The move is trusted (see :func:`check_walk`).
         """
         u = self.pos
-        if restart:
-            if v not in self.ids:
-                raise ValueError(f"restart to unvisited vertex {v}")
-        elif v == u:
-            raise ValueError(f"step onto current position {v}")
         self.pos = v
         text = self._text(Restart if restart else Step, self.name(v))
         self.anon_text.append(text)
@@ -285,38 +286,35 @@ class Recorder:
         return Record._trusted(tokens, "".join(pieces))
 
 
-def check_walk(walk: Walk, g: Graph) -> None:
-    """Refuse a walk that leaves ``g``, naming its first bad vertex or step.
+def check_walk(walk: Walk, g: Graph | None = None) -> None:
+    """Refuse a walk no record may state, naming its first fault in walk order.
 
-    The start and restart targets must be vertices of ``g``, and every
-    ordinary step an edge.  A step onto the current position gets the
-    recorder's message.
+    A restart must land on a vertex already visited, and an ordinary
+    step must leave the current position.  With ``g``, the start and
+    restart targets must also be vertices of ``g``, and every ordinary
+    step an edge.  Every record scheme runs this one check.
     """
-    n = g.n
+    n = None if g is None else g.n
+    seen = set()
     prev = None
     for v, restart in zip(walk.vertices, walk.restart_flags):
         if prev is None or restart:
-            if not 0 <= v < n:
+            if n is not None and not 0 <= v < n:
                 raise ValueError(f"walk vertex {v} is out of range for n={n}")
+            if restart and v not in seen:
+                raise ValueError(f"restart to unvisited vertex {v}")
         elif v == prev:
             raise ValueError(f"step onto current position {v}")
-        elif not g.has_edge(prev, v):
+        elif n is not None and not g.has_edge(prev, v):
             raise ValueError(f"walk step ({prev}, {v}) is not an edge of the graph")
+        seen.add(v)
         prev = v
-
-
-def _record_walk(walk: Walk, g: Graph | None = None) -> Recorder:
-    if g is not None:
-        check_walk(walk, g)
-    rec = Recorder(walk.vertices[0], g)
-    for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
-        rec.step(v, restart)
-    return rec
 
 
 def record_anonymized(walk: Walk) -> Record:
     """Rename vertices by first discovery and transcribe the walk."""
-    return _record_walk(walk).anonymized()
+    check_walk(walk)
+    return Recorder.of(walk).anonymized()
 
 
 def record_named_neighbors(walk: Walk, g: Graph) -> Record:
@@ -328,7 +326,8 @@ def record_named_neighbors(walk: Walk, g: Graph) -> Record:
     recorded first, so it is never announced redundantly.  Restart
     steps announce nothing.
     """
-    return _record_walk(walk, g).named_neighbors()
+    check_walk(walk, g)
+    return Recorder.of(walk, g).named_neighbors()
 
 
 @dataclass(frozen=True)
@@ -383,7 +382,8 @@ def record_attributed(walk: Walk, g: Graph, attrs: AttributeProvider) -> str:
     sentence naming its target, and each announced neighbor becomes a
     sentence with its direction word.
     """
-    rec = _record_walk(walk, g)
+    check_walk(walk, g)
+    rec = Recorder.of(walk, g)
     vertex = list(rec.ids)  # the vertex of id k is vertex[k - 1]
     ent = attrs.entity
     parts = [f"{ent} 1 - Title: {attrs.text_of(vertex[0])}"]

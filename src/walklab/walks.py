@@ -486,6 +486,12 @@ def require_seed(config: WalkConfig) -> int:
     return config.seed
 
 
+def require_start(g: Graph, start: int) -> None:
+    """Refuse a fixed start that is not a vertex of ``g``."""
+    if not 0 <= start < g.n:
+        raise ValueError(f"start {start} out of range for n={g.n}")
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent Philox stream for (seed, key).
 
@@ -530,8 +536,8 @@ def sample_walk(
     rng = rng_stream(require_seed(config), walk_index)
     if start is None:
         start = int(rng.integers(g.n))
-    elif not 0 <= start < g.n:
-        raise ValueError(f"start {start} out of range for n={g.n}")
+    else:
+        require_start(g, start)
 
     moves = list(islice(iter_walk_steps(g, config, start, rng), config.length))
     return Walk((start, *[v for v, _ in moves]), (False, *[f for _, f in moves]))

@@ -198,6 +198,42 @@ def test_local_ball_validates_arguments():
         local_ball(g, 0, -1)
 
 
+def _ball_reference(g, v, r):
+    """Members by repeated neighborhoods, induced edges by a scan of every edge."""
+    members, frontier = {v}, {v}
+    for _ in range(r):
+        frontier = {w for u in frontier for w in g.adjacency[u]} - members
+        members |= frontier
+    members = sorted(members)
+    index = {u: i for i, u in enumerate(members)}
+    edges = [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
+    return tuple(members), build_graph(edges, len(members))
+
+
+def test_local_ball_matches_a_build_graph_reference():
+    cases = [(g, v, r) for g in _fuzz_graphs(8, 100) for v in range(g.n) for r in range(4)]
+    path, lollipop = gen_path(10001), gen_lollipop(20)
+    cases += [(path, v, r) for v in (0, 1, 5000, 10000) for r in (0, 1, 2, 50)]
+    cases += [(lollipop, v, r) for v in range(lollipop.n) for r in (1, 2, 5)]
+    for g, v, r in cases:
+        members, induced = _ball_reference(g, v, r)
+        ball = local_ball(g, v, r)
+        assert (ball.members, ball.induced) == (members, induced), (g, v, r)
+
+
+def test_local_ball_reads_only_the_members_adjacency(monkeypatch):
+    """A ball costs the sum of its members' degrees, not a scan of every edge."""
+    g = gen_path(10001)
+
+    def scan(self):
+        raise AssertionError("local_ball scanned every edge of the graph")
+
+    monkeypatch.setattr(Graph, "edges", scan)
+    ball = local_ball(g, 5000, 1)
+    assert ball.members == (4999, 5000, 5001)
+    assert ball.induced.adjacency == ((1,), (0, 2), (1,)) and ball.induced.m == 2
+
+
 def test_induced_subgraph_relabels_in_member_order():
     g = gen_cycle(5)
     sub = induced_subgraph(g, [1, 2, 3])

@@ -3,17 +3,19 @@
 A local that a nested function or (before Python 3.12) a comprehension
 reads becomes a cell, and every access to it then goes through the cell
 instead of the fast local slot.  Cells that crept into ``Recorder.step``
-once made it measurably slower, so the per-step and per-node functions
-write such code as plain loops.
+once made it measurably slower, so the per-step and per-node functions,
+and the check every outside walk passes step by step, write such code as
+plain loops.
 """
 import pytest
 
 from walklab.cover import _cover_group
 from walklab.invariance import _WalkTree
-from walklab.records import Recorder
+from walklab.records import Recorder, check_walk
 from walklab.walks import PaddedRows, StepTable
 
-HOT = [Recorder.step, _WalkTree._extend, StepTable.steps, PaddedRows.draw, _cover_group]
+HOT = [Recorder.step, check_walk, _WalkTree._extend, StepTable.steps, PaddedRows.draw,
+       _cover_group]
 
 
 @pytest.mark.parametrize("fn", HOT, ids=lambda fn: fn.__qualname__)

@@ -1,6 +1,7 @@
 """Decoding records to graphs and the isomorphism check behind it."""
 import gc
 import weakref
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from walklab import (
     apply_permutation,
     build_graph,
     check_reconstruction,
+    connected_graphs_exact,
     decode,
     gen_clique,
     gen_csl,
@@ -25,6 +27,7 @@ from walklab import (
     parse,
     record_anonymized,
     record_named_neighbors,
+    rng_stream,
 )
 
 
@@ -95,6 +98,59 @@ def test_is_isomorphic_frees_its_graphs_without_the_cycle_collector():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def _signature_multiset(g):
+    deg = [len(x) for x in g.adjacency]
+    return tuple(sorted(
+        (deg[u], tuple(sorted(deg[v] for v in g.adjacency[u]))) for u in range(g.n)
+    ))
+
+
+def _triangle_profile(g):
+    """An invariant finer than the signatures: per vertex, its degree and
+    triangle count, with those of its neighbors."""
+    adj = [set(x) for x in g.adjacency]
+    tri = [sum(w in adj[v] for v in adj[u] for w in adj[u] if v < w) for u in range(g.n)]
+    return tuple(sorted(
+        (len(adj[u]), tri[u], tuple(sorted((len(adj[v]), tri[v]) for v in adj[u])))
+        for u in range(g.n)
+    ))
+
+
+def _isomorphic_by_brute_force(g, h):
+    arcs = {(u, v) for u in range(h.n) for v in h.adjacency[u]}
+    edges = list(g.edges())
+    return g.n == h.n and g.m == h.m and any(
+        all((p[u], p[v]) in arcs for u, v in edges) for p in permutations(range(g.n))
+    )
+
+
+def test_is_isomorphic_agrees_with_brute_force_on_look_alikes():
+    """2,000 pairs of connected labeled graphs on at most 6 vertices with the
+    same signature multiset.  Odd pairs relabel a graph; even pairs draw
+    both graphs from a signature class that holds graphs of different
+    triangle profiles, so many are non-isomorphic look-alikes."""
+    graphs, classes = [], {}
+    for n in range(2, 7):
+        for g in connected_graphs_exact(n):
+            graphs.append(g)
+            classes.setdefault(_signature_multiset(g), []).append(g)
+    mixed = [c for c in classes.values() if len(set(map(_triangle_profile, c))) > 1]
+    rng = rng_stream(2026, 0)
+    verdicts = []
+    for i in range(2000):
+        if i % 2:
+            g = graphs[int(rng.integers(len(graphs)))]
+            h = apply_permutation(g, Permutation(tuple(int(x) for x in rng.permutation(g.n))))
+        else:
+            c = mixed[int(rng.integers(len(mixed)))]
+            g, h = (c[int(k)] for k in rng.integers(len(c), size=2))
+        assert _signature_multiset(g) == _signature_multiset(h)
+        expected = _isomorphic_by_brute_force(g, h)
+        assert is_isomorphic(g, h) is expected, (g.adjacency, h.adjacency)
+        verdicts.append(expected)
+    assert verdicts.count(False) >= 300  # the look-alikes are really there
 
 
 def test_is_isomorphic_guard():

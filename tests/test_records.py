@@ -31,7 +31,8 @@ from walklab import (
     enumerate_walk_distribution,
     gen_csl,
 )
-from walklab.records import Recorder
+import walklab.records as records_mod
+from walklab.records import Recorder, check_walk
 
 
 def walk(vertices, restarts=()):
@@ -110,6 +111,50 @@ def test_attributed_refuses_a_step_onto_the_current_position():
     attrs = AttributeProvider(vertex_text={0: "A", 1: "B"})
     with pytest.raises(ValueError, match="step onto current position 1"):
         record_attributed(walk([0, 1, 1]), gen_path(2), attrs)
+
+
+@pytest.mark.parametrize("w,why", [
+    (walk([0, 2, 0], restarts={1}), "restart to unvisited vertex 2"),
+    (walk([0, 2, 1], restarts={2}), "walk step (0, 2) is not an edge of the graph"),
+    (walk([0, 1, 1, 0, 2]), "step onto current position 1"),
+    (walk([0, 1, 9, 2], restarts={2}), "walk vertex 9 is out of range for n=3"),
+], ids=["restart-before-non-edge", "non-edge-before-restart", "stay-before-non-edge",
+        "out-of-range-restart"])
+def test_a_walk_with_several_faults_names_the_first(w, why):
+    g = gen_path(3)
+    attrs = AttributeProvider(vertex_text={v: "t" for v in range(10)})
+    why = f"^{re.escape(why)}$"
+    with pytest.raises(ValueError, match=why):
+        record_named_neighbors(w, g)
+    with pytest.raises(ValueError, match=why):
+        record_attributed(w, g, attrs)
+    with pytest.raises(ValueError, match=why):
+        check_walk(w, g)
+
+
+@pytest.mark.parametrize("w,why", [
+    (walk([0, 1], restarts={1}), "restart to unvisited vertex 1"),
+    (walk([5, 9, 5, 7], restarts={3}), "restart to unvisited vertex 7"),
+    (walk([0, 0]), "step onto current position 0"),
+    (walk([4, 1, 1, 3], restarts={3}), "step onto current position 1"),
+    (walk([4, 3, 1], restarts={1}), "restart to unvisited vertex 3"),
+])
+def test_check_walk_without_a_graph_refuses_both_discipline_faults(w, why):
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        check_walk(w)
+
+
+def test_check_walk_without_a_graph_passes_any_disciplined_walk():
+    # no graph: no range and no edge to check, so only the discipline counts
+    check_walk(walk([7, 99, -3, 7, 7, 99], restarts={3, 4}))
+
+
+def test_the_recorders_refusals_all_come_from_check_walk(monkeypatch):
+    """The recorder trusts its walk: with the one check disabled, a walk
+    breaking the discipline is recorded without complaint."""
+    monkeypatch.setattr(records_mod, "check_walk", lambda walk, g=None: None)
+    assert record_anonymized(walk([0, 0])).text == "1-1"
+    assert record_named_neighbors(walk([0, 1, 2], restarts={2}), gen_path(3)).text == "1-2;3"
 
 
 # -- record discipline -------------------------------------------------------

@@ -186,6 +186,21 @@ def test_every_sampler_names_the_missing_seed_alike():
             sample()
 
 
+def test_every_sampler_names_a_bad_start_alike():
+    g, config = gen_path(3), WalkConfig(length=2, seed=1)
+    samplers = (
+        lambda s: sample_walk(g, config, start=s),
+        lambda s: sample_cover_time(g, config, s, "vertex"),
+        lambda s: batch_cover_samples(g, config, 4, s),
+        lambda s: estimate_cover_time(g, config, "edge", 4, Fixed(s)),
+        lambda s: mc_visit_frequencies(g, config, s, 2, 4),
+    )
+    for start in (3, -1):
+        for sample in samplers:
+            with pytest.raises(ValueError, match=f"^start {start} out of range for n=3$"):
+                sample(start)
+
+
 def test_sample_walk_rejects_bad_start():
     with pytest.raises(ValueError, match="out of range"):
         sample_walk(gen_path(3), WalkConfig(length=2, seed=1), start=7)
