@@ -134,15 +134,18 @@ def _open_unit_interval(raw: str) -> float:
 _open_unit_interval.__name__ = "float"  # argparse names it in "invalid float value"
 
 
-def _positive_pair(raw: str) -> tuple[float, float]:
-    """argparse type: ``P,Q`` with both floats positive."""
+def _node2vec_pair(raw: str) -> Node2Vec:
+    """argparse type: ``P,Q``, the biases of a :class:`Node2Vec`, which checks them."""
     try:
         p, q = (float(x) for x in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected P,Q, got {raw!r}") from None
-    if not (p > 0 and q > 0):
-        raise argparse.ArgumentTypeError(f"P and Q must be positive, got {raw!r}")
-    return p, q
+    try:
+        return Node2Vec(p, q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"P and Q must be positive and finite, with finite reciprocals, got {raw!r}"
+        ) from None
 
 
 def _one_of(*names: str) -> dict:
@@ -213,7 +216,6 @@ def _graph_from_args(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def _walk_config_from_args(args: argparse.Namespace, length: int = 0) -> WalkConfig:
     cond = MDLR() if args.conductance == "mdlr" else Constant()
-    node2vec = Node2Vec(*args.node2vec) if args.node2vec else None
     restart = None
     if args.restart_prob is not None and args.restart_period is not None:
         raise UsageError("--restart-prob and --restart-period are exclusive")
@@ -221,17 +223,14 @@ def _walk_config_from_args(args: argparse.Namespace, length: int = 0) -> WalkCon
         restart = RestartProb(args.restart_prob)
     if args.restart_period is not None:
         restart = RestartPeriod(args.restart_period)
-    try:
-        return WalkConfig(
-            length=length,
-            conductance=cond,
-            non_backtracking=args.nb,
-            node2vec=node2vec,
-            restart=restart,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return WalkConfig(
+        length=length,
+        conductance=cond,
+        non_backtracking=args.nb,
+        node2vec=args.node2vec,
+        restart=restart,
+        seed=args.seed,
+    )
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:
@@ -507,7 +506,7 @@ def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
                      **_one_of("constant", "uniform", "mdlr"),
                      help="edge conductance; uniform is constant (default constant)")
     sub.add_argument("--nb", action="store_true", help="non-backtracking steps")
-    sub.add_argument("--node2vec", type=_positive_pair, metavar="P,Q",
+    sub.add_argument("--node2vec", type=_node2vec_pair, metavar="P,Q",
                      help="return and in-out bias, both positive (exclusive with --nb)")
     sub.add_argument("--restart-prob", type=_open_unit_interval, dest="restart_prob",
                      help="restart probability per step, in (0, 1)")

@@ -1,8 +1,10 @@
 """Cover-time estimation: global, local under restarts, and the bounds.
 
 Every sampler here reads one :class:`~walklab.walks.StepTable`, built
-per call.  A scalar path steps one trial at a time through the table's
-rows and supports every walk configuration, restarts included.  A
+per call.  A scalar path steps one trial at a time by
+:meth:`~walklab.walks.StepTable.steps`, under its draw contract, for
+every walk configuration, restarts included; a trial with nothing to
+cover at its start (as on the one-vertex graph) returns 0 unstepped.  A
 lockstep path advances groups of chunks of restart-free trials at once
 through the table's padded numpy view; it exists because edge-cover
 tails on the larger lollipops make the scalar path impractical.
@@ -73,7 +75,6 @@ __all__ = [
     "UniformRandom",
     "StartPolicy",
     "CoverStats",
-    "RestartBound",
     "sample_cover_time",
     "estimate_cover_time",
     "batch_cover_samples",
@@ -128,22 +129,7 @@ class CoverStats:
     std_err: float
     trials: int
     mode: str
-    start_policy: StartPolicy
     censored: int = 0
-
-
-@dataclass(frozen=True)
-class RestartBound:
-    """Closed-form worst-case local cover bound for restarted walks."""
-
-    value: float
-    mode: str
-    max_degree: int
-    radius: int
-    restart: RestartMode
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _check_mode(mode: str) -> None:
@@ -527,17 +513,15 @@ def batch_cover_samples(
 # estimators
 
 
-def _stats(
-    samples: np.ndarray, mode: str, start_policy: StartPolicy
-) -> CoverStats:
+def _stats(samples: np.ndarray, mode: str) -> CoverStats:
     trials = samples.size
     ok = samples[samples >= 0]
     censored = int(trials - ok.size)
     if ok.size == 0:
-        return CoverStats(math.nan, math.nan, trials, mode, start_policy, censored)
+        return CoverStats(math.nan, math.nan, trials, mode, censored)
     mean = float(ok.mean())
     std_err = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-    return CoverStats(mean, std_err, trials, mode, start_policy, censored)
+    return CoverStats(mean, std_err, trials, mode, censored)
 
 
 def estimate_cover_time(
@@ -579,19 +563,15 @@ def estimate_cover_time(
         g, rows, seed, trials, dict(enumerate(starts)), budget, entered
     )
     samples = (t_v if mode == "vertex" else t_e).reshape(len(starts), trials)
-    per_start = [_stats(row, mode, start_policy) for row in samples]
+    per_start = [_stats(row, mode) for row in samples]
     if len(per_start) == 1:
         return per_start[0]
     censored_total = sum(s.censored for s in per_start)
     if any(math.isnan(s.mean) for s in per_start):
         # a fully censored start means the worst case is unknown
-        return CoverStats(
-            math.nan, math.nan, trials * g.n, mode, start_policy, censored_total
-        )
+        return CoverStats(math.nan, math.nan, trials * g.n, mode, censored_total)
     worst = max(per_start, key=lambda s: s.mean)
-    return CoverStats(
-        worst.mean, worst.std_err, trials * g.n, mode, start_policy, censored_total
-    )
+    return CoverStats(worst.mean, worst.std_err, trials * g.n, mode, censored_total)
 
 
 def local_cover_time(
@@ -631,12 +611,12 @@ def local_cover_time(
         )
         if got is not None:
             out[i] = got
-    return _stats(out, mode, Fixed(v))
+    return _stats(out, mode)
 
 
 def theorem2_bound(
     max_degree: int, r: int, restart: RestartMode, mode: str = "vertex"
-) -> RestartBound:
+) -> float:
     """Closed-form bound on the restarted walk's local cover time.
 
     Worst case over all graphs of maximum degree ``max_degree`` and all
@@ -681,9 +661,7 @@ def theorem2_bound(
             value = 2 * (d ** (2 * r) - 1) * (k + k * d ** (r + 1))
     else:
         raise TypeError(f"unknown restart mode {restart!r}")
-    return RestartBound(
-        value=float(value), mode=mode, max_degree=max_degree, radius=r, restart=restart
-    )
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +722,7 @@ def _paired_rows(
         strict_edges=edge_mode == "edge-strict",
     )
     return [
-        (label, walk, _stats(samples, mode, UniformRandom()))
+        (label, walk, _stats(samples, mode))
         for mode, samples in (("vertex", t_v), (edge_mode, t_e))
     ]
 
@@ -827,7 +805,7 @@ def experiment_sr16(seed: int, trials: int = 10_000) -> list[CsvRow]:
         mean = (pair[0].mean + pair[1].mean) / 2
         std_err = math.sqrt(pair[0].std_err**2 + pair[1].std_err**2) / 2
         summary = CoverStats(
-            mean, std_err, pair[0].trials + pair[1].trials, mode, UniformRandom(),
+            mean, std_err, pair[0].trials + pair[1].trials, mode,
             pair[0].censored + pair[1].censored,
         )
         rows.append(("sr16-mean", walk, summary))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import collections
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -111,8 +111,6 @@ class LocalBall:
     ``0..k-1`` in member order.
     """
 
-    center: int
-    radius: int
     members: tuple[int, ...]
     induced: Graph
 
@@ -151,6 +149,13 @@ def _components(n: int, adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
+def _listing(comps: list[list[int]]) -> str:
+    """``str(comps)`` cut to three components of at most eight vertices, then ``...``."""
+    def cut(items: list, k: int, fmt: Callable) -> str:
+        return "[" + ", ".join([*map(fmt, items[:k])] + ["..."] * (len(items) > k)) + "]"
+    return cut(comps, 3, lambda comp: cut(comp, 8, str))
+
+
 def _normalize_edges(edges: Iterable[tuple[int, int]], n: int) -> set[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"graph needs at least one vertex, got n={n}")
@@ -169,8 +174,8 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 
     Duplicate edges and reversed duplicates collapse to one undirected
     edge.  Self-loops, out-of-range endpoints and disconnected inputs
-    raise ``ValueError``; the disconnection error lists the components
-    so callers can see what went wrong.
+    raise ``ValueError``; the disconnection error counts the components
+    and lists the first few so callers can see what went wrong.
 
     Parameters
     ----------
@@ -188,7 +193,7 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     comps = _components(n, adjacency)
     if len(comps) > 1:
         raise ValueError(
-            f"graph is disconnected: {len(comps)} components {comps}"
+            f"graph is disconnected: {len(comps)} components {_listing(comps)}"
         )
     return Graph(n=n, adjacency=adjacency, m=len(edge_set))
 
@@ -212,7 +217,7 @@ def induced_subgraph(g: Graph, members: Sequence[int]) -> Graph:
     )
     comps = _components(len(members), adjacency)
     if len(comps) != 1:
-        raise ValueError(f"induced subgraph disconnected: {comps}")
+        raise ValueError(f"induced subgraph disconnected: {_listing(comps)}")
     return Graph(n=len(members), adjacency=adjacency, m=sum(map(len, adjacency)) // 2)
 
 
@@ -246,7 +251,7 @@ def local_ball(g: Graph, v: int, r: int) -> LocalBall:
                 queue.append(w)
     members = tuple(sorted(dist))
     induced = induced_subgraph(g, members)
-    return LocalBall(center=v, radius=r, members=members, induced=induced)
+    return LocalBall(members=members, induced=induced)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -46,9 +46,7 @@ from .walks import (
     rng_stream,
 )
 
-# Not called here: perfbench/tracing.py wraps these names on this module,
-# as it does the functions the suite calls.
-from .records import record_anonymized, record_named_neighbors  # noqa: F401
+# Not called here: perfbench/tracing.py wraps this name on this module.
 from .walks import enumerate_walk_distribution  # noqa: F401
 
 __all__ = [

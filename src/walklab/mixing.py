@@ -25,8 +25,6 @@ from .graphs import Graph, build_graph
 from .walks import Constant, StepTable, WalkConfig, require_seed, require_start
 
 __all__ = [
-    "FeatureVector",
-    "StationaryDistribution",
     "stationary",
     "expected_output",
     "jacobian_expectation",
@@ -34,10 +32,6 @@ __all__ = [
     "mixing_suite",
 ]
 
-# Type aliases: per-vertex feature vectors and probability vectors are
-# plain 1-D float arrays.
-FeatureVector = np.ndarray
-StationaryDistribution = np.ndarray
 
 def _check_square(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
@@ -55,7 +49,7 @@ def _check_transition_matrix(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def stationary(P: np.ndarray) -> StationaryDistribution:
+def stationary(P: np.ndarray) -> np.ndarray:
     """The stationary distribution of ``P``: ``pi P = pi`` with ``sum(pi) = 1``.
 
     One least-squares solve of ``[P^T - I; 1^T] pi = [0; 1]``.  That
@@ -88,7 +82,7 @@ def _position_average(
     return acc / (l + 1)
 
 
-def expected_output(P: np.ndarray, x: np.ndarray, l: int) -> FeatureVector:
+def expected_output(P: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
     """Expectation of the position-averaged reader: (1/(l+1)) sum P^t x."""
     P = _check_transition_matrix(P)
     x = np.asarray(x, dtype=float)

@@ -29,18 +29,12 @@ ISOMORPHISM_GUARD = 16
 
 @dataclass(frozen=True)
 class DecodedGraph:
-    """A decoded record: record id ``k`` is vertex ``k - 1`` of ``graph``.
-
-    ``complete`` is advisory; set it when the generating walk is known
-    to have covered the source (so ``graph`` is the whole thing, not a
-    subgraph).
-    """
+    """A decoded record: record id ``k`` is vertex ``k - 1`` of ``graph``."""
 
     graph: Graph
-    complete: bool = False
 
 
-def decode(rec: Record, *, complete: bool = False) -> DecodedGraph:
+def decode(rec: Record) -> DecodedGraph:
     """Rebuild the recorded subgraph from a record.
 
     Steps add the edge from the walker's position to the step id,
@@ -68,7 +62,7 @@ def decode(rec: Record, *, complete: bool = False) -> DecodedGraph:
             pos = v
     adjacency = tuple(tuple(sorted(x)) for x in nbrs)
     m = sum(map(len, adjacency)) // 2
-    return DecodedGraph(Graph(n=n, adjacency=adjacency, m=m), complete)
+    return DecodedGraph(Graph(n=n, adjacency=adjacency, m=m))
 
 
 def _signatures(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -160,7 +154,7 @@ def check_reconstruction(g: Graph, config: WalkConfig, trials: int) -> float:
         walk = sample_walk(g, config, start=None, walk_index=i)
         if len(set(walk.vertices)) == g.n:
             covered += 1
-            got = decode(record_named_neighbors(walk, g), complete=True)
+            got = decode(record_named_neighbors(walk, g))
             if not is_isomorphic(got.graph, g):
                 raise AssertionError(
                     f"covering walk failed to reconstruct the graph "

@@ -3,7 +3,8 @@
 A record renames vertices by order of first discovery (the start is
 ``1``, the next new vertex ``2``, and so on) and writes the walk as a
 token string: ``-`` for an ordinary step, ``;`` for a restart jump,
-``#`` for an already-named neighbor announced alongside a step.  Two
+``#`` for an already-named neighbor announced alongside a step.
+:attr:`Record.text` is that string and :func:`parse` reads it back.  Two
 walks that differ only by a vertex relabeling produce byte-identical
 records, which is the whole point.
 
@@ -36,7 +37,6 @@ __all__ = [
     "record_anonymized",
     "record_named_neighbors",
     "record_attributed",
-    "serialize",
     "parse",
 ]
 
@@ -128,6 +128,7 @@ class Record:
 
     @property
     def text(self) -> str:
+        """Canonical text of the record; :func:`parse` inverts it."""
         text = self.__dict__.get("_text")  # set by _trusted
         if text is not None:
             return text
@@ -139,11 +140,6 @@ class Record:
 
     def __repr__(self) -> str:
         return f"Record({self.text!r})"
-
-
-def serialize(rec: Record) -> str:
-    """Canonical text of a record; inverse of :func:`parse`."""
-    return rec.text
 
 
 def parse(text: str) -> Record:
@@ -337,18 +333,15 @@ class AttributeProvider:
     ``vertex_text`` must cover every visited vertex.  ``edge_direction``
     optionally maps ordered pairs to ``"cites"`` or ``"cited-by"``; a
     missing pair is resolved by looking up the reverse pair and
-    flipping.  Without it every edge is rendered with
-    ``undirected_word``.  ``labels`` adds a category clause on first
-    visits to labeled vertices.  ``link_words`` is the (forward,
-    backward) wording pair; the defaults give citation-style prose.
+    flipping; the clauses read "cites" and "is cited by".  Without it
+    every edge reads "is linked to".  ``labels`` adds a category clause
+    on first visits to labeled vertices.
     """
 
     vertex_text: Mapping[int, str]
     edge_direction: Mapping[tuple[int, int], str] | None = None
     labels: Mapping[int, str] | None = None
     entity: str = "Paper"
-    link_words: tuple[str, str] = ("cites", "is cited by")
-    undirected_word: str = "is linked to"
 
     def text_of(self, v: int) -> str:
         try:
@@ -359,7 +352,7 @@ class AttributeProvider:
     def direction_word(self, u: int, v: int) -> str:
         """Wording for traversing ``u -> v``."""
         if self.edge_direction is None:
-            return self.undirected_word
+            return "is linked to"
         d = self.edge_direction.get((u, v))
         if d is None:
             rev = self.edge_direction.get((v, u))
@@ -367,9 +360,9 @@ class AttributeProvider:
                 raise ValueError(f"no direction for traversed edge ({u}, {v})")
             d = "cited-by" if rev == "cites" else "cites"
         if d == "cites":
-            return self.link_words[0]
+            return "cites"
         if d == "cited-by":
-            return self.link_words[1]
+            return "is cited by"
         raise ValueError(f"edge direction must be 'cites' or 'cited-by', got {d!r}")
 
 

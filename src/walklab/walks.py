@@ -6,7 +6,8 @@ that sit two optional second-order variants (non-backtracking and the
 p/q-biased walk), and two optional restart modes (per-step probability
 or fixed period).  Restarts jump back to the walk's start vertex.
 
-The per-step recipe, for step ``t >= 1``:
+The per-step recipe for step ``t >= 1``, as :meth:`StepTable.steps` runs
+it for every scalar sampler (its docstring gives the draw contract):
 
 1. decide whether this step restarts (never at ``t = 1``; in
    probability mode never immediately after a restart; in period mode
@@ -19,6 +20,7 @@ The per-step recipe, for step ``t >= 1``:
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
@@ -44,7 +46,6 @@ __all__ = [
     "step_distribution_second_order",
     "transition_matrix",
     "sample_walk",
-    "iter_walk_steps",
     "enumerate_walk_distribution",
     "rng_stream",
     "ENUMERATION_GUARD",
@@ -67,8 +68,8 @@ class MDLR:
 class DegreeRule:
     """Conductance from an arbitrary rule on endpoint degrees.
 
-    ``fn`` must be symmetric in its two arguments and strictly positive;
-    positivity is checked where the rule is evaluated.
+    ``fn`` must be symmetric in its two arguments, strictly positive and
+    finite; both are checked where the rule is evaluated.
     """
 
     fn: Callable[[int, int], float]
@@ -85,8 +86,10 @@ class Node2Vec:
     q: float
 
     def __post_init__(self) -> None:
-        if not (self.p > 0 and self.q > 0):
-            raise ValueError(f"p and q must be positive, got p={self.p}, q={self.q}")
+        # a step weighs candidates by 1/p and 1/q, which must be finite too
+        if not all(0 < x < math.inf and 1 / x < math.inf for x in (self.p, self.q)):
+            raise ValueError("p and q must be positive and finite, with finite "
+                             f"reciprocals, got p={self.p}, q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +185,9 @@ def _weight(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
         return 1.0 / min(g.degree(u), g.degree(v))
     if isinstance(kind, DegreeRule):
         w = kind.fn(g.degree(u), g.degree(v))
-        if not w > 0:
-            raise ValueError(f"degree rule gave nonpositive weight {w} on ({u}, {v})")
+        if not 0 < w < math.inf:
+            why = "non-finite" if w > 0 else "nonpositive"
+            raise ValueError(f"degree rule gave {why} weight {w} on ({u}, {v})")
         return float(w)
     raise TypeError(f"unknown conductance kind: {kind!r}")
 
@@ -377,7 +381,18 @@ class StepTable:
         return StepRow(successors, probs, cum)
 
     def steps(self, start: int, rng: np.random.Generator) -> Iterator[tuple[int, bool]]:
-        """Open-ended walk from ``start``; see :func:`iter_walk_steps`."""
+        """Open-ended walk from ``start``: ``(vertex, was_restart)`` for t = 1, 2, ...
+
+        Callers decide when to stop (``config.length`` is not read) and
+        never step on the edgeless one-vertex graph.  Draw contract: per
+        step, one uniform for the restart decision where probability
+        mode allows a restart (``t > 1``, not right after one), then one
+        for the move if the step is not a restart; the move inverts the
+        row's cumulative sums over ascending successors.  Uniforms are
+        read from ``rng`` ahead of use, in blocks, so after the walk
+        ``rng`` stands at an unspecified point of its stream: give the
+        walk a generator of its own and draw nothing from it afterwards.
+        """
         restart = self.config.restart
         alpha = restart.alpha if isinstance(restart, RestartProb) else None
         period = restart.k if isinstance(restart, RestartPeriod) else 0
@@ -397,8 +412,6 @@ class StepTable:
                 prev, cur = cur, start
             else:
                 successors, _, cum = self.row(prev, cur)
-                if not successors:
-                    raise ValueError(f"vertex {cur} has no neighbor to step to")
                 prev, cur = cur, successors[bisect_right(cum, uniform())]
             yield cur, was_restart
 
@@ -503,27 +516,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def iter_walk_steps(
-    g: Graph, config: WalkConfig, start: int, rng: np.random.Generator
-) -> Iterator[tuple[int, bool]]:
-    """Open-ended walk: yield ``(vertex, was_restart)`` for t = 1, 2, ...
-
-    ``config.length`` is ignored here; callers decide when to stop
-    (fixed length for :func:`sample_walk`, coverage for the cover-time
-    estimators).  Per step, one uniform is used for the restart
-    decision when the mode calls for it, then one for the transition if
-    the step is not a restart.  The transition inverts the step row's
-    cumulative sums over ascending successors, so the mapping from
-    uniforms to vertices is deterministic.  Stepping from a vertex
-    without neighbors raises ``ValueError``.
-
-    Uniforms are read from ``rng`` ahead of use, in blocks, so after
-    the walk ``rng`` stands at an unspecified point of its stream: give
-    the walk a generator of its own and draw nothing from it afterwards.
-    """
-    return StepTable(g, config).steps(start, rng)
-
-
 def sample_walk(
     g: Graph, config: WalkConfig, start: int | None = None, walk_index: int = 0
 ) -> Walk:
@@ -531,15 +523,18 @@ def sample_walk(
 
     ``start=None`` draws the start uniformly from the vertices.  The
     generator is ``rng_stream(config.seed, walk_index)``, so a batch of
-    walks indexed 0..N-1 is reproducible walk by walk.
+    walks indexed 0..N-1 is reproducible walk by walk.  A walk of at
+    least one step on the edgeless one-vertex graph raises ``ValueError``.
     """
     rng = rng_stream(require_seed(config), walk_index)
     if start is None:
         start = int(rng.integers(g.n))
     else:
         require_start(g, start)
+    if config.length > 0 and g.m == 0:
+        raise ValueError(f"vertex {start} has no neighbor to step to")
 
-    moves = list(islice(iter_walk_steps(g, config, start, rng), config.length))
+    moves = list(islice(StepTable(g, config).steps(start, rng), config.length))
     return Walk((start, *[v for v, _ in moves]), (False, *[f for _, f in moves]))
 
 

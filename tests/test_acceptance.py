@@ -233,13 +233,13 @@ def test_averaged_output_reaches_stationary_mix():
 
 def test_restart_bound_dominates_path_ball_cover():
     bound = theorem2_bound(2, 1, RestartProb(0.5), "vertex")
-    assert bound.value == 84.0
+    assert bound == 84.0
 
     g = gen_path(10_001)
     config = WalkConfig(length=0, restart=RestartProb(0.5), seed=0)
     stats = local_cover_time(g, 5_000, 1, config, "vertex", 10_000)
     assert stats.censored == 0
-    assert stats.mean + 3.0 * stats.std_err <= bound.value
+    assert stats.mean + 3.0 * stats.std_err <= bound
 
 
 # -- 9. experiments are deterministic across threads and reruns ---------------

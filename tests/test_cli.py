@@ -175,6 +175,8 @@ BAD_WALK_VALUES = [
     ("walk", "node2vec", "1,0"),
     ("walk", "node2vec", "-1,2"),
     ("walk", "node2vec", "2"),
+    ("walk", "node2vec", "inf,1"),
+    ("walk", "node2vec", "1e-320,1"),
     ("walk", "conductance", "fast"),
     ("cover", "mode", "edges"),
     ("record", "scheme", "plain"),
@@ -246,6 +248,24 @@ def test_single_vertex_walk_is_a_usage_error(tmp_path, capsys):
     rc = run(["walk", "--graph", str(gfile), "--length", "3", "--seed", "1"])
     assert rc == 2
     assert "no neighbor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["walk", "reconstruct-test"])
+def test_single_vertex_walk_refusal_text(tmp_path, capsys, sub):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("1 0\n")
+    assert run([sub, "--graph", str(gfile), "--length", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: vertex 0 has no neighbor to step to\n")
+
+
+def test_disconnected_graph_error_stays_short(tmp_path, capsys):
+    gfile = tmp_path / "isolated.txt"
+    gfile.write_text("100000 0\n")
+    assert run(["gen", "--graph", str(gfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph is disconnected: 100000 components ")
+    assert len(err.encode()) < 300
 
 
 def test_single_vertex_cover_is_zero(tmp_path, capsys):

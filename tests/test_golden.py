@@ -157,7 +157,7 @@ def scalar_stats(g, config, mode, trials, policy):
         )
         if got is not None:
             out[i] = got
-    return cover._stats(out, mode, policy)
+    return cover._stats(out, mode)
 
 
 def test_scalar_cover_bytes_are_pinned():

@@ -59,6 +59,28 @@ def test_build_graph_rejects_disconnected():
         build_graph([(0, 1), (2, 3)], 4)
 
 
+def test_disconnection_errors_list_at_most_three_components_of_eight():
+    # a listing within the cap is the components' plain repr
+    with pytest.raises(ValueError) as small:
+        build_graph([(0, 1), (2, 3)], 5)
+    assert str(small.value) == "graph is disconnected: 3 components [[0, 1], [2, 3], [4]]"
+    with pytest.raises(ValueError) as small:
+        induced_subgraph(gen_cycle(5), [0, 2])
+    assert str(small.value) == "induced subgraph disconnected: [[0], [1]]"
+    path9 = [(v, v + 1) for v in range(8)]
+    with pytest.raises(ValueError) as big:
+        build_graph(path9, 12)
+    assert str(big.value) == (
+        "graph is disconnected: 4 components "
+        "[[0, 1, 2, 3, 4, 5, 6, 7, ...], [9], [10], ...]"
+    )
+    with pytest.raises(ValueError) as big:
+        induced_subgraph(gen_path(20), [*range(9), 10, 12, 14])
+    assert str(big.value) == (
+        "induced subgraph disconnected: [[0, 1, 2, 3, 4, 5, 6, 7, ...], [9], [10], ...]"
+    )
+
+
 def test_build_graph_rejects_empty_vertex_set():
     with pytest.raises(ValueError):
         build_graph([], 0)

@@ -34,7 +34,6 @@ from walklab import (
 def test_decode_triangle_loop():
     got = decode(parse("1-2-3-1"))
     assert got.graph.n == 3 and got.graph.m == 3
-    assert not got.complete
 
 
 def test_decode_restart_walk_is_a_star():
@@ -183,8 +182,7 @@ def test_edge_covering_anonymized_walk_rebuilds_graph():
 
     tri = gen_cycle(3)
     w = Walk((0, 1, 2, 0), (False,) * 4)
-    got = decode(record_anonymized(w), complete=True)
-    assert got.complete
+    got = decode(record_anonymized(w))
     assert is_isomorphic(got.graph, tri)
 
 
@@ -193,7 +191,7 @@ def test_vertex_covering_named_walk_rebuilds_clique():
 
     k5 = gen_clique(5)
     w = Walk((0, 1, 2, 3, 4), (False,) * 5)
-    got = decode(record_named_neighbors(w, k5), complete=True)
+    got = decode(record_named_neighbors(w, k5))
     assert is_isomorphic(got.graph, k5)
 
 

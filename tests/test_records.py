@@ -22,7 +22,6 @@ from walklab import (
     record_anonymized,
     record_attributed,
     record_named_neighbors,
-    serialize,
     rng_stream,
     sample_walk,
     WalkConfig,
@@ -163,7 +162,7 @@ def test_the_recorders_refusals_all_come_from_check_walk(monkeypatch):
 def test_parse_roundtrip_tokens():
     rec = parse("1-2;1-3#2")
     assert rec.tokens == (Step(1), Step(2), Restart(1), Step(3), Neighbor(2))
-    assert serialize(rec) == "1-2;1-3#2"
+    assert rec.text == "1-2;1-3#2"
 
 
 def test_parse_allows_trailing_restart():
@@ -315,7 +314,7 @@ def test_parse_inverts_serialize(gw):
     for rec in (record_anonymized(w), record_named_neighbors(w, g)):
         again = parse(rec.text)
         assert again.tokens == rec.tokens
-        assert serialize(again) == rec.text
+        assert again.text == rec.text
 
 
 @settings(deadline=None, max_examples=80)

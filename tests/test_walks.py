@@ -84,6 +84,32 @@ def test_first_order_distribution_is_normalized_public_conductance(kind):
                     conductance(g, kind, u, v)
 
 
+def test_degree_rule_finiteness_enforced():
+    rule = DegreeRule(lambda a, b: math.inf)
+    with pytest.raises(ValueError, match="non-finite weight inf on \\(0, 1\\)"):
+        conductance(gen_path(3), rule, 0, 1)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        step_distribution_first_order(gen_path(3), rule, 1)
+
+
+@pytest.mark.parametrize("p,q", [
+    (math.inf, 1.0), (1.0, math.inf), (1e-320, 1.0), (1.0, 1e-320), (math.nan, 1.0),
+])
+def test_node2vec_refuses_biases_without_finite_reciprocals(p, q):
+    with pytest.raises(ValueError, match="positive and finite, with finite reciprocals"):
+        Node2Vec(p, q)
+
+
+def test_walk_on_the_one_vertex_graph_is_refused_unless_empty():
+    g = build_graph([], 1)
+    assert sample_walk(g, WalkConfig(length=0, seed=0)).vertices == (0,)
+    for restart in (None, RestartPeriod(1)):
+        config = WalkConfig(length=1, restart=restart, seed=0)
+        for start in (None, 0):
+            with pytest.raises(ValueError, match="^vertex 0 has no neighbor to step to$"):
+                sample_walk(g, config, start=start)
+
+
 def test_first_order_distribution_refuses_a_zero_degree_rule_weight():
     rule = DegreeRule(lambda a, b: a + b - 3.0)  # zero on the (1,2)-degree edge
     with pytest.raises(ValueError, match="nonpositive weight 0.0 on \\(1, 0\\)"):
