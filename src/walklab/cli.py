@@ -401,17 +401,16 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     else:
         if config.restart is not None:
             raise UsageError("global cover takes no restart; use --radius for local")
-        if args.worst_starts and args.start is not None:
-            raise UsageError("--worst-starts and --start are exclusive")
         if args.worst_starts:
-            policy: cover_mod.StartPolicy = cover_mod.WorstOverStarts()
-        elif args.start is not None:
-            policy = cover_mod.Fixed(args.start)
+            if args.start is not None:
+                raise UsageError("--worst-starts and --start are exclusive")
+            stats = cover_mod.worst_start_cover_time(
+                g, config, args.mode, args.trials, budget=args.budget
+            )
         else:
-            policy = cover_mod.UniformRandom()
-        stats = cover_mod.estimate_cover_time(
-            g, config, args.mode, args.trials, policy, budget=args.budget
-        )
+            stats = cover_mod.estimate_cover_time(
+                g, config, args.mode, args.trials, args.start, budget=args.budget
+            )
     _write_cover(args, [(label, cover_mod.walk_label(config), stats)], args.budget)
     return 0
 
@@ -454,11 +453,10 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
         raise UsageError("vertex 0 has no neighbor to step to")
     P = transition_matrix(g, Constant())
     lines = ["l,u,v,mc_estimate,exact_value,abs_err"]
-    config = WalkConfig(length=0, conductance=Constant(), seed=args.seed)
     cell = 0
     for l in args.lengths:
         for u in range(g.n):
-            freqs = mixing_mod.mc_visit_frequencies(g, config, u, l, args.trials, cell)
+            freqs = mixing_mod.mc_visit_frequencies(g, args.seed, u, l, args.trials, cell)
             cell += 1
             row = mixing_mod._averaged_row(P, u, l)
             for v in range(g.n):
@@ -507,7 +505,8 @@ def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
                      help="edge conductance; uniform is constant (default constant)")
     sub.add_argument("--nb", action="store_true", help="non-backtracking steps")
     sub.add_argument("--node2vec", type=_node2vec_pair, metavar="P,Q",
-                     help="return and in-out bias, both positive (exclusive with --nb)")
+                     help="return and in-out bias: P and Q positive and finite, with "
+                          "finite reciprocals (exclusive with --nb)")
     sub.add_argument("--restart-prob", type=_open_unit_interval, dest="restart_prob",
                      help="restart probability per step, in (0, 1)")
     sub.add_argument("--restart-period", type=_at_least(1), dest="restart_period",

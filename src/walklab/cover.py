@@ -9,9 +9,10 @@ lockstep path advances groups of chunks of restart-free trials at once
 through the table's padded numpy view; it exists because edge-cover
 tails on the larger lollipops make the scalar path impractical.
 ``sample_cover_time`` and ``local_cover_time`` take the scalar path,
-``estimate_cover_time``, ``batch_cover_samples`` and the experiments
-the lockstep one.  Both paths implement the same chain; the test suite
-cross-checks them on small graphs.
+``estimate_cover_time``, ``worst_start_cover_time``,
+``batch_cover_samples`` and the experiments the lockstep one.  Both
+paths implement the same chain; the test suite cross-checks them on
+small graphs.
 
 Reproducibility contract: scalar trial ``i`` uses the Philox stream
 ``(seed, i)``.  Lockstep samplers, here and in :mod:`walklab.mixing`,
@@ -48,7 +49,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,13 +71,10 @@ from .walks import (
 )
 
 __all__ = [
-    "Fixed",
-    "WorstOverStarts",
-    "UniformRandom",
-    "StartPolicy",
     "CoverStats",
     "sample_cover_time",
     "estimate_cover_time",
+    "worst_start_cover_time",
     "batch_cover_samples",
     "local_cover_time",
     "theorem2_bound",
@@ -96,24 +94,6 @@ GROUP_CHUNKS = 4
 # below this many live lanes a group finishes in a Python loop, where
 # per-step numpy call overhead no longer pays for itself
 TAIL_LANES = 64
-
-
-@dataclass(frozen=True)
-class Fixed:
-    vertex: int
-
-
-@dataclass(frozen=True)
-class WorstOverStarts:
-    """Exact scan over all starts; the reported mean is the worst one."""
-
-
-@dataclass(frozen=True)
-class UniformRandom:
-    """Fresh uniformly random start per trial."""
-
-
-StartPolicy = Union[Fixed, WorstOverStarts, UniformRandom]
 
 
 @dataclass(frozen=True)
@@ -141,11 +121,28 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def _check_budget(budget: int) -> None:
+def _checked_seed(
+    g: Graph, config: WalkConfig, trials: int, start: int | None, budget: int,
+    local: bool = False,
+) -> int:
+    """A cover sampler's seed, once its call's arguments are checked.
+
+    Global cover wants a restart-free walk (a restarted walk localizes,
+    and its global cover time need not even have a finite mean).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     # a budget below one step censors every trial that has anything to
     # cover, which reads as a NaN mean rather than as a mistake
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if local and config.restart is None:
+        raise ValueError("local cover time requires a restart mode")
+    if not local and config.restart is not None:
+        raise ValueError("global cover time expects a restart-free config")
+    if start is not None:
+        require_start(g, start)
+    return require_seed(config)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +216,11 @@ def sample_cover_time(
 
     Vertex mode runs until every vertex is visited, edge mode until
     every edge is traversed in at least one direction, edge-strict mode
-    until both directions of every edge are traversed.  Global cover
-    expects a restart-free walk (a restarted walk localizes and its
-    global cover time need not even have a finite mean).
+    until both directions of every edge are traversed.  The walk must be
+    restart-free.
     """
     _check_mode(mode)
-    _check_budget(budget)
-    if config.restart is not None:
-        raise ValueError("global cover time expects a restart-free config")
-    require_start(g, start)
-    rng = rng_stream(require_seed(config), walk_index)
+    rng = rng_stream(_checked_seed(g, config, 1, start, budget), walk_index)
     targets, arc_target = _targets(mode, range(g.n), g.edges())
     return _cover_time_scalar(
         StepTable(g, config), start, rng, targets, arc_target, budget
@@ -287,8 +279,6 @@ def _live_draws(
     ``lane`` holds the indices of the group's live lanes in increasing
     order, and chunk ``c``'s lanes end before ``ends[c]``.
     """
-    if len(rngs) == 1:
-        return [(rngs[0], len(lane))]
     draws, done = [], 0
     for rng, upto in zip(rngs, np.searchsorted(lane, ends).tolist()):
         if upto > done:
@@ -415,12 +405,7 @@ def _cover_group(
     while ids and t < budget:
         t += 1
         finished = False
-        # at a few lanes, fresh draws cost less than writing into a buffer
-        if len(draws) == 1:
-            us = draws[0][0].random(len(ids))
-        else:
-            us = np.concatenate([rng.random(k) for rng, k in draws])
-        for i, u in enumerate(us.tolist()):
+        for i, u in enumerate(joined_random(draws, uniforms).tolist()):
             s = states[i]
             s = states[i] = nxt[s][bisect_right(cum[s], u)]
             cell = v_rows[i] + position[s]
@@ -494,16 +479,10 @@ def batch_cover_samples(
     None draws a fresh uniform start per trial.  ``strict_edges``
     switches the edge time to the both-directions notion.  Returns
     int64 arrays of length ``trials`` with -1 for censored entries (the
-    edge array is all -1 when ``track_edges`` is off).
+    edge array is all -1 when ``track_edges`` is off).  The walk must be
+    restart-free.
     """
-    if config.restart is not None:
-        raise ValueError("the vectorized path does not support restarts")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_budget(budget)
-    if start is not None:
-        require_start(g, start)
-    seed = require_seed(config)
+    seed = _checked_seed(g, config, trials, start, budget)
     rows = StepTable(g, config).padded()
     entered = (rows.arc if strict_edges else rows.edge) if track_edges else None
     return _lockstep_samples(g, rows, seed, trials, {cell: start}, budget, entered)
@@ -529,49 +508,50 @@ def estimate_cover_time(
     config: WalkConfig,
     mode: str,
     trials: int,
-    start_policy: StartPolicy,
+    start: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CoverStats:
-    """Monte Carlo cover-time estimate under a start policy, in lockstep.
+    """Monte Carlo cover-time estimate over ``trials`` lockstep trials.
 
-    ``Fixed``/``UniformRandom`` average ``trials`` samples.
-    ``WorstOverStarts`` runs ``trials`` per start ``v``, as cell ``v``,
-    and reports the start with the largest mean; if some start ends up
-    fully censored the worst case is unknown and the result is NaN.
-    The step table is compiled once, whatever the number of starts, and
-    the starts' chunks run through the same groups of the chunk runner.
+    ``start`` None draws a fresh uniform start per trial.  This is
+    :func:`batch_cover_samples` tracking what ``mode`` covers, as cell 0.
     """
     _check_mode(mode)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_budget(budget)
-    if config.restart is not None:
-        raise ValueError("global cover time expects a restart-free config")
-    seed = require_seed(config)
-    if isinstance(start_policy, Fixed):
-        require_start(g, start_policy.vertex)
-        starts: list[int | None] = [start_policy.vertex]
-    elif isinstance(start_policy, UniformRandom):
-        starts = [None]
-    elif isinstance(start_policy, WorstOverStarts):
-        starts = list(range(g.n))
-    else:
-        raise TypeError(f"unknown start policy {start_policy!r}")
+    t_v, t_e = batch_cover_samples(
+        g, config, trials, start, budget,
+        track_edges=mode != "vertex", strict_edges=mode == "edge-strict",
+    )
+    return _stats(t_v if mode == "vertex" else t_e, mode)
+
+
+def worst_start_cover_time(
+    g: Graph,
+    config: WalkConfig,
+    mode: str,
+    trials: int,
+    budget: int = DEFAULT_BUDGET,
+) -> CoverStats:
+    """Cover-time estimate from the worst start, ``trials`` per start.
+
+    Start ``v`` runs as cell ``v``: the step table is compiled once and
+    the starts' chunks run through the same groups of the chunk runner.
+    The result is the start with the largest mean, NaN if some start
+    fully censored (the worst case is then unknown); ``trials`` and
+    ``censored`` count the trials of every start.
+    """
+    _check_mode(mode)
+    seed = _checked_seed(g, config, trials, None, budget)
     rows = StepTable(g, config).padded()
     entered = {"vertex": None, "edge": rows.edge, "edge-strict": rows.arc}[mode]
     t_v, t_e = _lockstep_samples(
-        g, rows, seed, trials, dict(enumerate(starts)), budget, entered
+        g, rows, seed, trials, {v: v for v in range(g.n)}, budget, entered
     )
-    samples = (t_v if mode == "vertex" else t_e).reshape(len(starts), trials)
+    samples = (t_v if mode == "vertex" else t_e).reshape(g.n, trials)
     per_start = [_stats(row, mode) for row in samples]
-    if len(per_start) == 1:
-        return per_start[0]
-    censored_total = sum(s.censored for s in per_start)
-    if any(math.isnan(s.mean) for s in per_start):
-        # a fully censored start means the worst case is unknown
-        return CoverStats(math.nan, math.nan, trials * g.n, mode, censored_total)
-    worst = max(per_start, key=lambda s: s.mean)
-    return CoverStats(worst.mean, worst.std_err, trials * g.n, mode, censored_total)
+    # a fully censored start, NaN mean, sorts above every other
+    worst = max(per_start, key=lambda st: (math.isnan(st.mean), st.mean))
+    censored = sum(st.censored for st in per_start)
+    return CoverStats(worst.mean, worst.std_err, trials * g.n, mode, censored)
 
 
 def local_cover_time(
@@ -591,16 +571,12 @@ def local_cover_time(
     ball's members, edge mode the edges they induce.
     """
     _check_mode(mode)
-    if config.restart is None:
-        raise ValueError("local cover time requires a restart mode")
+    # local_ball checks the center
+    seed = _checked_seed(g, config, trials, None, budget, local=True)
     if isinstance(config.restart, RestartPeriod) and config.restart.k < r + 1:
         raise ValueError(
             f"period {config.restart.k} too short for radius {r} (need k >= r+1)"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_budget(budget)
-    seed = require_seed(config)
     ball = local_ball(g, v, r)
     targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())
     table = StepTable(g, config)

@@ -22,7 +22,7 @@ import numpy as np
 from .cover import chunk_groups, joined_random
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
-from .walks import Constant, StepTable, WalkConfig, require_seed, require_start
+from .walks import StepTable, WalkConfig, require_seed, require_start
 
 __all__ = [
     "stationary",
@@ -121,7 +121,7 @@ def _averaged_row(P: np.ndarray, u: int, l: int) -> np.ndarray:
 
 def mc_visit_frequencies(
     g: Graph,
-    config: WalkConfig,
+    seed: int,
     u: int,
     l: int,
     trials: int,
@@ -130,8 +130,8 @@ def mc_visit_frequencies(
     """Empirical visit frequencies of every vertex, walks of length ``l`` from ``u``.
 
     Entry ``v`` is the mean over trials of (visits to v in positions
-    0..l) / (l+1).  Entries sum to 1.  Only the plain uniform walk is
-    supported, matching the identity this estimates.  Trials advance in
+    0..l) / (l+1).  Entries sum to 1.  The walk is the plain uniform
+    one, whose visit frequencies the identity gives.  Trials advance in
     lockstep over the step table's padded rows, counting visits per
     state and folding them onto vertices at the end.  They run in the
     chunks of :func:`~walklab.cover.chunk_groups`, chunk ``j`` on Philox
@@ -140,13 +140,8 @@ def mc_visit_frequencies(
     chunk order, and the group makes one guide draw and one
     ``bincount``.  Grouping changes no byte.
     """
-    if config.non_backtracking or config.node2vec is not None:
-        raise ValueError("visit-frequency estimation expects a first-order walk")
-    if not isinstance(config.conductance, Constant):
-        raise ValueError("visit-frequency estimation expects the uniform walk")
-    if config.restart is not None:
-        raise ValueError("visit-frequency estimation expects no restarts")
-    seed = require_seed(config)
+    config = WalkConfig(length=0, seed=seed)
+    require_seed(config)
     require_start(g, u)
     if l < 0 or trials < 1:
         raise ValueError("need l >= 0 and trials >= 1")

@@ -198,6 +198,8 @@ def step_distribution_first_order(
     """Transition distribution out of ``u``: neighbor -> probability."""
     weights = {x: _weight(g, kind, u, x) for x in g.neighbors(u)}
     total = sum(weights.values())
+    if total == math.inf:
+        raise ValueError(f"edge weights out of vertex {u} sum to inf")
     return {x: w / total for x, w in weights.items()}
 
 

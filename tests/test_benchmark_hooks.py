@@ -5,9 +5,10 @@ replaces module attributes (``walklab.reconstruct.build_graph``,
 ``walklab.cover.batch_cover_samples``, ...) with wrappers and reads
 call arguments by name.  A rename or a dropped re-import breaks the
 traced run, and only ``perfbench/selftest.py`` would otherwise notice.
-This test installs the tracer in a fresh interpreter (the patches last
-for the process), runs a small call of each traced kind, and checks
-that every span those calls reach was recorded.
+These tests install the tracer in a fresh interpreter (the patches last
+for the process), run a small call of each traced kind, and check that
+every span those calls reach was recorded and that a global cover's
+lane-steps are counted.
 """
 import os
 import pathlib
@@ -73,13 +74,48 @@ print("ok")
 """
 
 
-def test_traced_run_reaches_every_hook():
+# A one-start global cover runs through the wrapped batch_cover_samples,
+# so the tracer counts its lane-steps: in edge mode a lane steps until its
+# edge time, so they sum to the CSV's mean times its trials.
+COVER_SCRIPT = r"""
+import io
+from contextlib import redirect_stdout
+
+import tracing
+import walklab.cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+argv = ["cover", "--family", "lollipop", "--m", "4", "--trials", "300", "--seed", "4",
+        "--mode", "edge"]
+out = io.StringIO()
+with redirect_stdout(out):
+    assert walklab.cli.run(argv) == 0
+row = out.getvalue().splitlines()[1].split(",")
+assert row[5:] == ["300", "0"], row
+_, calls = tracer.self_times()
+assert calls.get("cover.batch_cover_samples") == 1, calls
+lane_steps = tracer.layer_metrics(0.0, 0.0)["cover.lane_steps"]
+assert lane_steps == round(float(row[3]) * 300), (lane_steps, row)
+print("ok")
+"""
+
+
+def run_traced(script):
     src = pathlib.Path(walklab.__file__).resolve().parents[1]
     env_path = f"{REPO / 'perfbench'}:{src}"
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": env_path, "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=REPO, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_traced_run_reaches_every_hook():
+    run_traced(SCRIPT)
+
+
+def test_traced_global_cover_counts_its_lane_steps():
+    run_traced(COVER_SCRIPT)

@@ -11,7 +11,6 @@ import pytest
 import walklab
 
 from walklab import (
-    UniformRandom,
     WalkConfig,
     estimate_cover_time,
     experiment_fig3,
@@ -643,7 +642,7 @@ def test_cover_warns_when_trials_censor(capsys, budget):
     assert run(argv + ["--budget", str(budget)]) == 0
     captured = capsys.readouterr()
     stats = estimate_cover_time(gen_cycle(6), WalkConfig(length=0, seed=2), "vertex",
-                                50, UniformRandom(), budget=budget)
+                                50, None, budget=budget)
     assert captured.out == cover_mod.cover_csv([("cycle-6", "uniform", stats)])
     cells = censored_cells(captured.out)
     assert cells == ([("cycle-6", "uniform")] if budget == 3 else [])

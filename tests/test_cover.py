@@ -7,12 +7,9 @@ import pytest
 from walklab import (
     CHUNK_TRIALS,
     Constant,
-    Fixed,
     RestartPeriod,
     RestartProb,
-    UniformRandom,
     WalkConfig,
-    WorstOverStarts,
     batch_cover_samples,
     cover_csv,
     estimate_cover_time,
@@ -26,6 +23,7 @@ from walklab import (
     parse_edge_list,
     sample_cover_time,
     theorem2_bound,
+    worst_start_cover_time,
 )
 from walklab.walks import StepTable
 
@@ -96,7 +94,7 @@ def test_cover_time_lower_bounds():
 
 
 def test_estimate_p2_worst_over_starts_is_deterministic():
-    stats = estimate_cover_time(gen_path(2), cfg(), "vertex", 50, WorstOverStarts())
+    stats = worst_start_cover_time(gen_path(2), cfg(), "vertex", 50)
     assert stats.mean == 1.0
     assert stats.std_err == 0.0
     assert stats.trials == 100  # 50 per start
@@ -106,7 +104,7 @@ def test_estimate_p2_worst_over_starts_is_deterministic():
 def test_estimate_scalar_and_batch_agree():
     g = gen_cycle(3)
     mean, std_err = scalar_estimate(g, cfg(), "vertex", 4000, 0)
-    b = estimate_cover_time(g, cfg(), "vertex", 4000, Fixed(0))
+    b = estimate_cover_time(g, cfg(), "vertex", 4000, 0)
     # independent streams, so agreement is statistical
     gap = abs(mean - b.mean)
     assert gap < 6 * math.hypot(std_err, b.std_err)
@@ -116,28 +114,26 @@ def test_single_vertex_cover_is_zero_on_both_paths():
     g = parse_edge_list("1 0\n")
     for mode in ("vertex", "edge", "edge-strict"):
         assert sample_cover_time(g, cfg(), 0, mode) == 0
-        st = estimate_cover_time(g, cfg(), mode, 8, UniformRandom())
+        st = estimate_cover_time(g, cfg(), mode, 8, start=None)
         assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
 
 
 def test_estimate_validation():
     g = gen_cycle(3)
     with pytest.raises(ValueError):
-        estimate_cover_time(g, cfg(), "vertex", 0, Fixed(0))
+        estimate_cover_time(g, cfg(), "vertex", 0, 0)
     with pytest.raises(ValueError):
-        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(9))
+        estimate_cover_time(g, cfg(), "vertex", 5, 9)
     with pytest.raises(ValueError):
-        estimate_cover_time(g, cfg(restart=RestartProb(0.2)), "vertex", 5, Fixed(0))
+        estimate_cover_time(g, cfg(restart=RestartProb(0.2)), "vertex", 5, 0)
 
 
 def test_censoring_reported_not_averaged():
-    stats = estimate_cover_time(gen_path(4), cfg(), "vertex", 64, Fixed(0), budget=1)
+    stats = estimate_cover_time(gen_path(4), cfg(), "vertex", 64, 0, budget=1)
     assert stats.censored == 64
     assert math.isnan(stats.mean) and math.isnan(stats.std_err)
     # worst-over-starts propagates the unknown
-    worst = estimate_cover_time(
-        gen_path(4), cfg(), "vertex", 8, WorstOverStarts(), budget=1
-    )
+    worst = worst_start_cover_time(gen_path(4), cfg(), "vertex", 8, budget=1)
     assert math.isnan(worst.mean)
 
 
@@ -151,7 +147,7 @@ def test_worst_over_starts_compiles_the_table_once(monkeypatch):
 
     monkeypatch.setattr(StepTable, "padded", counting_padded)
     g = gen_lollipop(3)
-    stats = estimate_cover_time(g, cfg(), "edge", 8, WorstOverStarts())
+    stats = worst_start_cover_time(g, cfg(), "edge", 8)
     assert len(calls) == 1
     assert stats.trials == 8 * g.n and stats.censored == 0
 
@@ -161,7 +157,7 @@ def test_worst_over_starts_is_the_worst_per_start_batch(mode):
     # two chunks per start, so groups hold chunks of two starts; each
     # start still runs as cell v from vertex v on its own streams
     g, config, trials = gen_lollipop(3), cfg(seed=9), CHUNK_TRIALS + 300
-    worst = estimate_cover_time(g, config, mode, trials, WorstOverStarts(), budget=40)
+    worst = worst_start_cover_time(g, config, mode, trials, budget=40)
     per_start = []
     for v in range(g.n):
         t_v, t_e = batch_cover_samples(
@@ -181,12 +177,52 @@ def test_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="budget"):
         batch_cover_samples(g, cfg(), 5, start=0, budget=budget)
     with pytest.raises(ValueError, match="budget"):
-        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(0), budget=budget)
+        estimate_cover_time(g, cfg(), "vertex", 5, 0, budget=budget)
     with pytest.raises(ValueError, match="budget"):
         sample_cover_time(g, cfg(), 0, "vertex", budget=budget)
     with pytest.raises(ValueError, match="budget"):
         local_cover_time(g, 0, 1, cfg(restart=RestartProb(0.5)), "vertex", 5,
                          budget=budget)
+
+
+def _cover_samplers():
+    """Each cover sampler as ``(call(config, trials, budget), restart_free)``."""
+    g = gen_cycle(4)
+    return {
+        "sample_cover_time": (
+            lambda c, t, b: sample_cover_time(g, c, 0, "vertex", budget=b), True),
+        "batch_cover_samples": (
+            lambda c, t, b: batch_cover_samples(g, c, t, 0, budget=b), True),
+        "estimate_cover_time": (
+            lambda c, t, b: estimate_cover_time(g, c, "vertex", t, 0, budget=b), True),
+        "worst_start_cover_time": (
+            lambda c, t, b: worst_start_cover_time(g, c, "vertex", t, budget=b), True),
+        "local_cover_time": (
+            lambda c, t, b: local_cover_time(g, 0, 1, c, "vertex", t, budget=b), False),
+    }
+
+
+@pytest.mark.parametrize("name,fault", [
+    (name, fault)
+    for name in _cover_samplers()
+    for fault in ("trials", "budget", "restart")
+    # sample_cover_time draws one sample and takes no trials
+    if (name, fault) != ("sample_cover_time", "trials")
+])
+def test_cover_samplers_refuse_the_same_faults_alike(name, fault):
+    call, restart_free = _cover_samplers()[name]
+    right, wrong = cfg(), cfg(restart=RestartProb(0.5))
+    if not restart_free:
+        right, wrong = wrong, right
+    call(right, 5, 100)  # the call is accepted without the fault
+    args, why = {
+        "trials": ((right, 0, 100), "trials must be >= 1, got 0"),
+        "budget": ((right, 5, 0), "budget must be >= 1, got 0"),
+        "restart": ((wrong, 5, 100), "global cover time expects a restart-free config"
+                    if restart_free else "local cover time requires a restart mode"),
+    }[fault]
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        call(*args)
 
 
 def test_batch_cover_samples_are_paired():
@@ -237,7 +273,7 @@ def test_starts_off_the_graph_are_refused(start):
     with pytest.raises(ValueError, match=why):
         batch_cover_samples(g, cfg(), 5, start=start)
     with pytest.raises(ValueError, match=why):
-        estimate_cover_time(g, cfg(), "vertex", 5, Fixed(start))
+        estimate_cover_time(g, cfg(), "vertex", 5, start)
     with pytest.raises(ValueError, match=why):
         sample_cover_time(g, cfg(), start, "vertex")
 
@@ -246,7 +282,7 @@ def test_batch_second_order_matches_scalar_law():
     """Vectorized NB sampling agrees with the scalar walker's estimate."""
     g = gen_lollipop(3)
     c = cfg(non_backtracking=True)
-    batch = estimate_cover_time(g, c, "vertex", 4000, Fixed(0))
+    batch = estimate_cover_time(g, c, "vertex", 4000, 0)
     mean, std_err = scalar_estimate(g, c, "vertex", 4000, 0)
     assert abs(batch.mean - mean) < 6 * math.hypot(batch.std_err, std_err)
 

@@ -168,7 +168,7 @@ def budget_leaving(life, alive):
 def test_kernel_matches_reference(case):
     rnd = random.Random(case)
     g = random_graph(rnd)
-    # every walk order meets both start policies
+    # every walk order meets both kinds of start
     config = random_config(rnd, ("first-order", "nb", "node2vec")[case % 3], 1000 + case)
     rows = StepTable(g, config).padded()
     start = None if case // 3 % 2 else rnd.randrange(g.n)
@@ -242,7 +242,7 @@ def group_chunks(kind, size, seed, case, n, short):
 
     "uniform" and "fixed" are consecutive chunks of one cell with uniform
     or one fixed start; "cells" are chunks of consecutive cells, each cell
-    with a start of its own, as under ``WorstOverStarts``.
+    with a start of its own, as under ``worst_start_cover_time``.
     """
     lanes = [CHUNK_TRIALS] * (size - 1) + [short]
     if kind == "cells":

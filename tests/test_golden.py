@@ -17,11 +17,9 @@ from walklab import (
     MDLR,
     AttributeProvider,
     Constant,
-    Fixed,
     Node2Vec,
     RestartPeriod,
     RestartProb,
-    UniformRandom,
     WalkConfig,
     batch_cover_samples,
     enumerate_walk_distribution,
@@ -139,11 +137,11 @@ def stats_text(st):
 N2V = WalkConfig(length=0, conductance=MDLR(), node2vec=Node2Vec(2.0, 0.5), seed=11)
 
 
-def scalar_stats(g, config, mode, trials, policy):
+def scalar_stats(g, config, mode, trials, start):
     """Scalar cover estimate: trial ``i`` on stream ``(seed, i)``.
 
-    Under ``UniformRandom`` a trial draws its start from its stream
-    first; under ``Fixed(v)`` trial ``i`` is ``sample_cover_time`` at
+    With ``start`` None a trial draws its start from its stream first;
+    with a vertex, trial ``i`` is ``sample_cover_time`` at
     ``walk_index=i``.
     """
     table = StepTable(g, config)
@@ -151,9 +149,9 @@ def scalar_stats(g, config, mode, trials, policy):
     out = np.full(trials, -1, dtype=np.int64)
     for i in range(trials):
         rng = rng_stream(config.seed, i)
-        start = policy.vertex if isinstance(policy, Fixed) else int(rng.integers(g.n))
+        v = start if start is not None else int(rng.integers(g.n))
         got = cover._cover_time_scalar(
-            table, start, rng, targets, arc_target, cover.DEFAULT_BUDGET
+            table, v, rng, targets, arc_target, cover.DEFAULT_BUDGET
         )
         if got is not None:
             out[i] = got
@@ -162,11 +160,11 @@ def scalar_stats(g, config, mode, trials, policy):
 
 def test_scalar_cover_bytes_are_pinned():
     g = gen_lollipop(4)
-    st = scalar_stats(g, N2V, "edge-strict", 150, UniformRandom())
+    st = scalar_stats(g, N2V, "edge-strict", 150, None)
     assert sha256(stats_text(st)) == (
         "37c8e274593551db14a8815b6584e584efac5876f922724d79ffeb37bea1e1c1"
     )
-    st = scalar_stats(g, N2V, "vertex", 150, Fixed(0))
+    st = scalar_stats(g, N2V, "vertex", 150, 0)
     assert sha256(stats_text(st)) == (
         "a43096436f6a3e736e8f5a9bf4b440c8b9f5996ffde8d05ec62f53899baa7295"
     )

@@ -15,8 +15,6 @@ from walklab import (
     CHUNK_TRIALS,
     Constant,
     MDLR,
-    Node2Vec,
-    RestartProb,
     WalkConfig,
     build_graph,
     expected_output,
@@ -152,7 +150,7 @@ def test_jacobian_at_length_zero_needs_no_stochastic_rows():
 def test_mc_visit_frequencies_k2_exact():
     # on an edge the trajectory is forced, so the estimate is exact
     g = build_graph([(0, 1)], 2)
-    freqs = mc_visit_frequencies(g, WalkConfig(length=0, seed=3), 0, 1, trials=64)
+    freqs = mc_visit_frequencies(g, 3, 0, 1, trials=64)
     np.testing.assert_allclose(freqs, [0.5, 0.5])
 
 
@@ -161,7 +159,7 @@ def test_mc_visit_frequencies_match_exact_identity():
     P = transition_matrix(g, Constant())
     trials = 40_000
     l = 2
-    freqs = mc_visit_frequencies(g, WalkConfig(length=0, seed=5), 0, l, trials)
+    freqs = mc_visit_frequencies(g, 5, 0, l, trials)
     assert math.isclose(float(freqs.sum()), 1.0, abs_tol=1e-12)
     for v in range(3):
         exact = jacobian_expectation(P, 0, v, l)
@@ -196,31 +194,21 @@ def test_mc_visit_frequencies_match_reference_loop(name, l, chunks):
     config = WalkConfig(length=0, seed=31)
     for cell, u in enumerate((0, g.n // 2, g.n - 1)):
         want = reference_visit_frequencies(g, config, u, l, trials, cell)
-        got = mc_visit_frequencies(g, config, u, l, trials, cell=cell)
+        got = mc_visit_frequencies(g, config.seed, u, l, trials, cell=cell)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_mc_visit_frequencies_only_plain_uniform_walks():
-    g = gen_cycle(3)
-    base = dict(u=0, l=2, trials=16)
-    with pytest.raises(ValueError):
-        mc_visit_frequencies(g, WalkConfig(length=0, seed=1, non_backtracking=True), **base)
-    with pytest.raises(ValueError):
-        mc_visit_frequencies(g, WalkConfig(length=0, seed=1, node2vec=Node2Vec(1, 2)), **base)
-    with pytest.raises(ValueError):
-        mc_visit_frequencies(g, WalkConfig(length=0, seed=1, conductance=MDLR()), **base)
-    with pytest.raises(ValueError):
-        mc_visit_frequencies(g, WalkConfig(length=0, seed=1, restart=RestartProb(0.2)), **base)
-    with pytest.raises(ValueError):
-        mc_visit_frequencies(g, WalkConfig(length=0), **base)
+def test_mc_visit_frequencies_needs_a_seed():
+    # without a seed, rng_stream would draw its entropy from the OS
+    with pytest.raises(ValueError, match="^config.seed is required for sampling$"):
+        mc_visit_frequencies(gen_cycle(3), None, u=0, l=2, trials=16)
 
 
 def test_mc_visit_frequencies_single_vertex():
     g = parse_edge_list("1 0\n")
-    cfgd = WalkConfig(length=0, seed=1)
-    assert list(mc_visit_frequencies(g, cfgd, 0, 0, trials=8)) == [1.0]
+    assert list(mc_visit_frequencies(g, 1, 0, 0, trials=8)) == [1.0]
     with pytest.raises(ValueError, match="without edges"):
-        mc_visit_frequencies(g, cfgd, 0, 1, trials=8)
+        mc_visit_frequencies(g, 1, 0, 1, trials=8)
 
 
 def test_mixing_suite_membership():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from walklab import (
     Constant,
     DegreeRule,
-    Fixed,
     MDLR,
     Node2Vec,
     RestartPeriod,
@@ -37,6 +36,7 @@ from walklab import (
     step_distribution_first_order,
     step_distribution_second_order,
     transition_matrix,
+    worst_start_cover_time,
 )
 
 
@@ -90,6 +90,31 @@ def test_degree_rule_finiteness_enforced():
         conductance(gen_path(3), rule, 0, 1)
     with pytest.raises(ValueError, match="non-finite weight"):
         step_distribution_first_order(gen_path(3), rule, 1)
+
+
+def test_degree_rule_weights_whose_sum_overflows_are_refused():
+    # each weight is finite, but their sum is not: the center's row would
+    # be all zeros, and its walks would always take the last leaf
+    g, rule = gen_star(3), DegreeRule(lambda a, b: 1e308)
+    why = "^edge weights out of vertex 0 sum to inf$"
+    with pytest.raises(ValueError, match=why):
+        step_distribution_first_order(g, rule, 0)
+    with pytest.raises(ValueError, match=why):
+        sample_walk(g, WalkConfig(length=6, conductance=rule, seed=1), start=0)
+    with pytest.raises(ValueError, match=why):
+        transition_matrix(g, rule)
+
+
+def test_degree_rule_weights_with_a_finite_sum_still_sample():
+    g, rule = gen_star(3), DegreeRule(lambda a, b: 1e307)
+    dist = step_distribution_first_order(g, rule, 0)
+    assert dist == pytest.approx({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
+    config = WalkConfig(length=6, conductance=rule, seed=1)
+    leaves = {
+        v for i in range(20)
+        for v in sample_walk(g, config, start=0, walk_index=i).vertices[1::2]
+    }
+    assert leaves == {1, 2, 3}
 
 
 @pytest.mark.parametrize("p,q", [
@@ -202,10 +227,11 @@ def test_every_sampler_names_the_missing_seed_alike():
         lambda: sample_walk(g, unseeded),
         lambda: sample_cover_time(g, unseeded, 0, "vertex"),
         lambda: batch_cover_samples(g, unseeded, 4, None),
-        lambda: estimate_cover_time(g, unseeded, "edge", 4, Fixed(0)),
+        lambda: estimate_cover_time(g, unseeded, "edge", 4, 0),
+        lambda: worst_start_cover_time(g, unseeded, "edge", 4),
         lambda: local_cover_time(
             g, 1, 1, WalkConfig(length=0, restart=RestartProb(0.5)), "vertex", 4),
-        lambda: mc_visit_frequencies(g, unseeded, 0, 2, 4),
+        lambda: mc_visit_frequencies(g, None, 0, 2, 4),
     )
     for sample in samplers:
         with pytest.raises(ValueError, match="^config.seed is required for sampling$"):
@@ -218,8 +244,8 @@ def test_every_sampler_names_a_bad_start_alike():
         lambda s: sample_walk(g, config, start=s),
         lambda s: sample_cover_time(g, config, s, "vertex"),
         lambda s: batch_cover_samples(g, config, 4, s),
-        lambda s: estimate_cover_time(g, config, "edge", 4, Fixed(s)),
-        lambda s: mc_visit_frequencies(g, config, s, 2, 4),
+        lambda s: estimate_cover_time(g, config, "edge", 4, s),
+        lambda s: mc_visit_frequencies(g, 1, s, 2, 4),
     )
     for start in (3, -1):
         for sample in samplers:
