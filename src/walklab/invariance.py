@@ -10,17 +10,23 @@ and second-order grid.
 
 A record depends only on the walk, not on its probability, so configs
 that put positive probability on the same walks (a support class: same
-length, restart mode and backtracking rule) share one depth-first pass
-over a graph's walk tree.  At each node the pass reads every config's
-branches and checks that each config branches exactly as the class's
-first config does, so a wrong grouping fails loudly.  One
-:class:`~walklab.records.Recorder` serves the class, so a shared walk
-prefix is recorded once, and each leaf keeps its record texts and, per
-config, its probability as the same left-to-right product
-:func:`~walklab.walks.enumerate_walk_distribution` forms.  Per class, a
-graph's tree is enumerated once, and then the tree of each of its
-relabelings, which must hold, through the permutation, exactly the
-original's walks with the same texts and probabilities.
+length, restart mode and backtracking rule) share one walk tree per
+graph.  The trees are enumerated level by level
+(:func:`~walklab.walks.walk_tree_levels`), several graphs at once: each
+graph together with its relabelings, as many graphs per pass as
+``LEAF_BUDGET`` allows by their enumeration bounds, which are all
+checked before anything is enumerated.  Per distinct node state the
+pass reads every config's row and checks that each config keeps exactly
+the successors of the class's first config, so a wrong grouping fails
+loudly; each leaf's probability under each config is the same
+left-to-right product :func:`~walklab.walks.enumerate_walk_distribution`
+forms.  A :class:`~walklab.records.LevelRecorder` follows the levels and
+leaves each walk's named-neighbor record as one integer row.  The walks
+of each relabeled tree are matched to the original's through their
+sorted keys (per position the vertex, mapped through the permutation,
+and the restart flag); each must have its counterpart, with the same
+record row and probabilities, and each config's record distribution,
+summed in the original's leaf order, must agree.
 
 Failures raise immediately with the offending graph and walk; the
 report only summarizes how much was checked.
@@ -29,21 +35,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph, Permutation, apply_permutation, build_graph
-from .records import Recorder
+from .records import LevelRecorder
 from .walks import (
+    LEAF_BUDGET,
     MDLR,
     Constant,
     Node2Vec,
     RestartProb,
     StepTable,
+    TreeLevel,
     WalkConfig,
     check_enumeration_bound,
+    leaf_walks,
     rng_stream,
+    walk_tree_levels,
 )
 
 # Not called here: perfbench/tracing.py wraps this name on this module.
@@ -117,135 +127,115 @@ class InvarianceReport:
     max_probability_gap: float
 
 
-# per config, the probability of each record (anonymized, named)
-_Dists = list[dict[tuple[str, str], float]]
+# a tree's records: per leaf its record's index, the first leaf of each
+# record, and per config each record's probability
+_Dists = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class _WalkTree:
-    """Every walk of ``g`` under one support class, with its records.
+class _Forest:
+    """The walk trees of ``graphs`` under one support class, with records.
 
-    One depth-first pass over ``g``'s walk tree, for every config of the
-    class at once (see the module docstring), fills :attr:`walks`: in
-    depth-first order, each walk ``(vertices, restart_flags)`` maps to
-    its ``(anonymized, named)`` record texts, stored once per distinct
-    record, and its probability under each config.  A class rather than
-    nested functions: a recursive closure is a reference cycle, which
-    would keep the tables and the walk map alive until the cyclic
-    garbage collector next runs.
+    One level-by-level pass over every tree at once
+    (:func:`~walklab.walks.walk_tree_levels`), with a
+    :class:`~walklab.records.LevelRecorder` along, leaves each tree's
+    walks as a contiguous run of leaves in depth-first order: per leaf
+    its positions and restart flags, its record row and, per config,
+    its probability.
     """
 
-    def __init__(self, g: Graph, configs: Sequence[WalkConfig]) -> None:
-        for config in configs:
-            check_enumeration_bound(g, config, g.n)
-        self.g, self.configs = g, tuple(configs)
-        self.tables = [StepTable(g, config) for config in configs]
-        self.leaf_t = configs[0].length + 1
-        self.walks: dict[tuple, tuple[tuple[str, str], tuple[float, ...]]] = {}
-        self._texts: dict[tuple[str, str], tuple[str, str]] = {}
-        start_probs = (1.0 / g.n,) * len(configs)
-        for s in range(g.n):
-            # the walk up to the current node
-            self.path, self.flags = [s], [False]
-            self._extend(Recorder(s, g), None, False, start_probs)
+    def __init__(self, graphs: Sequence[Graph], configs: Sequence[WalkConfig]) -> None:
+        self.graphs, self.configs = graphs, configs
+        tables = [[StepTable(g, config) for config in configs] for g in graphs]
+        roots = [(k, s, 1.0 / g.n) for k, g in enumerate(graphs) for s in range(g.n)]
+        recorder = LevelRecorder(graphs)
+        levels: list[TreeLevel] = []
+        for level in walk_tree_levels(tables, roots):
+            if levels:
+                recorder.step(level, levels[-1].vertex)
+            else:
+                recorder.start(level)
+            levels.append(level)
+        self.vertices, self.restarts = leaf_walks(levels)
+        self.rows, self.texts = recorder.rows, recorder.texts
+        self.probs = levels[-1].probs
+        ends = np.cumsum(np.bincount(levels[-1].tree, minlength=len(graphs))).tolist()
+        self.trees = [slice(a, b) for a, b in zip([0, *ends], ends)]
 
-    def _extend(self, rec: Recorder, prev: int | None, after_restart: bool,
-                probs: tuple[float, ...]) -> None:
-        path, flags = self.path, self.flags
-        t = len(path)
-        if t == self.leaf_t:
-            texts = ("".join(rec.anon_text), "".join(rec.named_text))
-            texts = self._texts.setdefault(texts, texts)
-            self.walks[tuple(path), tuple(flags)] = texts, probs
-            return
-        start, cur = path[0], path[-1]
-        keys = None
-        child_probs = []  # per config, its children's probabilities
-        for config, table, prob in zip(self.configs, self.tables, probs):
-            branches = table.branches(start, prev, cur, t, after_restart)
-            if keys is None:
-                keys = [(x, flag) for x, flag, _ in branches]
-            elif [(x, flag) for x, flag, _ in branches] != keys:
-                raise AssertionError(
-                    f"configs of one support class branch differently after "
-                    f"{tuple(path)} on {self.g}: {config} against {self.configs[0]}"
-                )
-            # a plain loop: a comprehension would make prob a cell
-            cprobs = []
-            for _, _, q in branches:
-                cprobs.append(prob * q)
-            child_probs.append(cprobs)
-        mark = rec.mark()
-        for (x, flag), cprobs in zip(keys, zip(*child_probs)):
-            path.append(x)
-            flags.append(flag)
-            rec.step(x, flag)
-            self._extend(rec, cur, flag, cprobs)
-            rec.rollback(mark)
-            path.pop()
-            flags.pop()
+    def walk(self, k: int, i: int) -> tuple[int, ...]:
+        """The positions of leaf ``i`` of tree ``k``."""
+        return tuple(self.vertices[self.trees[k]][i].tolist())
 
-    def record_distributions(self) -> _Dists:
-        """Per config, the probability of each record, summed in walk order."""
-        dists: _Dists = [{} for _ in self.configs]
-        for texts, probs in self.walks.values():
-            for dist, prob in zip(dists, probs):
-                dist[texts] = dist.get(texts, 0.0) + prob
-        return dists
+    def record_distributions(self, k: int) -> _Dists:
+        """Tree ``k``'s records, each record's probability summed in leaf order."""
+        rows = np.ascontiguousarray(self.rows[self.trees[k]])
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # bincount adds the weights in index order, as a loop over the leaves would
+        sums = np.array([np.bincount(inverse, weights=p, minlength=len(first))
+                         for p in self.probs[:, self.trees[k]]])
+        return inverse, first, sums
 
 
-def _compare_relabeled(tree: _WalkTree, dists: _Dists, ptree: _WalkTree,
+def _compare_relabeled(forest: _Forest, k: int, dists: _Dists, j: int,
                        mapping: tuple[int, ...], tol: float) -> float:
-    """Check ``ptree``, the tree of ``tree``'s graph relabeled by ``mapping``.
+    """Check tree ``j`` of ``forest``, tree ``k``'s graph relabeled by ``mapping``.
 
-    Both trees must hold as many walks, and each walk of ``tree`` its
-    counterpart, with the same texts and per config a probability within
-    ``tol``; so must the record distributions ``dists`` of ``tree`` and
-    the relabeled ones, summed in ``tree``'s walk order.  Returns the
-    worst gap; raises on any mismatch.
+    Both trees must hold as many walks, and each walk of tree ``k`` its
+    counterpart, found through the sorted walk keys, with the same
+    record and per config a probability within ``tol``; so must the
+    record distributions of tree ``k`` and the relabeled ones, summed in
+    tree ``k``'s leaf order.  Returns the worst gap; raises on any
+    mismatch.
     """
-    walks, pwalks = tree.walks, ptree.walks
-    if len(walks) != len(pwalks):
+    a, b = forest.trees[k], forest.trees[j]
+    g, pg, config = forest.graphs[k], forest.graphs[j], forest.configs[0]
+    if a.stop - a.start != b.stop - b.start:
         raise AssertionError(
-            f"walk supports differ under relabeling: {len(walks)} vs "
-            f"{len(pwalks)} walks on {tree.g} with {tree.configs[0]}"
+            f"walk supports differ under relabeling: {a.stop - a.start} vs "
+            f"{b.stop - b.start} walks on {g} with {config}"
         )
-    worst = 0.0
-    pdists: _Dists = [{} for _ in tree.configs]
-    for (vertices, flags), (texts, probs) in walks.items():
-        try:
-            ptexts, pprobs = pwalks[tuple(map(mapping.__getitem__, vertices)), flags]
-        except KeyError:
-            raise AssertionError(
-                f"walk {vertices} has no relabeled counterpart on {ptree.g} "
-                f"with {tree.configs[0]}"
-            ) from None
-        for config, prob, pprob in zip(tree.configs, probs, pprobs):
-            gap = abs(prob - pprob)
-            if gap > worst:
-                worst = gap
-            if gap > tol:
+    # a walk's key: per position its vertex (in pg's labels) and restart flag
+    keys = np.array(mapping)[forest.vertices[a]] * 2 + forest.restarts[a]
+    pkeys = forest.vertices[b].astype(np.intp) * 2 + forest.restarts[b]
+    order, porder = np.lexsort(keys.T[::-1]), np.lexsort(pkeys.T[::-1])
+    if (keys[order] != pkeys[porder]).any():
+        known = set(map(tuple, pkeys.tolist()))
+        i = next(i for i, key in enumerate(map(tuple, keys.tolist())) if key not in known)
+        raise AssertionError(
+            f"walk {forest.walk(k, i)} has no relabeled counterpart on {pg} with {config}"
+        )
+    match = np.empty_like(order)
+    match[order] = porder  # leaf i of tree k is leaf match[i] of tree j
+    probs, pprobs = forest.probs[:, a], forest.probs[:, b][:, match]
+    rows, prows = forest.rows[a], forest.rows[b][match]
+    gaps = np.abs(probs - pprobs)
+    bad = (gaps > tol).any(axis=0) | (rows != prows).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        for c, config in enumerate(forest.configs):
+            if gaps[c, i] > tol:
                 raise AssertionError(
-                    f"probability gap {gap:.3e} for walk {vertices} "
-                    f"under {config} on {tree.g}"
+                    f"probability gap {gaps[c, i]:.3e} for walk {forest.walk(k, i)} "
+                    f"under {config} on {g}"
                 )
-        if texts != ptexts:
-            raise AssertionError(
-                f"records differ under relabeling for walk {vertices}: "
-                f"{texts} vs {ptexts}"
-            )
-        for pdist, pprob in zip(pdists, pprobs):
-            pdist[texts] = pdist.get(texts, 0.0) + pprob
+        raise AssertionError(
+            f"records differ under relabeling for walk {forest.walk(k, i)}: "
+            f"{forest.texts(rows[i])} vs {forest.texts(prows[i])}"
+        )
+    worst = float(gaps.max(initial=0.0))
 
     # aggregate record-distribution equality (follows from the per-walk
     # pairing, asserted anyway as the contract is stated over records)
-    for dist, pdist in zip(dists, pdists):
-        for key, prob in dist.items():
-            gap = abs(prob - pdist[key])
-            worst = max(worst, gap)
-            if gap > tol:
-                raise AssertionError(
-                    f"record-distribution gap {gap:.3e} for record {key[0]!r}"
-                )
+    inverse, first, sums = dists
+    for dist, pprob in zip(sums, pprobs):
+        gaps = np.abs(dist - np.bincount(inverse, weights=pprob, minlength=len(first)))
+        worst = max(worst, float(gaps.max(initial=0.0)))
+        if (gaps > tol).any():
+            r = int((gaps > tol).argmax())
+            raise AssertionError(
+                f"record-distribution gap {gaps[r]:.3e} for record "
+                f"{forest.texts(rows[first[r]])[0]!r}"
+            )
     return worst
 
 
@@ -263,6 +253,21 @@ def support_classes(configs: Sequence[WalkConfig]) -> list[list[WalkConfig]]:
     return list(classes.values())
 
 
+def suite_graphs(max_n: int, seed: int, samples_per_n: int) -> list[Graph]:
+    """The suite's graphs: every connected graph on 2 to ``EXACT_N``
+    vertices, then ``samples_per_n`` sampled per larger size up to
+    ``max_n``, size ``n`` from the stream ``(seed, n)``."""
+    graphs: list[Graph] = []
+    for n in range(2, min(max_n, EXACT_N) + 1):
+        graphs.extend(connected_graphs_exact(n))
+    for n in range(EXACT_N + 1, max_n + 1):
+        rng = rng_stream(seed, n)
+        graphs.extend(
+            random_connected_graph(n, rng) for _ in range(samples_per_n)
+        )
+    return graphs
+
+
 def run_invariance_suite(
     max_n: int = 6,
     max_l: int = 4,
@@ -278,7 +283,8 @@ def run_invariance_suite(
     graphs.  Every graph is checked against random permutations drawn
     from the stream ``(seed, 10_000 + graph index)``.  A run that would
     check nothing (``max_n < 2``, ``permutations_per_graph < 1``) or a
-    negative ``samples_per_n`` raises ``ValueError``.
+    negative ``samples_per_n`` raises ``ValueError``, as does a walk
+    tree beyond the enumeration guard, before anything is enumerated.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
@@ -288,32 +294,34 @@ def run_invariance_suite(
         )
     if samples_per_n < 0:
         raise ValueError(f"samples_per_n must be >= 0, got {samples_per_n}")
-    graphs: list[Graph] = []
-    for n in range(2, min(max_n, EXACT_N) + 1):
-        graphs.extend(connected_graphs_exact(n))
-    for n in range(EXACT_N + 1, max_n + 1):
-        rng = rng_stream(seed, n)
-        graphs.extend(
-            random_connected_graph(n, rng) for _ in range(samples_per_n)
-        )
-
+    graphs = suite_graphs(max_n, seed, samples_per_n)
     configs = suite_configs(max_l)
     classes = support_classes(configs)
+    # a relabeled tree has its original's bound; every (graph, class) is
+    # checked before anything is enumerated
+    trees = 1 + permutations_per_graph
+    leaves = [trees * max(check_enumeration_bound(g, cls[0], g.n) for cls in classes)
+              for g in graphs]
+
     walks_total = 0
     worst = 0.0
-    for gi, g in enumerate(graphs):
-        rng = rng_stream(seed, 10_000 + gi)
-        perms = [Permutation(tuple(int(x) for x in rng.permutation(g.n)))
-                 for _ in range(permutations_per_graph)]
-        relabeled = [apply_permutation(g, perm) for perm in perms]
+    for batch in _batches(leaves):
+        perms, forest_graphs = [], []
+        for gi in batch:
+            rng = rng_stream(seed, 10_000 + gi)
+            perms.append([Permutation(tuple(int(x) for x in rng.permutation(graphs[gi].n)))
+                          for _ in range(permutations_per_graph)])
+            forest_graphs.append(graphs[gi])
+            forest_graphs.extend(apply_permutation(graphs[gi], perm) for perm in perms[-1])
         for configs_of_class in classes:
-            tree = _WalkTree(g, configs_of_class)
-            dists = tree.record_distributions()
-            for perm, pg in zip(perms, relabeled):
-                gap = _compare_relabeled(
-                    tree, dists, _WalkTree(pg, configs_of_class), perm.mapping, tol)
-                walks_total += len(tree.walks) * len(configs_of_class)
-                worst = max(worst, gap)
+            forest = _Forest(forest_graphs, configs_of_class)
+            for k, graph_perms in zip(range(0, len(forest_graphs), trees), perms):
+                dists = forest.record_distributions(k)
+                walks = forest.trees[k].stop - forest.trees[k].start
+                for j, perm in enumerate(graph_perms, start=k + 1):
+                    gap = _compare_relabeled(forest, k, dists, j, perm.mapping, tol)
+                    walks_total += walks * len(configs_of_class)
+                    worst = max(worst, gap)
     return InvarianceReport(
         graphs=len(graphs),
         permutations=len(graphs) * permutations_per_graph,
@@ -321,3 +329,18 @@ def run_invariance_suite(
         walks_compared=walks_total,
         max_probability_gap=worst,
     )
+
+
+def _batches(leaves: Sequence[int]) -> Iterator[list[int]]:
+    """Consecutive graph indices whose leaf bounds sum to at most
+    ``LEAF_BUDGET``, one graph at least."""
+    batch: list[int] = []
+    total = 0
+    for gi, count in enumerate(leaves):
+        if batch and total + count > LEAF_BUDGET:
+            yield batch
+            batch, total = [], 0
+        batch.append(gi)
+        total += count
+    if batch:
+        yield batch

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .graphs import Graph
-from .walks import Walk
+from .walks import TreeLevel, Walk
 
 __all__ = [
     "Step",
@@ -280,6 +282,102 @@ class Recorder:
     def _record(self, pieces: list[str]) -> Record:
         tokens = tuple(map(self._tokens.__getitem__, pieces))
         return Record._trusted(tokens, "".join(pieces))
+
+
+class LevelRecorder:
+    """Named-neighbor records of a batch of walk trees, a level at a time.
+
+    It follows :func:`~walklab.walks.walk_tree_levels` over the trees of
+    ``graphs``: :meth:`start` takes depth 0 and :meth:`step` each level
+    after it.  Per node it keeps an id row (``ids[i, v]`` is ``v``'s id,
+    0 while unnamed), a flag per edge recorded so far, and its record as
+    one integer row (:attr:`rows`): ``1`` for the start, then per step a
+    block of the step's id, negated for a restart, and the ids it
+    announces, ascending, padded with 0 to the batch's largest degree.
+    The rules are those of :meth:`Recorder.step`; within one batch, two
+    rows are equal exactly when their records are, and :meth:`texts`
+    renders a row's two texts.
+    """
+
+    def __init__(self, graphs: Sequence[Graph]) -> None:
+        n = max(g.n for g in graphs)
+        self.m = m = max(g.m for g in graphs)
+        degree = max(g.max_degree() for g in graphs)
+        self.dtype = np.min_scalar_type(-n - 2)  # ids 1..n, and a larger pad
+        self.width = 1 + degree
+        # per tree, each vertex's neighbors and their edges, padded with
+        # vertex n, never named, and edge m, never recorded
+        self.adj = np.full((len(graphs), n, degree), n, dtype=np.intp)
+        self.edge = np.full((len(graphs), n, degree), m, dtype=np.intp)
+        for k, g in enumerate(graphs):
+            index = {e: i for i, e in enumerate(g.edges())}
+            for u, nbrs in enumerate(g.adjacency):
+                self.adj[k, u, :len(nbrs)] = nbrs
+                self.edge[k, u, :len(nbrs)] = [index[min(u, x), max(u, x)] for x in nbrs]
+
+    def start(self, level: TreeLevel) -> None:
+        """Begin each root's record at its start vertex, id 1."""
+        k = len(level.vertex)
+        self.ids = np.zeros((k, self.adj.shape[1] + 1), dtype=self.dtype)
+        self.ids[np.arange(k), level.vertex] = 1
+        self.named = np.ones(k, dtype=self.dtype)
+        self.recorded = np.zeros((k, self.m + 1), dtype=bool)
+        self.rows = np.ones((k, 1), dtype=self.dtype)
+
+    def name(self, ids: np.ndarray, named: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per node, the id of its vertex ``v``, naming a new one next.
+
+        ``ids`` and ``named`` (the count of named vertices) are the
+        nodes' own copies, updated in place.
+        """
+        nodes = np.arange(len(v))
+        token = ids[nodes, v]
+        new = token == 0
+        named += new
+        token[new] = named[new]
+        ids[nodes, v] = token
+        return token
+
+    def step(self, level: TreeLevel, prev: np.ndarray) -> None:
+        """Extend the parents' records by ``level``; ``prev`` holds the
+        parents' positions."""
+        parent, v = level.parent, level.vertex
+        ids, named = self.ids[parent], self.named[parent]
+        recorded = self.recorded[parent]
+        token = self.name(ids, named, v)
+        block = np.zeros((len(v), self.width), dtype=self.dtype)
+        block[:, 0] = np.where(level.restart, -token, token)
+
+        # an ordinary move records its edge, then announces the named
+        # neighbors whose edge is not yet recorded; a restart does neither
+        moves = np.flatnonzero(~level.restart)
+        tree, at = level.tree[moves], v[moves]
+        nbrs, edges = self.adj[tree, at], self.edge[tree, at]
+        rows = moves[:, None]
+        u = prev[parent[moves]]
+        traversed = (nbrs == u[:, None]).argmax(axis=1)
+        recorded[moves, edges[np.arange(len(moves)), traversed]] = True
+        known = ids[rows, nbrs]
+        announce = (known > 0) & ~recorded[rows, edges]
+        recorded[rows, edges] |= announce
+        top = np.iinfo(self.dtype).max
+        announced = np.sort(np.where(announce, known, top), axis=1)
+        announced[announced == top] = 0
+        block[moves, 1:] = announced
+
+        self.ids, self.named, self.recorded = ids, named, recorded
+        self.rows = np.hstack((self.rows[parent], block))
+
+    def texts(self, row: Sequence[int]) -> tuple[str, str]:
+        """The anonymized and the named-neighbor text of a record row."""
+        anon, named = ["1"], ["1"]
+        for i in range(1, len(row), self.width):
+            k = int(row[i])
+            text = f";{-k}" if k < 0 else f"-{k}"
+            anon.append(text)
+            named.append(text)
+            named.extend(f"#{a}" for a in row[i + 1:i + self.width] if a)
+        return "".join(anon), "".join(named)
 
 
 def check_walk(walk: Walk, g: Graph | None = None) -> None:

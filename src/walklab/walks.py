@@ -21,10 +21,11 @@ it for every scalar sampler (its docstring gives the draw contract):
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -417,36 +418,6 @@ class StepTable:
                 prev, cur = cur, successors[bisect_right(cum, uniform())]
             yield cur, was_restart
 
-    def branches(
-        self, start: int, prev: int | None, cur: int, t: int, after_restart: bool
-    ) -> list[tuple[int, bool, float]]:
-        """Children of a node of the walk tree, as ``(vertex, restart, q)``.
-
-        The node is a walk from ``start`` whose position ``t - 1`` is
-        ``cur``, reached from ``prev`` (None at the start) by a restart
-        jump if ``after_restart``.  Its child through ``vertex`` has
-        conditional probability ``q``: a restart branch comes first when
-        the restart mode allows one at step ``t``, then the successors
-        in ascending order; branches of probability zero are left out.
-        """
-        restart = self.config.restart
-        out: list[tuple[int, bool, float]] = []
-        stay = 1.0
-        if restart is not None and t >= 2:
-            if isinstance(restart, RestartProb) and not after_restart:
-                out.append((start, True, restart.alpha))
-                stay = 1.0 - restart.alpha
-            elif isinstance(restart, RestartPeriod) and t % restart.k == 0:
-                out.append((start, True, 1.0))
-                stay = 0.0
-        if stay > 0:
-            row = self.row(prev, cur)
-            for x, p in zip(row.successors, row.probs):
-                q = stay * p
-                if q != 0:
-                    out.append((x, False, q))
-        return out
-
     def padded(self) -> PaddedRows:
         """Every state's row as arrays; see :class:`PaddedRows`.
 
@@ -540,10 +511,11 @@ def sample_walk(
     return Walk((start, *[v for v, _ in moves]), (False, *[f for _, f in moves]))
 
 
-def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> None:
+def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> int:
     """Refuse a walk tree that may exceed ``ENUMERATION_GUARD`` leaves.
 
-    The bound is ``n_starts`` times the largest branching per step.
+    The bound is ``n_starts`` times the largest branching per step; it
+    is returned when within the guard.
     """
     if config.length == 0:
         bound = n_starts
@@ -556,6 +528,202 @@ def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> None
         raise ValueError(
             f"enumeration bound {bound} exceeds guard {ENUMERATION_GUARD}"
         )
+    return bound
+
+
+# The most leaves, by check_enumeration_bound's count, that one
+# level-by-level pass holds at once: enumerate_walk_distribution splits
+# its starts, and the invariance suite its graphs, into passes this big.
+LEAF_BUDGET = 1 << 11
+
+
+class TreeLevel(NamedTuple):
+    """One depth of a batch of walk trees, its nodes in depth-first order.
+
+    Node ``i`` is a walk of tree ``tree[i]`` whose last position is
+    ``vertex[i]``, reached by a restart jump if ``restart[i]``.  The walk
+    without that position is node ``parent[i]`` of the level above (-1
+    at depth 0).  ``probs[c, i]`` is the walk's probability under the
+    tree's ``c``-th config.
+    """
+
+    tree: np.ndarray
+    parent: np.ndarray
+    vertex: np.ndarray
+    restart: np.ndarray
+    probs: np.ndarray
+
+
+class _Branches:
+    """The children of each distinct node state, compiled once per pass.
+
+    A node's state is its tree, its position ``cur``, the position
+    ``prev`` before it (kept only where a config of the class is second
+    order) and ``stay``, the probability that the step is an ordinary
+    move.  State ``s`` has the children ``succ[first[s]:][:count[s]]``,
+    reached with branch probability ``q[c][first[s]:][:count[s]]`` under
+    config ``c``: the successors of each config's row ``(prev, cur)``
+    with ``q = stay * p``, ascending, leaving out those with ``q == 0``.
+    Every config must keep the same successors.
+    """
+
+    def __init__(self, tables: Sequence[Sequence[StepTable]], stays: tuple[float, ...]):
+        self.tables = tables
+        self.stays = stays
+        self.n1 = max(ts[0].g.n for ts in tables) + 1
+        self.second_order = any(table.second_order for table in tables[0])
+        self.index: dict[int, int] = {}
+        self.first: list[int] = []
+        self.count: list[int] = []
+        self.succ: list[int] = []
+        self.q = [array("d") for _ in tables[0]]
+
+    def states(self, tree: np.ndarray, prev: np.ndarray, cur: np.ndarray,
+               mode: np.ndarray) -> np.ndarray:
+        """The state index of each node; ``prev`` is -1 at the start and
+        ``mode`` indexes ``stays``."""
+        n1 = self.n1
+        if not self.second_order:
+            prev = np.full_like(prev, -1)
+        key = tree.astype(np.int64) * n1 + prev + 1
+        key *= n1
+        key += cur
+        key *= len(self.stays)
+        key += mode
+        keys = key.tolist()
+        for k in sorted(set(keys).difference(self.index)):
+            self._compile(k)
+        return np.array(list(map(self.index.__getitem__, keys)), dtype=np.intp)
+
+    def _compile(self, key: int) -> int:
+        rest, mode = divmod(key, len(self.stays))
+        rest, cur = divmod(rest, self.n1)
+        tree, prev = divmod(rest, self.n1)
+        prev = prev - 1 if prev else None
+        stay = self.stays[mode]
+        tables = self.tables[tree]
+        kept = None
+        for table, qs in zip(tables, self.q):
+            successors, q, _ = table.row(prev, cur)
+            if stay != 1.0:
+                q = list(map(stay.__mul__, q))
+            if 0.0 in q:
+                successors = [x for x, p in zip(successors, q) if p != 0]
+                q = [p for p in q if p != 0]
+            if kept is None:
+                kept = successors
+            elif successors != kept:
+                raise AssertionError(
+                    f"configs of one support class branch differently at "
+                    f"(prev, cur) = ({prev}, {cur}) on {table.g}: {table.config} "
+                    f"against {tables[0].config}"
+                )
+            qs.extend(q)
+        sid = len(self.first)
+        self.index[key] = sid
+        self.first.append(len(self.succ))
+        self.count.append(len(kept))
+        self.succ.extend(kept)
+        return sid
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``first``, ``count``, ``succ`` and ``q`` as arrays."""
+        return (np.array(self.first, dtype=np.intp), np.array(self.count, dtype=np.intp),
+                np.array(self.succ, dtype=np.intp),
+                np.array([np.frombuffer(qs) for qs in self.q]))
+
+
+def walk_tree_levels(
+    tables: Sequence[Sequence[StepTable]], roots: Sequence[tuple[int, int, float]]
+) -> Iterator[TreeLevel]:
+    """Enumerate walk trees level by level, from their roots to the leaves.
+
+    Tree ``k`` walks ``tables[k][0].g`` under the configs of its tables,
+    one table per config, in the same order for every tree.  The configs
+    form one support class: of equal length, restart mode and
+    backtracking rule, so they put positive probability on the same
+    walks.  ``roots`` are the trees' start nodes ``(tree, start,
+    probability)``, in the order given.  Yields depth 0 (the roots) to
+    the walks' length, each a :class:`TreeLevel`.
+
+    A node's children are contiguous and in the order of a depth-first
+    pass: the restart child first where the restart mode allows one,
+    then the successors ascending, leaving out those of probability
+    zero.  So every level, and the leaves, come out in depth-first
+    order, each child's probability the product ``prob * q`` of its
+    parent's and its branch's.  Rows are compiled once per distinct
+    state through each tree's own ``StepTable.row``, and a state whose
+    configs keep different successors raises ``AssertionError``.  The
+    restart rule: from ``t = 2`` on, position ``t`` may be reached by a
+    restart, in probability mode with probability ``alpha`` unless
+    position ``t - 1`` was, in period mode with probability one exactly
+    when ``t`` is a multiple of the period.
+    """
+    config = tables[0][0].config
+    restart = config.restart
+    alpha = restart.alpha if isinstance(restart, RestartProb) else None
+    period = restart.k if isinstance(restart, RestartPeriod) else 0
+    branches = _Branches(tables, (1.0,) if alpha is None else (1.0, 1.0 - alpha))
+
+    tree = np.array([k for k, _, _ in roots], dtype=np.intp)
+    vertex = np.array([s for _, s, _ in roots], dtype=np.min_scalar_type(-branches.n1))
+    start = vertex
+    flags = np.zeros(len(roots), dtype=bool)
+    probs = np.array([[p for _, _, p in roots]] * len(tables[0])).reshape(len(tables[0]), -1)
+    level = TreeLevel(tree, np.full(len(roots), -1, dtype=np.intp), vertex, flags, probs)
+    yield level
+    for t in range(1, config.length + 1):
+        if period and t >= 2 and t % period == 0:
+            # every node restarts, with probability one
+            parent = np.arange(len(vertex))
+            level = TreeLevel(tree, parent, start, np.ones(len(vertex), dtype=bool), probs)
+        else:
+            # 1 where a node may restart: its stay is 1 - alpha (mode 1),
+            # and a restart child comes before its successors
+            may_restart = np.zeros(len(vertex), dtype=np.intp)
+            if alpha is not None and t >= 2:
+                may_restart += ~flags
+            if t == 1:
+                prev = np.full(len(vertex), -1, dtype=np.intp)
+            else:
+                prev = last_vertex[level.parent].astype(np.intp)
+            sid = branches.states(tree, prev, vertex, may_restart)
+            first, count, succ, q = branches.arrays()
+            counts = count[sid] + may_restart
+            parent = np.repeat(np.arange(len(vertex)), counts)
+            # each child's slot among its siblings, the restart child at -1
+            slot = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+            slot -= may_restart[parent]
+            restarts = slot < 0
+            moves = np.flatnonzero(~restarts)
+            flat = first[sid[parent[moves]]] + slot[moves]
+            child = start[parent]
+            child[moves] = succ[flat]
+            child_q = np.full((len(q), len(parent)), alpha or 0.0)  # restart children
+            child_q[:, moves] = q[:, flat]
+            level = TreeLevel(tree[parent], parent, child, restarts,
+                              probs[:, parent] * child_q)
+        last_vertex = vertex
+        tree, vertex, flags, probs = level.tree, level.vertex, level.restart, level.probs
+        start = start[level.parent]
+        yield level
+
+
+def leaf_walks(levels: Sequence[TreeLevel]) -> tuple[np.ndarray, np.ndarray]:
+    """The walks ending at the last level's nodes, one row per walk.
+
+    Returns the positions and the restart flags, each of shape
+    ``(walks, len(levels))``.
+    """
+    node = np.arange(len(levels[-1].vertex))
+    vertices = np.empty((len(node), len(levels)), dtype=levels[-1].vertex.dtype)
+    restarts = np.empty((len(node), len(levels)), dtype=bool)
+    for t in range(len(levels) - 1, -1, -1):
+        level = levels[t]
+        vertices[:, t] = level.vertex[node]
+        restarts[:, t] = level.restart[node]
+        node = level.parent[node]
+    return vertices, restarts
 
 
 def enumerate_walk_distribution(
@@ -566,28 +734,21 @@ def enumerate_walk_distribution(
     The probabilities of the yielded walks sum to one.  ``start=None``
     averages over a uniform start.  Refuses instances whose branching
     bound exceeds ``ENUMERATION_GUARD`` sequences.  Walks come in
-    depth-first order over :meth:`StepTable.branches`, and each
+    depth-first order (see :func:`walk_tree_levels`), and each
     probability is the left-to-right product of its branch
     probabilities.
     """
+    if start is not None:
+        require_start(g, start)
     starts = list(range(g.n)) if start is None else [start]
-    check_enumeration_bound(g, config, len(starts))
+    bound = check_enumeration_bound(g, config, len(starts))
     start_prob = 1.0 / g.n if start is None else 1.0
-
-    table = StepTable(g, config)
-    # an explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, which would keep the table alive
-    # after the call until the cycle collector runs
-    stack = [([s], [False], start_prob) for s in reversed(starts)]
-    while stack:
-        vertices, flags, prob = stack.pop()
-        t = len(vertices)
-        if t == config.length + 1:
-            yield Walk(tuple(vertices), tuple(flags)), prob
-            continue
-        prev = vertices[-2] if t >= 2 else None
-        children = table.branches(vertices[0], prev, vertices[-1], t, flags[-1])
-        stack.extend(
-            (vertices + [x], flags + [flag], prob * q)
-            for x, flag, q in reversed(children)
-        )
+    tables = [[StepTable(g, config)]]
+    group = max(1, LEAF_BUDGET * len(starts) // max(bound, 1))
+    for i in range(0, len(starts), group):
+        levels = list(walk_tree_levels(tables, [(0, s, start_prob)
+                                                for s in starts[i:i + group]]))
+        vertices, restarts = leaf_walks(levels)
+        for vs, flags, prob in zip(vertices.tolist(), restarts.tolist(),
+                                   levels[-1].probs[0].tolist()):
+            yield Walk(tuple(vs), tuple(flags)), prob

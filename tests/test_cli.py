@@ -22,6 +22,7 @@ from walklab import (
 )
 from walklab import cli as cli_mod
 from walklab import cover as cover_mod
+from walklab import invariance as invariance_mod
 from walklab import records as records_mod
 from walklab.cli import run
 
@@ -123,6 +124,22 @@ def test_invariance_negative_samples_is_a_usage_error(capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert "--samples" in captured.err
+    assert captured.out == ""
+
+
+def test_invariance_refuses_a_deep_tree_before_enumerating(monkeypatch, capsys):
+    # the restart class at length 1099 is beyond the guard; the
+    # restart-free classes on the one-edge graph are not, but a refused
+    # run enumerates nothing at all
+    def enumerate_nothing(*args):
+        raise AssertionError("a refused run enumerated a walk tree")
+
+    monkeypatch.setattr(invariance_mod, "_Forest", enumerate_nothing)
+    rc = run(["invariance", "--seed", "1", "--max-n", "2", "--samples", "0",
+              "--max-l", "1100"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "exceeds guard" in captured.err
     assert captured.out == ""
 
 

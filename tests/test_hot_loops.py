@@ -10,11 +10,10 @@ plain loops.
 import pytest
 
 from walklab.cover import _cover_group
-from walklab.invariance import _WalkTree
 from walklab.records import Recorder, check_walk
-from walklab.walks import PaddedRows, StepTable
+from walklab.walks import PaddedRows, StepTable, _Branches
 
-HOT = [Recorder.step, check_walk, _WalkTree._extend, StepTable.steps, PaddedRows.draw,
+HOT = [Recorder.step, check_walk, _Branches._compile, StepTable.steps, PaddedRows.draw,
        _cover_group]
 
 

@@ -1,4 +1,5 @@
 """Relabeling-invariance machinery (the full grid runs in acceptance)."""
+import numpy as np
 import pytest
 
 from walklab import (
@@ -10,9 +11,10 @@ from walklab import (
     suite_configs,
 )
 from walklab import invariance
+from walklab.generators import gen_cycle, gen_lollipop
 from walklab.graphs import Permutation
-from walklab.records import Recorder
-from walklab.walks import StepRow, StepTable
+from walklab.records import LevelRecorder, Recorder
+from walklab.walks import StepRow, StepTable, Walk
 
 
 def test_connected_graph_counts():
@@ -79,7 +81,12 @@ def test_vacuous_runs_are_rejected(kw):
 
 def test_leaky_anonymizer_is_caught(monkeypatch):
     # naming vertices by raw label ties every record to the labeling
-    monkeypatch.setattr(Recorder, "name", lambda self, v: self.ids.setdefault(v, v + 1))
+    def leaky(self, ids, named, v):
+        token = (v + 1).astype(ids.dtype)
+        ids[np.arange(len(v)), v] = token
+        return token
+
+    monkeypatch.setattr(LevelRecorder, "name", leaky)
     with pytest.raises(AssertionError, match="records differ"):
         run_invariance_suite(max_n=3, max_l=3)
 
@@ -121,30 +128,42 @@ def test_violations_would_raise():
         run_invariance_suite(max_n=3, max_l=3, seed=0, tol=-1.0)
 
 
-def test_misgrouped_config_is_caught(monkeypatch):
-    # node2vec loses its last branch on both graphs alike, so its own
-    # branch counts still agree; only the class-support check can see it
+def _dropping_last_successor(drops):
+    # a StepTable whose rows lose their last successor where drops(table)
     class Dropping(StepTable):
-        def branches(self, start, prev, cur, t, after_restart):
-            out = super().branches(start, prev, cur, t, after_restart)
-            return out[:-1] if self.config.node2vec is not None else out
+        def row(self, prev, cur):
+            row = super().row(prev, cur)
+            if not drops(self):
+                return row
+            return StepRow(row.successors[:-1], row.probs[:-1], row.cum[:-1])
 
-    monkeypatch.setattr(invariance, "StepTable", Dropping)
+    return Dropping
+
+
+def test_misgrouped_config_is_caught(monkeypatch):
+    # node2vec loses its last successor on both graphs alike, so its own
+    # walk counts still agree; only the class-support check can see it
+    monkeypatch.setattr(invariance, "StepTable", _dropping_last_successor(
+        lambda table: table.config.node2vec is not None))
     with pytest.raises(AssertionError, match="support class"):
         run_invariance_suite(max_n=3, max_l=2)
 
 
 def test_branch_dropped_on_relabeled_graphs_is_caught(monkeypatch, relabeled):
-    # every config loses its last branch on the relabeled graph only, so
-    # each tree is consistent within its class but the walk sets differ
-    class Dropping(StepTable):
-        def branches(self, start, prev, cur, t, after_restart):
-            out = super().branches(start, prev, cur, t, after_restart)
-            return out[:-1] if any(self.g is pg for pg in relabeled) else out
-
-    monkeypatch.setattr(invariance, "StepTable", Dropping)
+    # every config loses its last successor on the relabeled graph only,
+    # so each tree is consistent within its class but the walk sets differ
+    monkeypatch.setattr(invariance, "StepTable", _dropping_last_successor(
+        lambda table: any(table.g is pg for pg in relabeled)))
     with pytest.raises(AssertionError, match="walk supports differ"):
         run_invariance_suite(max_n=3, max_l=2)
+
+
+def _texts_by_record(forest, k, dists, c):
+    # tree k's record distribution under config c: texts -> float.hex
+    _, first, sums = dists
+    rows = forest.rows[forest.trees[k]]
+    return {forest.texts(rows[i]): prob.hex()
+            for i, prob in zip(first.tolist(), sums[c].tolist())}
 
 
 def _checked(g, perm, classes):
@@ -153,14 +172,14 @@ def _checked(g, perm, classes):
     pg = invariance.apply_permutation(g, perm)
     counts, dists, worst = [], [], 0.0
     for cls in classes:
-        tree, ptree = invariance._WalkTree(g, cls), invariance._WalkTree(pg, cls)
-        own, relabeled = tree.record_distributions(), ptree.record_distributions()
-        gap = invariance._compare_relabeled(tree, own, ptree, perm.mapping, 1e-9)
+        forest = invariance._Forest([g, pg], cls)
+        own, relabeled = forest.record_distributions(0), forest.record_distributions(1)
+        gap = invariance._compare_relabeled(forest, 0, own, 1, perm.mapping, 1e-9)
         worst = max(worst, gap)
-        counts += [len(tree.walks)] * len(cls)
+        counts += [forest.trees[0].stop - forest.trees[0].start] * len(cls)
         dists += [
-            tuple({key: prob.hex() for key, prob in dist.items()} for dist in pair)
-            for pair in zip(own, relabeled)
+            (_texts_by_record(forest, 0, own, c), _texts_by_record(forest, 1, relabeled, c))
+            for c in range(len(cls))
         ]
     return counts, dists, worst.hex()
 
@@ -175,3 +194,40 @@ def test_grouped_pass_matches_one_pass_per_config():
     for g in graphs:
         perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
         assert _checked(g, perm, classes) == _checked(g, perm, singletons)
+
+
+def _record_mismatches(graphs, max_l):
+    # every leaf of every class, all graphs in one batch: the vector
+    # recorder's texts against Recorder's for the same walk
+    found = []
+    for cls in invariance.support_classes(suite_configs(max_l)):
+        forest = invariance._Forest(graphs, cls)
+        for k, g in enumerate(graphs):
+            tree = forest.trees[k]
+            for vertices, flags, row in zip(forest.vertices[tree].tolist(),
+                                            forest.restarts[tree].tolist(),
+                                            forest.rows[tree]):
+                rec = Recorder.of(Walk(tuple(vertices), tuple(flags)), g)
+                expected = (rec.anonymized().text, rec.named_neighbors().text)
+                if forest.texts(row) != expected:
+                    found.append((g, vertices, flags, forest.texts(row), expected))
+    return found
+
+
+@pytest.mark.parametrize("graphs,max_l", [
+    (invariance.suite_graphs(EXACT_N, 0, 0), 4),  # the exact grid
+    (invariance.suite_graphs(5, 7, 3), 4),  # the graphs of the l4-sampled-5 pin
+    # walks that restart from two steps out and then name a neighbor of
+    # the start by another way round
+    ([gen_cycle(4), gen_lollipop(3)], 7),
+], ids=["exact", "l4-sampled-5", "long-restarts"])
+def test_vector_recorder_matches_recorder(graphs, max_l):
+    assert _record_mismatches(graphs, max_l) == []
+
+
+def test_record_cross_check_sees_a_leaky_recorder(monkeypatch):
+    # gate 2 checks the vector recorder; the cross-check carries its
+    # strength over to Recorder, so a Recorder naming vertices by label
+    # must fail it
+    monkeypatch.setattr(Recorder, "name", lambda self, v: self.ids.setdefault(v, v + 1))
+    assert _record_mismatches(invariance.suite_graphs(3, 0, 0), 2)

@@ -1,6 +1,7 @@
 """Walk laws: conductances, second-order rules, restarts, enumeration."""
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -338,6 +339,23 @@ def test_enumeration_is_a_probability_distribution(config):
 def test_enumeration_guard_rejects_huge_state_space():
     with pytest.raises(ValueError):
         list(enumerate_walk_distribution(gen_clique(10), WalkConfig(length=12)))
+
+
+def test_enumeration_from_one_start_stays_local():
+    # a fixed start on a long path reaches five vertices; nothing may be
+    # sized by the n**2 (prev, cur) states the graph has room for
+    g = gen_path(10_001)
+    tracemalloc.start()
+    try:
+        dist = list(enumerate_walk_distribution(g, WalkConfig(length=2), start=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(w.vertices, p) for w, p in dist] == [
+        ((5000, 4999, 4998), 0.25), ((5000, 4999, 5000), 0.25),
+        ((5000, 5001, 5000), 0.25), ((5000, 5001, 5002), 0.25),
+    ]
+    assert peak < 1 << 18
 
 
 def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
