@@ -40,7 +40,7 @@ from .invariance import run_invariance_suite
 from .reconstruct import check_reconstruction, decode
 from .records import (
     AttributeProvider,
-    Recorder,
+    _record_walk,
     check_walk,
     parse,
     record_attributed,
@@ -360,7 +360,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         walk = _parse_walk(line)
         if args.scheme == "anon":
             check_walk(walk, g)  # against the graph, which the anonymized record omits
-            out.append(Recorder.of(walk).anonymized().text)
+            out.append(_record_walk(walk)[1].text)
         elif args.scheme == "named":
             out.append(record_named_neighbors(walk, g).text)
         else:

@@ -11,11 +11,11 @@ records, which is the whole point.
 The attributed variant renders the named-neighbor record as prose
 built from per-vertex text snippets, for feeding records to text models.
 
-All three schemes run on one incremental :class:`Recorder`, which
-refuses nothing.  Each scheme first refuses a walk no record may state,
-and with a graph a walk that leaves it, by :func:`check_walk`, so the
-records skip the whole-record check that :class:`Record` makes on
-outside input (``Record(...)`` and :func:`parse`).
+All three schemes record a walk in one pass, which refuses nothing.
+Each scheme first refuses a walk no record may state, and with a graph
+a walk that leaves it, by :func:`check_walk`, so the records skip the
+whole-record check that :class:`Record` makes on outside input
+(``Record(...)`` and :func:`parse`).
 """
 from __future__ import annotations
 
@@ -61,8 +61,13 @@ class Neighbor:
 Token = Union[Step, Restart, Neighbor]
 
 _SEPARATOR = {Step: "-", Restart: ";", Neighbor: "#"}
-_KIND = {"": Step, "-": Step, ";": Restart, "#": Neighbor}  # "": the first token
+_KIND = {"": Step, **{sep: kind for kind, sep in _SEPARATOR.items()}}  # "": the first token
 _TOKEN_RE = re.compile(r"\d+(?:[-;#]\d+)*")
+
+
+def _token_text(tok: Token) -> str:
+    """A token's text in a record after the first: separator, then id."""
+    return _SEPARATOR[type(tok)] + str(tok.id)
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,9 @@ class Record:
     only in a Step token; Restart and Neighbor tokens refer to already
     known ids; Neighbor tokens attach to the preceding step, never to a
     restart; and no token states a self-loop (a step onto the current
-    position, or a neighbor equal to it).  :class:`Recorder` builds its
-    records, of walks :func:`check_walk` has passed, without the check,
-    through :meth:`_trusted`.
+    position, or a neighbor equal to it).  The record schemes build
+    their records, of walks :func:`check_walk` has passed, without the
+    check, through :meth:`_trusted`.
     """
 
     tokens: tuple[Token, ...]
@@ -120,12 +125,13 @@ class Record:
                 raise TypeError(f"unknown token {tok!r}")
 
     @classmethod
-    def _trusted(cls, tokens: tuple[Token, ...], text: str) -> Record:
-        """A record from :class:`Recorder`, of a walk that keeps the
-        discipline: no re-check, and ``text`` given."""
+    def _trusted(cls, pieces: Sequence[tuple[str, Token]]) -> Record:
+        """A record from its (text, token) pieces, of a walk that keeps
+        the discipline: no re-check, and its text joined from the pieces."""
+        texts, tokens = zip(*pieces)
         rec = object.__new__(cls)
         object.__setattr__(rec, "tokens", tokens)
-        object.__setattr__(rec, "_text", text)
+        object.__setattr__(rec, "_text", "".join(texts))
         return rec
 
     @property
@@ -135,7 +141,7 @@ class Record:
         if text is not None:
             return text
         first, *rest = self.tokens
-        return str(first.id) + "".join(_SEPARATOR[type(t)] + str(t.id) for t in rest)
+        return str(first.id) + "".join(map(_token_text, rest))
 
     def max_id(self) -> int:
         return max(tok.id for tok in self.tokens)
@@ -156,132 +162,78 @@ def parse(text: str) -> Record:
     return Record(tuple(_KIND[sep](int(raw)) for sep, raw in pieces))
 
 
-class Recorder:
-    """Anonymized and named-neighbor records of one walk, built step by step.
+def _new_piece(
+    made: dict[tuple[type, int], tuple[str, Token]], key: tuple[type, int]
+) -> tuple[str, Token]:
+    """The text piece and token of ``key``, a (kind, id) pair, kept in ``made``."""
+    tok = key[0](key[1])
+    piece = made[key] = (_token_text(tok), tok)
+    return piece
 
-    :meth:`step` appends the walk's next position to both records;
-    without a graph only the anonymized record is kept.  It trusts its
-    caller and refuses nothing: the moves come from a step table or a
-    walk :func:`check_walk` passed.  :meth:`mark` and :meth:`rollback`
-    return to an earlier prefix, so a depth-first pass over a walk tree
-    records each shared prefix once.  Each record is held as its text
-    pieces (``"1"``, ``"-2"``, ``";1"``, ``"#3"``), which join to
-    :attr:`Record.text`; its tokens are looked up from the pieces when
-    the record is taken.  Recorded edges ``u < v`` are kept as keys
-    ``u * n + v``, and per vertex a count of edges not yet recorded lets
-    a saturated vertex announce nothing at once.
+
+def _record_walk(
+    walk: Walk, g: Graph | None = None
+) -> tuple[list[int], Record, Record | None]:
+    """Record a walk in one pass: its vertices in id order, its anonymized
+    record and, given ``g``, its named-neighbor record (else None).
+
+    Ids are assigned by first discovery.  In the named record an
+    ordinary step to ``v`` is followed by the neighbors it announces:
+    the already-named neighbors of ``v`` whose edge to ``v`` is not yet
+    recorded, ascending by id.  Their edges become recorded.  The
+    traversed edge counts as recorded first, so it is never announced
+    redundantly; a restart announces nothing.  Recorded edges ``u < v``
+    are kept as keys ``u * n + v``, and per vertex a count of edges not
+    yet recorded lets a saturated vertex skip its neighbor scan.  Each
+    record is built as (text, token) pieces, each piece made once per
+    call.  The walk is trusted (see :func:`check_walk`): this refuses
+    nothing.
     """
-
-    def __init__(self, start: int, g: Graph | None = None) -> None:
-        self.g = g
-        self.pos = start
-        self.ids = {start: 1}
-        self.anon_text = ["1"]
-        self.named_text = ["1"]
-        self._recorded: set[int] = set()
-        self._recorded_log: list[int] = []
-        self._unrecorded = [] if g is None else [len(x) for x in g.adjacency]
-        self._texts: dict[tuple[type, int], str] = {}
-        self._tokens: dict[str, Token] = {"1": Step(1)}
-
-    @classmethod
-    def of(cls, walk: Walk, g: Graph | None = None) -> Recorder:
-        """The recorder after every step of ``walk``, a walk it trusts."""
-        rec = cls(walk.vertices[0], g)
-        for v, restart in zip(walk.vertices[1:], walk.restart_flags[1:]):
-            rec.step(v, restart)
-        return rec
-
-    def name(self, v: int) -> int:
-        """The id of ``v``, assigning the next one on first discovery."""
-        return self.ids.setdefault(v, len(self.ids) + 1)
-
-    def _text(self, cls: type, i: int) -> str:
-        # one piece, and one immutable token for it, per (kind, id)
-        text = self._texts.get((cls, i))
-        if text is None:
-            text = self._texts[(cls, i)] = _SEPARATOR[cls] + str(i)
-            self._tokens[text] = cls(i)
-        return text
-
-    def step(self, v: int, restart: bool = False) -> None:
-        """Append position ``v``, reached by a restart jump if ``restart``.
-
-        In the named record an ordinary step to ``v`` is followed by the
-        neighbors it announces: the already-named neighbors of ``v``
-        whose edge to ``v`` is not yet recorded, ascending by id.  Their
-        edges become recorded.  The traversed edge counts as recorded
-        first, so it is never announced redundantly; a restart announces
-        nothing.  The move is trusted (see :func:`check_walk`).
-        """
-        u = self.pos
-        self.pos = v
-        text = self._text(Restart if restart else Step, self.name(v))
-        self.anon_text.append(text)
-        g = self.g
+    vertices = walk.vertices
+    order = [vertices[0]]  # the vertex of id i is order[i - 1]
+    ids = {vertices[0]: 1}
+    made: dict[tuple[type, int], tuple[str, Token]] = {}
+    anon = [("1", Step(1))]
+    named = anon.copy()
+    if g is not None:
+        n, adjacency = g.n, g.adjacency
+        recorded: set[int] = set()
+        unrecorded = list(map(len, adjacency))
+    # a plain loop, with no comprehension: one would make cells of the
+    # locals it reads, a cost every step would pay
+    for u, v, restart in zip(vertices, vertices[1:], walk.restart_flags[1:]):
+        i = ids.get(v)
+        if i is None:
+            order.append(v)
+            i = ids[v] = len(order)
+        key = (Restart, i) if restart else (Step, i)
+        piece = made.get(key) or _new_piece(made, key)
+        anon.append(piece)
         if g is None:
-            return
-        named_text = self.named_text
-        named_text.append(text)
+            continue
+        named.append(piece)
         if restart:
-            return
-        n = g.n
-        recorded, log, unrecorded = self._recorded, self._recorded_log, self._unrecorded
+            continue
         e = u * n + v if u < v else v * n + u
         if e not in recorded:
             recorded.add(e)
-            log.append(e)
             unrecorded[u] -= 1
             unrecorded[v] -= 1
         if not unrecorded[v]:
-            return
-        # a plain loop, not a comprehension: one would make cells of the
-        # locals it reads, a cost every step would pay
-        ids = self.ids
+            continue
         announced = []
-        for x in g.neighbors(v):
-            if x in ids and (x * n + v if x < v else v * n + x) not in recorded:
-                announced.append((ids[x], x))
+        for x in adjacency[v]:
+            i = ids.get(x)
+            if i is not None and (x * n + v if x < v else v * n + x) not in recorded:
+                announced.append((i, x))
         announced.sort()
         for i, x in announced:
-            e = x * n + v if x < v else v * n + x
-            recorded.add(e)
-            log.append(e)
+            recorded.add(x * n + v if x < v else v * n + x)
             unrecorded[x] -= 1
-            named_text.append(self._text(Neighbor, i))
+            key = (Neighbor, i)
+            named.append(made.get(key) or _new_piece(made, key))
         unrecorded[v] -= len(announced)
-
-    def mark(self) -> tuple[int, ...]:
-        """A handle on the current prefix, for :meth:`rollback`."""
-        return (self.pos, len(self.ids), len(self.anon_text), len(self.named_text),
-                len(self._recorded_log))
-
-    def rollback(self, mark: tuple[int, ...]) -> None:
-        """Forget every step taken since ``mark`` was made."""
-        self.pos, n_ids, n_anon, n_named, n_recorded = mark
-        ids = self.ids
-        while len(ids) > n_ids:
-            ids.popitem()  # ids are only ever added, newest last
-        del self.anon_text[n_anon:], self.named_text[n_named:]
-        log, unrecorded = self._recorded_log, self._unrecorded
-        for e in log[n_recorded:]:
-            self._recorded.remove(e)
-            u, v = divmod(e, self.g.n)
-            unrecorded[u] += 1
-            unrecorded[v] += 1
-        del log[n_recorded:]
-
-    def anonymized(self) -> Record:
-        """The anonymized record of the walk so far."""
-        return self._record(self.anon_text)
-
-    def named_neighbors(self) -> Record:
-        """The named-neighbor record of the walk so far (needs the graph)."""
-        return self._record(self.named_text)
-
-    def _record(self, pieces: list[str]) -> Record:
-        tokens = tuple(map(self._tokens.__getitem__, pieces))
-        return Record._trusted(tokens, "".join(pieces))
+    return order, Record._trusted(anon), None if g is None else Record._trusted(named)
 
 
 class LevelRecorder:
@@ -294,9 +246,9 @@ class LevelRecorder:
     one integer row (:attr:`rows`): ``1`` for the start, then per step a
     block of the step's id, negated for a restart, and the ids it
     announces, ascending, padded with 0 to the batch's largest degree.
-    The rules are those of :meth:`Recorder.step`; within one batch, two
-    rows are equal exactly when their records are, and :meth:`texts`
-    renders a row's two texts.
+    The rules are those of the one-pass recorder the record schemes run;
+    within one batch, two rows are equal exactly when their records are,
+    and :meth:`texts` renders a row's two texts.
     """
 
     def __init__(self, graphs: Sequence[Graph]) -> None:
@@ -373,10 +325,10 @@ class LevelRecorder:
         anon, named = ["1"], ["1"]
         for i in range(1, len(row), self.width):
             k = int(row[i])
-            text = f";{-k}" if k < 0 else f"-{k}"
+            text = _token_text(Restart(-k) if k < 0 else Step(k))
             anon.append(text)
             named.append(text)
-            named.extend(f"#{a}" for a in row[i + 1:i + self.width] if a)
+            named.extend(_token_text(Neighbor(int(a))) for a in row[i + 1:i + self.width] if a)
         return "".join(anon), "".join(named)
 
 
@@ -408,7 +360,7 @@ def check_walk(walk: Walk, g: Graph | None = None) -> None:
 def record_anonymized(walk: Walk) -> Record:
     """Rename vertices by first discovery and transcribe the walk."""
     check_walk(walk)
-    return Recorder.of(walk).anonymized()
+    return _record_walk(walk)[1]
 
 
 def record_named_neighbors(walk: Walk, g: Graph) -> Record:
@@ -421,7 +373,7 @@ def record_named_neighbors(walk: Walk, g: Graph) -> Record:
     steps announce nothing.
     """
     check_walk(walk, g)
-    return Recorder.of(walk, g).named_neighbors()
+    return _record_walk(walk, g)[2]
 
 
 @dataclass(frozen=True)
@@ -474,12 +426,11 @@ def record_attributed(walk: Walk, g: Graph, attrs: AttributeProvider) -> str:
     sentence with its direction word.
     """
     check_walk(walk, g)
-    rec = Recorder.of(walk, g)
-    vertex = list(rec.ids)  # the vertex of id k is vertex[k - 1]
+    vertex, _, named = _record_walk(walk, g)  # the vertex of id k is vertex[k - 1]
     ent = attrs.entity
     parts = [f"{ent} 1 - Title: {attrs.text_of(vertex[0])}"]
     pos = known = 1
-    for tok in rec.named_neighbors().tokens[1:]:
+    for tok in named.tokens[1:]:
         k = tok.id
         if isinstance(tok, Restart):
             parts.append(f" Restart at {ent} {k}.")

@@ -525,9 +525,9 @@ def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> int:
             per_step += 1
         bound = n_starts * g.max_degree() * per_step ** (config.length - 1)
     if bound > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration bound {bound} exceeds guard {ENUMERATION_GUARD}"
-        )
+        # the exact bound may run to thousands of digits: give its size
+        raise ValueError(f"enumeration bound of about 10**{math.log10(bound):.1f} "
+                         f"exceeds guard {ENUMERATION_GUARD}")
     return bound
 
 

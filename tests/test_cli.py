@@ -135,12 +135,16 @@ def test_invariance_refuses_a_deep_tree_before_enumerating(monkeypatch, capsys):
         raise AssertionError("a refused run enumerated a walk tree")
 
     monkeypatch.setattr(invariance_mod, "_Forest", enumerate_nothing)
-    rc = run(["invariance", "--seed", "1", "--max-n", "2", "--samples", "0",
-              "--max-l", "1100"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert "exceeds guard" in captured.err
-    assert captured.out == ""
+    # the bound runs to 331 digits at length 1099, and at 19,999 past the
+    # 4,300 digits Python converts to text; the one-line refusal stays short
+    for max_l in ("1100", "20000"):
+        rc = run(["invariance", "--seed", "1", "--max-n", "2", "--samples", "0",
+                  "--max-l", max_l])
+        assert rc == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert "exceeds guard" in line and len(line) < 100
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -2,18 +2,19 @@
 
 A local that a nested function or (before Python 3.12) a comprehension
 reads becomes a cell, and every access to it then goes through the cell
-instead of the fast local slot.  Cells that crept into ``Recorder.step``
-once made it measurably slower, so the per-step and per-node functions,
+instead of the fast local slot.  Cells that crept into the recorder's
+step once made it measurably slower, so the per-step and per-node
+functions (the one-pass recorder, ``records._record_walk``, among them),
 and the check every outside walk passes step by step, write such code as
 plain loops.
 """
 import pytest
 
 from walklab.cover import _cover_group
-from walklab.records import Recorder, check_walk
+from walklab.records import _record_walk, check_walk
 from walklab.walks import PaddedRows, StepTable, _Branches
 
-HOT = [Recorder.step, check_walk, _Branches._compile, StepTable.steps, PaddedRows.draw,
+HOT = [_record_walk, check_walk, _Branches._compile, StepTable.steps, PaddedRows.draw,
        _cover_group]
 
 

@@ -1,20 +1,29 @@
 """Relabeling-invariance machinery (the full grid runs in acceptance)."""
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from walklab import (
     EXACT_N,
+    MDLR,
+    Constant,
+    Node2Vec,
+    RestartProb,
+    WalkConfig,
     connected_graphs_exact,
     random_connected_graph,
     rng_stream,
     run_invariance_suite,
+    sample_walk,
     suite_configs,
 )
-from walklab import invariance
+from walklab import invariance, records
 from walklab.generators import gen_cycle, gen_lollipop
 from walklab.graphs import Permutation
-from walklab.records import LevelRecorder, Recorder
-from walklab.walks import StepRow, StepTable, Walk
+from walklab.records import LevelRecorder
+from walklab.walks import StepRow, StepTable, TreeLevel, Walk
 
 
 def test_connected_graph_counts():
@@ -198,7 +207,7 @@ def test_grouped_pass_matches_one_pass_per_config():
 
 def _record_mismatches(graphs, max_l):
     # every leaf of every class, all graphs in one batch: the vector
-    # recorder's texts against Recorder's for the same walk
+    # recorder's texts against the one pass's for the same walk
     found = []
     for cls in invariance.support_classes(suite_configs(max_l)):
         forest = invariance._Forest(graphs, cls)
@@ -207,8 +216,8 @@ def _record_mismatches(graphs, max_l):
             for vertices, flags, row in zip(forest.vertices[tree].tolist(),
                                             forest.restarts[tree].tolist(),
                                             forest.rows[tree]):
-                rec = Recorder.of(Walk(tuple(vertices), tuple(flags)), g)
-                expected = (rec.anonymized().text, rec.named_neighbors().text)
+                _, anon, named = records._record_walk(Walk(tuple(vertices), tuple(flags)), g)
+                expected = (anon.text, named.text)
                 if forest.texts(row) != expected:
                     found.append((g, vertices, flags, forest.texts(row), expected))
     return found
@@ -227,7 +236,59 @@ def test_vector_recorder_matches_recorder(graphs, max_l):
 
 def test_record_cross_check_sees_a_leaky_recorder(monkeypatch):
     # gate 2 checks the vector recorder; the cross-check carries its
-    # strength over to Recorder, so a Recorder naming vertices by label
-    # must fail it
-    monkeypatch.setattr(Recorder, "name", lambda self, v: self.ids.setdefault(v, v + 1))
+    # strength over to the one pass, so a one pass naming vertices by
+    # label must fail it
+    one_pass = records._record_walk
+
+    def leaky(walk, g=None):
+        # the one pass's records, with each id renamed to its vertex's label + 1
+        order, *recs = one_pass(walk, g)
+
+        def rename(match):
+            return str(order[int(match.group()) - 1] + 1)
+
+        return order, *(SimpleNamespace(text=re.sub(r"\d+", rename, r.text)) for r in recs)
+
+    monkeypatch.setattr(records, "_record_walk", leaky)
     assert _record_mismatches(invariance.suite_graphs(3, 0, 0), 2)
+
+
+def _level_recorder(g, walks):
+    # LevelRecorder after walks of one length on g, each walk a tree of
+    # its own with one node per level
+    vertices = np.array([w.vertices for w in walks])
+    restarts = np.array([w.restart_flags for w in walks])
+    k = len(walks)
+    tree, nodes, probs = np.zeros(k, dtype=np.intp), np.arange(k), np.ones((1, k))
+    recorder = LevelRecorder([g])
+    recorder.start(TreeLevel(tree, np.full(k, -1), vertices[:, 0], restarts[:, 0], probs))
+    for t in range(1, vertices.shape[1]):
+        level = TreeLevel(tree, nodes, vertices[:, t], restarts[:, t], probs)
+        recorder.step(level, vertices[:, t - 1])
+    return recorder
+
+
+def test_vector_recorder_matches_the_one_pass_on_long_walks():
+    # the tree leaves above are at most 7 steps long; the reconstruction
+    # fuzz records walks of up to 4 n**2 steps.  Every walk rule of the
+    # fuzz grid, with and without restarts, on two graphs per size
+    rng = rng_stream(20250819, 1)
+    rules = [
+        dict(conductance=cond, non_backtracking=nb, node2vec=n2v, restart=restart)
+        for cond in (Constant(), MDLR())
+        for nb, n2v in ((False, None), (True, None), (False, Node2Vec(2.0, 1.0)))
+        for restart in (None, RestartProb(0.2))
+    ]
+    found = []
+    for n in range(2, 13):
+        for g in (random_connected_graph(n, rng), random_connected_graph(n, rng)):
+            walks = [
+                sample_walk(g, WalkConfig(length=4 * n * n, seed=j, **rule), int(rng.integers(n)))
+                for j, rule in enumerate(rules)
+            ]
+            recorder = _level_recorder(g, walks)
+            for w, row in zip(walks, recorder.rows):
+                _, anon, named = records._record_walk(w, g)
+                if recorder.texts(row) != (anon.text, named.text):
+                    found.append((g, w))
+    assert found == []
