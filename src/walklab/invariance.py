@@ -15,13 +15,15 @@ graph.  The trees are enumerated level by level
 (:func:`~walklab.walks.walk_tree_levels`), several graphs at once: each
 graph together with its relabelings, as many graphs per pass as
 ``LEAF_BUDGET`` allows by their enumeration bounds, which are all
-checked before anything is enumerated.  Per distinct node state the
-pass reads every config's row and checks that each config keeps exactly
-the successors of the class's first config, so a wrong grouping fails
+checked before anything is enumerated.  Each level's rows, every
+config's for every node, come from one call of the pass's array row
+compiler, and the pass checks that each config keeps exactly the
+successors of the class's first config, so a wrong grouping fails
 loudly; each leaf's probability under each config is the same
 left-to-right product :func:`~walklab.walks.enumerate_walk_distribution`
-forms.  A :class:`~walklab.records.LevelRecorder` follows the levels and
-leaves each walk's named-neighbor record as one integer row.  The walks
+forms.  A :class:`~walklab.records.LevelRecorder` follows the levels,
+reading the neighbors from the compiler, and leaves each walk's
+named-neighbor record as one integer row.  The walks
 of each relabeled tree are matched to the original's through their
 sorted keys (per position the vertex, mapped through the permutation,
 and the restart flag); each must have its counterpart, with the same
@@ -47,9 +49,9 @@ from .walks import (
     Constant,
     Node2Vec,
     RestartProb,
-    StepTable,
     TreeLevel,
     WalkConfig,
+    _RowCompiler,
     check_enumeration_bound,
     leaf_walks,
     rng_stream,
@@ -136,7 +138,8 @@ class _Forest:
     """The walk trees of ``graphs`` under one support class, with records.
 
     One level-by-level pass over every tree at once
-    (:func:`~walklab.walks.walk_tree_levels`), with a
+    (:func:`~walklab.walks.walk_tree_levels`), its rows compiled for all
+    the graphs' vertices, with a
     :class:`~walklab.records.LevelRecorder` along, leaves each tree's
     walks as a contiguous run of leaves in depth-first order: per leaf
     its positions and restart flags, its record row and, per config,
@@ -145,11 +148,11 @@ class _Forest:
 
     def __init__(self, graphs: Sequence[Graph], configs: Sequence[WalkConfig]) -> None:
         self.graphs, self.configs = graphs, configs
-        tables = [[StepTable(g, config) for config in configs] for g in graphs]
+        compiler = _RowCompiler(graphs, configs)
         roots = [(k, s, 1.0 / g.n) for k, g in enumerate(graphs) for s in range(g.n)]
-        recorder = LevelRecorder(graphs)
+        recorder = LevelRecorder(compiler)
         levels: list[TreeLevel] = []
-        for level in walk_tree_levels(tables, roots):
+        for level in walk_tree_levels(compiler, roots):
             if levels:
                 recorder.step(level, levels[-1].vertex)
             else:

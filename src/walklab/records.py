@@ -26,7 +26,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .graphs import Graph
-from .walks import TreeLevel, Walk
+from .walks import TreeLevel, Walk, _RowCompiler
 
 __all__ = [
     "Step",
@@ -178,16 +178,15 @@ def _record_walk(
     record and, given ``g``, its named-neighbor record (else None).
 
     Ids are assigned by first discovery.  In the named record an
-    ordinary step to ``v`` is followed by the neighbors it announces:
-    the already-named neighbors of ``v`` whose edge to ``v`` is not yet
-    recorded, ascending by id.  Their edges become recorded.  The
-    traversed edge counts as recorded first, so it is never announced
-    redundantly; a restart announces nothing.  Recorded edges ``u < v``
-    are kept as keys ``u * n + v``, and per vertex a count of edges not
-    yet recorded lets a saturated vertex skip its neighbor scan.  Each
-    record is built as (text, token) pieces, each piece made once per
-    call.  The walk is trusted (see :func:`check_walk`): this refuses
-    nothing.
+    ordinary step to a vertex ``v`` named by that step is followed by
+    the neighbors it announces: ``v``'s already-named neighbors other
+    than the vertex it came from, ascending by id.  Any other step, and
+    a restart, announces nothing.  This is the rule "announce each
+    named neighbor whose edge is not yet recorded, the traversed edge
+    recorded first": after every token the recorded edges are exactly
+    the edges among the named vertices.  Each record is built as (text,
+    token) pieces, each piece made once per call.  The walk is trusted
+    (see :func:`check_walk`): this refuses nothing.
     """
     vertices = walk.vertices
     order = [vertices[0]]  # the vertex of id i is order[i - 1]
@@ -195,44 +194,32 @@ def _record_walk(
     made: dict[tuple[type, int], tuple[str, Token]] = {}
     anon = [("1", Step(1))]
     named = anon.copy()
-    if g is not None:
-        n, adjacency = g.n, g.adjacency
-        recorded: set[int] = set()
-        unrecorded = list(map(len, adjacency))
+    adjacency = None if g is None else g.adjacency
     # a plain loop, with no comprehension: one would make cells of the
     # locals it reads, a cost every step would pay
     for u, v, restart in zip(vertices, vertices[1:], walk.restart_flags[1:]):
         i = ids.get(v)
-        if i is None:
+        fresh = i is None
+        if fresh:
             order.append(v)
             i = ids[v] = len(order)
         key = (Restart, i) if restart else (Step, i)
         piece = made.get(key) or _new_piece(made, key)
         anon.append(piece)
-        if g is None:
+        if adjacency is None:
             continue
         named.append(piece)
-        if restart:
-            continue
-        e = u * n + v if u < v else v * n + u
-        if e not in recorded:
-            recorded.add(e)
-            unrecorded[u] -= 1
-            unrecorded[v] -= 1
-        if not unrecorded[v]:
+        if not fresh:  # a restart lands on a named vertex
             continue
         announced = []
         for x in adjacency[v]:
             i = ids.get(x)
-            if i is not None and (x * n + v if x < v else v * n + x) not in recorded:
-                announced.append((i, x))
+            if i is not None and x != u:
+                announced.append(i)
         announced.sort()
-        for i, x in announced:
-            recorded.add(x * n + v if x < v else v * n + x)
-            unrecorded[x] -= 1
+        for i in announced:
             key = (Neighbor, i)
             named.append(made.get(key) or _new_piece(made, key))
-        unrecorded[v] -= len(announced)
     return order, Record._trusted(anon), None if g is None else Record._trusted(named)
 
 
@@ -240,40 +227,31 @@ class LevelRecorder:
     """Named-neighbor records of a batch of walk trees, a level at a time.
 
     It follows :func:`~walklab.walks.walk_tree_levels` over the trees of
-    ``graphs``: :meth:`start` takes depth 0 and :meth:`step` each level
-    after it.  Per node it keeps an id row (``ids[i, v]`` is ``v``'s id,
-    0 while unnamed), a flag per edge recorded so far, and its record as
-    one integer row (:attr:`rows`): ``1`` for the start, then per step a
-    block of the step's id, negated for a restart, and the ids it
-    announces, ascending, padded with 0 to the batch's largest degree.
-    The rules are those of the one-pass recorder the record schemes run;
-    within one batch, two rows are equal exactly when their records are,
-    and :meth:`texts` renders a row's two texts.
+    a row compiler built over all the vertices of its graphs, and reads
+    their neighbors from the compiler's padded adjacency: :meth:`start`
+    takes depth 0 and :meth:`step` each level after it.  Per node it
+    keeps an id row (``ids[i, v]`` is ``v``'s id, 0 while unnamed) and
+    its record as one integer row (:attr:`rows`): ``1`` for the start,
+    then per step a block of the step's id, negated for a restart, and
+    the ids it announces, ascending, padded with 0 to the batch's
+    largest degree.  The rules are those of the one-pass recorder the
+    record schemes run; within one batch, two rows are equal exactly
+    when their records are, and :meth:`texts` renders a row's two texts.
     """
 
-    def __init__(self, graphs: Sequence[Graph]) -> None:
-        n = max(g.n for g in graphs)
-        self.m = m = max(g.m for g in graphs)
-        degree = max(g.max_degree() for g in graphs)
+    def __init__(self, compiler: _RowCompiler) -> None:
+        self.compiler = compiler
+        n = max(g.n for g in compiler.graphs)
         self.dtype = np.min_scalar_type(-n - 2)  # ids 1..n, and a larger pad
-        self.width = 1 + degree
-        # per tree, each vertex's neighbors and their edges, padded with
-        # vertex n, never named, and edge m, never recorded
-        self.adj = np.full((len(graphs), n, degree), n, dtype=np.intp)
-        self.edge = np.full((len(graphs), n, degree), m, dtype=np.intp)
-        for k, g in enumerate(graphs):
-            index = {e: i for i, e in enumerate(g.edges())}
-            for u, nbrs in enumerate(g.adjacency):
-                self.adj[k, u, :len(nbrs)] = nbrs
-                self.edge[k, u, :len(nbrs)] = [index[min(u, x), max(u, x)] for x in nbrs]
+        self.width = 1 + compiler.adj.shape[1]
+        self.columns = n + 1  # column n, never named, is the padding's (-1)
 
     def start(self, level: TreeLevel) -> None:
         """Begin each root's record at its start vertex, id 1."""
         k = len(level.vertex)
-        self.ids = np.zeros((k, self.adj.shape[1] + 1), dtype=self.dtype)
+        self.ids = np.zeros((k, self.columns), dtype=self.dtype)
         self.ids[np.arange(k), level.vertex] = 1
         self.named = np.ones(k, dtype=self.dtype)
-        self.recorded = np.zeros((k, self.m + 1), dtype=bool)
         self.rows = np.ones((k, 1), dtype=self.dtype)
 
     def name(self, ids: np.ndarray, named: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -295,29 +273,23 @@ class LevelRecorder:
         parents' positions."""
         parent, v = level.parent, level.vertex
         ids, named = self.ids[parent], self.named[parent]
-        recorded = self.recorded[parent]
+        # only a move to a vertex not yet named announces: its named
+        # neighbors but the one it came from, ascending
+        fresh = np.flatnonzero((ids[np.arange(len(v)), v] == 0) & ~level.restart)
         token = self.name(ids, named, v)
         block = np.zeros((len(v), self.width), dtype=self.dtype)
         block[:, 0] = np.where(level.restart, -token, token)
 
-        # an ordinary move records its edge, then announces the named
-        # neighbors whose edge is not yet recorded; a restart does neither
-        moves = np.flatnonzero(~level.restart)
-        tree, at = level.tree[moves], v[moves]
-        nbrs, edges = self.adj[tree, at], self.edge[tree, at]
-        rows = moves[:, None]
-        u = prev[parent[moves]]
-        traversed = (nbrs == u[:, None]).argmax(axis=1)
-        recorded[moves, edges[np.arange(len(moves)), traversed]] = True
-        known = ids[rows, nbrs]
-        announce = (known > 0) & ~recorded[rows, edges]
-        recorded[rows, edges] |= announce
+        compiler = self.compiler
+        nbrs = compiler.adj[compiler.index(level.tree[fresh], v[fresh])]
+        known = ids[fresh[:, None], nbrs]
         top = np.iinfo(self.dtype).max
-        announced = np.sort(np.where(announce, known, top), axis=1)
+        announced = np.where((known > 0) & (nbrs != prev[parent[fresh], None]), known, top)
+        announced.sort(axis=1)
         announced[announced == top] = 0
-        block[moves, 1:] = announced
+        block[fresh, 1:] = announced
 
-        self.ids, self.named, self.recorded = ids, named, recorded
+        self.ids, self.named = ids, named
         self.rows = np.hstack((self.rows[parent], block))
 
     def texts(self, row: Sequence[int]) -> tuple[str, str]:

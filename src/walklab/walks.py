@@ -17,15 +17,21 @@ it for every scalar sampler (its docstring gives the draw contract):
    configured second-order rule afterwards, where "previous vertex"
    always means the walker's actual position two steps back, even when
    a restart intervened.
+
+The step law is compiled twice over, to the same bits.
+:class:`StepTable` compiles one row at a time in Python, on demand, for
+the scalar walk; :class:`_RowCompiler` compiles the rows of many states
+at once as arrays, for the exhaustive enumeration
+(:func:`walk_tree_levels`) and the lockstep samplers' padded table
+(:meth:`StepTable.padded`).  Both sum every row left to right.
 """
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -193,12 +199,24 @@ def _weight(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
     raise TypeError(f"unknown conductance kind: {kind!r}")
 
 
+def _fold(values: Iterable[float]) -> float:
+    """The left-to-right sum of ``values``, as ``np.cumsum`` adds a row.
+
+    From Python 3.12 on, ``sum()`` of floats is compensated and may round
+    otherwise, which would tie the rows' bits to the Python version.
+    """
+    total = 0.0
+    for w in values:
+        total += w
+    return total
+
+
 def step_distribution_first_order(
     g: Graph, kind: ConductanceKind, u: int
 ) -> dict[int, float]:
     """Transition distribution out of ``u``: neighbor -> probability."""
     weights = {x: _weight(g, kind, u, x) for x in g.neighbors(u)}
-    total = sum(weights.values())
+    total = _fold(weights.values())
     if total == math.inf:
         raise ValueError(f"edge weights out of vertex {u} sum to inf")
     return {x: w / total for x, w in weights.items()}
@@ -353,7 +371,7 @@ class StepTable:
             trimmed = {x: w for x, w in first.items() if x != prev}
             if not trimmed:
                 return {prev: 1.0}
-            total = sum(trimmed.values())
+            total = _fold(trimmed.values())
             return {x: w / total for x, w in trimmed.items()}
 
         if self.config.node2vec is not None:
@@ -369,7 +387,7 @@ class StepTable:
                     weighted[x] = w
                 else:
                     weighted[x] = w / q
-            total = sum(weighted.values())
+            total = _fold(weighted.values())
             return {x: w / total for x, w in weighted.items()}
 
         return first
@@ -421,37 +439,49 @@ class StepTable:
     def padded(self) -> PaddedRows:
         """Every state's row as arrays; see :class:`PaddedRows`.
 
-        Rows go straight into the arrays without entering the row
-        cache; only the first-order distributions are kept meanwhile.
+        The rows come from :class:`_RowCompiler`, the compiler the
+        enumeration reads, not through the row cache.
         """
-        g = self.g
-        arcs = [(u, v) for u in range(g.n) for v in g.neighbors(u)]
-        arc_state = {a: g.n + i for i, a in enumerate(arcs)}
-        edge_of: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(g.edges()):
-            edge_of[(u, v)] = edge_of[(v, u)] = i
-        heads = [v for _, v in arcs]
+        g, n = self.g, self.g.n
+        compiler = _RowCompiler([g], [self.config])
+        real = compiler.adj >= 0
+        degree = real.sum(axis=1)
+        tails, heads = np.repeat(np.arange(n), degree), compiler.adj[real]
         # a first-order row depends on the head alone, so only the start
         # states' rows are compiled and the arc states copy them
-        keys = [(None, v) for v in range(g.n)] + (arcs if self.second_order else [])
-        shape = (g.n + len(arcs), g.max_degree())
-        cum = np.full(shape, 2.0)
-        nxt = np.zeros(shape, dtype=np.int64)
-        for s, (prev, cur) in enumerate(keys):
-            row = self._compile(prev, cur)
-            k = len(row.successors)
-            cum[s, :k] = row.cum
-            nxt[s, :k] = [arc_state[(cur, x)] for x in row.successors]
+        prev, cur = np.full(n, -1), np.arange(n)
+        if self.second_order:
+            prev, cur = np.concatenate((prev, tails)), np.concatenate((cur, heads))
+        succ, probs = compiler.rows(np.zeros(len(cur), dtype=np.intp), prev, cur)
+        cum = probs[0]
+        # slot j of cur's row moves along arc j of cur
+        first_arc = np.cumsum(degree) - degree
+        nxt = n + first_arc[cur][:, None] + np.arange(succ.shape[1])
+        if self.config.non_backtracking:
+            # a row without prev moves its successors to the left, in order
+            order = np.argsort(succ < 0, axis=1, kind="stable")
+            succ, cum, nxt = (np.take_along_axis(a, order, axis=1) for a in (succ, cum, nxt))
+        kept = succ >= 0
+        del succ, probs  # the guide below is the peak; hold no more than it needs
+        np.cumsum(cum, axis=1, out=cum)
+        count = kept.sum(axis=1)
+        stepping = np.flatnonzero(count)
+        cum[stepping, count[stepping] - 1] = 1.0  # the last sum is forced to 1.0
+        cum[~kept] = 2.0
+        nxt[~kept] = 0
         if not self.second_order:
-            cum[g.n:] = cum[heads]
-            nxt[g.n:] = nxt[heads]
-        unset = [-1] * g.n  # no move enters a start state
+            cum, nxt = np.concatenate((cum, cum[heads])), np.concatenate((nxt, nxt[heads]))
+        # edges are the arcs (u, v) with u < v, in arc order
+        forward = tails < heads
+        edge = np.searchsorted(tails[forward] * n + heads[forward],
+                               np.minimum(tails, heads) * n + np.maximum(tails, heads))
+        unset = np.full(n, -1)  # no move enters a start state
         return PaddedRows(
             cum=cum,
-            next=nxt,
-            position=np.array([*range(g.n), *heads], dtype=np.int64),
-            arc=np.array([*unset, *range(len(arcs))], dtype=np.int64),
-            edge=np.array([*unset, *map(edge_of.get, arcs)], dtype=np.int64),
+            next=nxt.astype(np.int64, copy=False),
+            position=np.concatenate((np.arange(n), heads)).astype(np.int64),
+            arc=np.concatenate((unset, np.arange(len(heads)))).astype(np.int64),
+            edge=np.concatenate((unset, edge)).astype(np.int64),
         )
 
 
@@ -515,26 +545,35 @@ def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> int:
     """Refuse a walk tree that may exceed ``ENUMERATION_GUARD`` leaves.
 
     The bound is ``n_starts`` times the largest branching per step; it
-    is returned when within the guard.
+    is returned when within the guard.  Its product stops once past the
+    guard, so a refusal takes the same time at any length.
     """
     if config.length == 0:
-        bound = n_starts
-    else:
-        per_step = g.max_degree()
-        if isinstance(config.restart, RestartProb):
-            per_step += 1
-        bound = n_starts * g.max_degree() * per_step ** (config.length - 1)
+        return n_starts
+    per_step = g.max_degree()
+    if isinstance(config.restart, RestartProb):
+        per_step += 1
+    bound = n_starts * g.max_degree()
+    steps = config.length - 1
+    if per_step > 1:
+        for _ in range(steps):
+            if bound > ENUMERATION_GUARD:
+                break
+            bound *= per_step
     if bound > ENUMERATION_GUARD:
         # the exact bound may run to thousands of digits: give its size
-        raise ValueError(f"enumeration bound of about 10**{math.log10(bound):.1f} "
+        size = math.log10(n_starts * g.max_degree()) + steps * math.log10(per_step)
+        raise ValueError(f"enumeration bound of about 10**{size:.1f} "
                          f"exceeds guard {ENUMERATION_GUARD}")
     return bound
 
 
-# The most leaves, by check_enumeration_bound's count, that one
-# level-by-level pass holds at once: enumerate_walk_distribution splits
-# its starts, and the invariance suite its graphs, into passes this big.
-LEAF_BUDGET = 1 << 11
+# enumerate_walk_distribution splits its starts, and the invariance suite
+# its graphs, into level-by-level passes whose check_enumeration_bound
+# bounds sum to at most this.  The bound takes the largest degree at every
+# step, so a pass holds fewer leaves than it counts: on the enum-invariance
+# workload the largest held about half, 1,782 of 4,096.
+LEAF_BUDGET = 1 << 12
 
 
 class TreeLevel(NamedTuple):
@@ -554,154 +593,178 @@ class TreeLevel(NamedTuple):
     probs: np.ndarray
 
 
-class _Branches:
-    """The children of each distinct node state, compiled once per pass.
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    # each row's left-to-right sum; np.sum adds pairwise from 8 terms on
+    return w.cumsum(axis=1)[:, -1] if w.shape[1] else np.zeros(len(w))
 
-    A node's state is its tree, its position ``cur``, the position
-    ``prev`` before it (kept only where a config of the class is second
-    order) and ``stay``, the probability that the step is an ordinary
-    move.  State ``s`` has the children ``succ[first[s]:][:count[s]]``,
-    reached with branch probability ``q[c][first[s]:][:count[s]]`` under
-    config ``c``: the successors of each config's row ``(prev, cur)``
-    with ``q = stay * p``, ascending, leaving out those with ``q == 0``.
-    Every config must keep the same successors.
+
+class _RowCompiler:
+    """Every config's step rows for walk trees on several graphs, as arrays.
+
+    Tree ``k`` walks ``graphs[k]`` under each of ``configs``, which form
+    one support class (see :func:`walk_tree_levels`).  The arrays
+    cover the vertices the trees step from: ``reach[k]`` lists tree
+    ``k``'s in the order their rows are first needed, and defaults to
+    every vertex of ``graphs[k]``.  Row ``index(k, v)`` of :attr:`adj`
+    holds ``v``'s neighbors, ascending and padded with -1 to the widest
+    degree, and ``first[c]`` config ``c``'s first-order probabilities in
+    the same slots, 0 in the padding.  :meth:`rows` derives the
+    second-order rows of any number of nodes from them in a few array
+    operations.  Every sum is left to right (``cumsum``), so each float
+    is the one :func:`step_distribution_second_order` gives.
+    ``DegreeRule`` weights, which may be refused, come from
+    :func:`step_distribution_first_order` a vertex at a time, in
+    ``reach`` order; the others cannot fail and are computed at once.
     """
 
-    def __init__(self, tables: Sequence[Sequence[StepTable]], stays: tuple[float, ...]):
-        self.tables = tables
-        self.stays = stays
-        self.n1 = max(ts[0].g.n for ts in tables) + 1
-        self.second_order = any(table.second_order for table in tables[0])
-        self.index: dict[int, int] = {}
-        self.first: list[int] = []
-        self.count: list[int] = []
-        self.succ: list[int] = []
-        self.q = [array("d") for _ in tables[0]]
+    def __init__(self, graphs: Sequence[Graph], configs: Sequence[WalkConfig],
+                 reach: Sequence[Sequence[int]] | None = None):
+        self.graphs, self.configs = graphs, configs
+        if reach is None:
+            reach = [range(g.n) for g in graphs]
+        self._stride = stride = max(g.n for g in graphs) + 1
+        tree = [k for k, vs in enumerate(reach) for _ in vs]
+        vertex = [v for vs in reach for v in sorted(vs)]
+        self._key = np.array(tree, dtype=np.intp) * stride + vertex
+        nbrs = [graphs[k].adjacency[v] for k, v in zip(tree, vertex)]
+        degree = np.array(list(map(len, nbrs)), dtype=np.intp)
+        real = np.arange(degree.max(initial=0)) < degree[:, None]
+        self.adj = np.full(real.shape, -1, dtype=np.intp)
+        self.adj[real] = list(chain.from_iterable(nbrs))
+        # arc (i, x) out of row i is the key i * stride + x, ascending
+        self._arcs = (np.arange(len(nbrs))[:, None] * stride + self.adj)[real]
 
-    def states(self, tree: np.ndarray, prev: np.ndarray, cur: np.ndarray,
-               mode: np.ndarray) -> np.ndarray:
-        """The state index of each node; ``prev`` is -1 at the start and
-        ``mode`` indexes ``stays``."""
-        n1 = self.n1
-        if not self.second_order:
-            prev = np.full_like(prev, -1)
-        key = tree.astype(np.int64) * n1 + prev + 1
-        key *= n1
-        key += cur
-        key *= len(self.stays)
-        key += mode
-        keys = key.tolist()
-        for k in sorted(set(keys).difference(self.index)):
-            self._compile(k)
-        return np.array(list(map(self.index.__getitem__, keys)), dtype=np.intp)
+        self.first = np.zeros((len(configs), *real.shape))
+        for c, config in enumerate(configs):
+            kind = config.conductance
+            if isinstance(kind, DegreeRule):
+                continue
+            w = real * 1.0
+            if isinstance(kind, MDLR):
+                far = [len(graphs[k].adjacency[x]) for k, xs in zip(tree, nbrs) for x in xs]
+                w[real] = 1.0 / np.minimum(np.repeat(degree, degree), far)
+            np.divide(w, _row_sums(w)[:, None], out=self.first[c], where=real)
+        rules = [c for c, config in enumerate(configs) if isinstance(config.conductance, DegreeRule)]
+        for k, vs in enumerate(reach if rules else ()):
+            for v in vs:
+                i = self.index(k, v)
+                for c in rules:
+                    row = step_distribution_first_order(graphs[k], configs[c].conductance, v)
+                    self.first[c, i, :len(row)] = list(row.values())
 
-    def _compile(self, key: int) -> int:
-        rest, mode = divmod(key, len(self.stays))
-        rest, cur = divmod(rest, self.n1)
-        tree, prev = divmod(rest, self.n1)
-        prev = prev - 1 if prev else None
-        stay = self.stays[mode]
-        tables = self.tables[tree]
-        kept = None
-        for table, qs in zip(tables, self.q):
-            successors, q, _ = table.row(prev, cur)
-            if stay != 1.0:
-                q = list(map(stay.__mul__, q))
-            if 0.0 in q:
-                successors = [x for x, p in zip(successors, q) if p != 0]
-                q = [p for p in q if p != 0]
-            if kept is None:
-                kept = successors
-            elif successors != kept:
-                raise AssertionError(
-                    f"configs of one support class branch differently at "
-                    f"(prev, cur) = ({prev}, {cur}) on {table.g}: {table.config} "
-                    f"against {tables[0].config}"
-                )
-            qs.extend(q)
-        sid = len(self.first)
-        self.index[key] = sid
-        self.first.append(len(self.succ))
-        self.count.append(len(kept))
-        self.succ.extend(kept)
-        return sid
+    def index(self, tree, v):
+        """The row of vertex ``v`` of tree ``tree`` (scalars or arrays)."""
+        return np.searchsorted(self._key, tree * self._stride + v)
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """``first``, ``count``, ``succ`` and ``q`` as arrays."""
-        return (np.array(self.first, dtype=np.intp), np.array(self.count, dtype=np.intp),
-                np.array(self.succ, dtype=np.intp),
-                np.array([np.frombuffer(qs) for qs in self.q]))
+    def rows(self, tree: np.ndarray, prev: np.ndarray,
+             cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's row under every config, as ``(succ, probs)``.
+
+        Node ``i`` of tree ``tree[i]`` stands at ``cur[i]`` after
+        ``prev[i]``, which is -1 at the walk's start.  ``succ[i]`` holds
+        the row's successors in the slots of ``cur[i]``'s neighbors, -1
+        elsewhere, and ``probs[c, i]`` their probabilities under config
+        ``c``, 0 elsewhere.  Non-backtracking drops ``prev`` and
+        renormalizes, or backtracks with probability one where ``prev``
+        is the only neighbor; node2vec weighs each successor by 1/p, 1 or
+        1/q, where ``prev`` is a neighbor of ``cur``, and keeps the
+        first-order row elsewhere.
+        """
+        at = self.index(tree, cur)
+        succ, probs = self.adj[at], self.first[:, at]
+        after = np.flatnonzero(prev >= 0)
+        back = succ[after] == prev[after, None]  # the slot of prev among cur's neighbors
+        if self.configs[0].non_backtracking:
+            # a class backtracks alike; lone where prev is cur's only neighbor
+            lone = (succ[after] >= 0).sum(axis=1) == back.sum(axis=1)
+            for c in range(len(self.configs)):
+                kept = np.where(back, 0.0, probs[c, after])
+                total = _row_sums(kept)
+                total[lone] = 1.0
+                probs[c, after] = kept / total[:, None] + (back & lone[:, None])
+            succ[after] = np.where(back & ~lone[:, None], -1, succ[after])
+            return succ, probs
+        biased = [c for c, config in enumerate(self.configs) if config.node2vec is not None]
+        arc = back.any(axis=1)  # prev is a neighbor of cur
+        if biased and arc.any():
+            near, back = after[arc], back[arc]
+            # x is adjacent to prev where the arc (prev, x) is a key
+            keys = self.index(tree[near], prev[near])[:, None] * self._stride + succ[near]
+            adjacent = self._arcs.take(np.searchsorted(self._arcs, keys), mode="clip") == keys
+            for c in biased:
+                p, q = self.configs[c].node2vec.p, self.configs[c].node2vec.q
+                w = probs[c, near]
+                w = np.where(back, w / p, np.where(adjacent, w, w / q))
+                probs[c, near] = w / _row_sums(w)[:, None]
+        return succ, probs
 
 
 def walk_tree_levels(
-    tables: Sequence[Sequence[StepTable]], roots: Sequence[tuple[int, int, float]]
+    compiler: _RowCompiler, roots: Sequence[tuple[int, int, float]]
 ) -> Iterator[TreeLevel]:
     """Enumerate walk trees level by level, from their roots to the leaves.
 
-    Tree ``k`` walks ``tables[k][0].g`` under the configs of its tables,
-    one table per config, in the same order for every tree.  The configs
-    form one support class: of equal length, restart mode and
-    backtracking rule, so they put positive probability on the same
-    walks.  ``roots`` are the trees' start nodes ``(tree, start,
-    probability)``, in the order given.  Yields depth 0 (the roots) to
-    the walks' length, each a :class:`TreeLevel`.
+    Tree ``k`` walks ``compiler.graphs[k]`` under each of
+    ``compiler.configs``, which form one support class: of equal length,
+    restart mode and backtracking rule, so they put positive probability
+    on the same walks.  ``roots`` are the trees' start nodes ``(tree,
+    start, probability)``, in the order given.  Yields depth 0 (the
+    roots) to the walks' length, each a :class:`TreeLevel`.
 
     A node's children are contiguous and in the order of a depth-first
     pass: the restart child first where the restart mode allows one,
     then the successors ascending, leaving out those of probability
     zero.  So every level, and the leaves, come out in depth-first
     order, each child's probability the product ``prob * q`` of its
-    parent's and its branch's.  Rows are compiled once per distinct
-    state through each tree's own ``StepTable.row``, and a state whose
-    configs keep different successors raises ``AssertionError``.  The
-    restart rule: from ``t = 2`` on, position ``t`` may be reached by a
-    restart, in probability mode with probability ``alpha`` unless
+    parent's and its branch's.  Each level's rows, every config's for
+    every node, come from one :meth:`_RowCompiler.rows` call, and a node
+    whose configs keep different successors raises ``AssertionError``.
+    The restart rule: from ``t = 2`` on, position ``t`` may be reached
+    by a restart, in probability mode with probability ``alpha`` unless
     position ``t - 1`` was, in period mode with probability one exactly
-    when ``t`` is a multiple of the period.
+    when ``t`` is a multiple of the period; a move where a restart
+    could have been has the branch probability ``(1 - alpha) * p``.
     """
-    config = tables[0][0].config
-    restart = config.restart
+    configs = compiler.configs
+    restart = configs[0].restart
     alpha = restart.alpha if isinstance(restart, RestartProb) else None
     period = restart.k if isinstance(restart, RestartPeriod) else 0
-    branches = _Branches(tables, (1.0,) if alpha is None else (1.0, 1.0 - alpha))
 
     tree = np.array([k for k, _, _ in roots], dtype=np.intp)
-    vertex = np.array([s for _, s, _ in roots], dtype=np.min_scalar_type(-branches.n1))
+    n1 = max(g.n for g in compiler.graphs) + 1
+    vertex = np.array([s for _, s, _ in roots], dtype=np.min_scalar_type(-n1))
     start = vertex
     flags = np.zeros(len(roots), dtype=bool)
-    probs = np.array([[p for _, _, p in roots]] * len(tables[0])).reshape(len(tables[0]), -1)
+    probs = np.array([[p for _, _, p in roots]] * len(configs)).reshape(len(configs), -1)
     level = TreeLevel(tree, np.full(len(roots), -1, dtype=np.intp), vertex, flags, probs)
     yield level
-    for t in range(1, config.length + 1):
+    for t in range(1, configs[0].length + 1):
         if period and t >= 2 and t % period == 0:
             # every node restarts, with probability one
             parent = np.arange(len(vertex))
             level = TreeLevel(tree, parent, start, np.ones(len(vertex), dtype=bool), probs)
         else:
-            # 1 where a node may restart: its stay is 1 - alpha (mode 1),
-            # and a restart child comes before its successors
-            may_restart = np.zeros(len(vertex), dtype=np.intp)
+            prev = np.full(len(vertex), -1) if t == 1 else last_vertex[level.parent].astype(np.intp)
+            succ, q = compiler.rows(tree, prev, vertex)
+            may_restart = np.zeros(len(vertex), dtype=bool)
             if alpha is not None and t >= 2:
-                may_restart += ~flags
-            if t == 1:
-                prev = np.full(len(vertex), -1, dtype=np.intp)
-            else:
-                prev = last_vertex[level.parent].astype(np.intp)
-            sid = branches.states(tree, prev, vertex, may_restart)
-            first, count, succ, q = branches.arrays()
-            counts = count[sid] + may_restart
-            parent = np.repeat(np.arange(len(vertex)), counts)
-            # each child's slot among its siblings, the restart child at -1
-            slot = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-            slot -= may_restart[parent]
-            restarts = slot < 0
-            moves = np.flatnonzero(~restarts)
-            flat = first[sid[parent[moves]]] + slot[moves]
-            child = start[parent]
-            child[moves] = succ[flat]
-            child_q = np.full((len(q), len(parent)), alpha or 0.0)  # restart children
-            child_q[:, moves] = q[:, flat]
-            level = TreeLevel(tree[parent], parent, child, restarts,
+                may_restart = ~flags
+                q[:, may_restart] *= 1.0 - alpha
+            keep = q != 0
+            if (keep != keep[0]).any():
+                i, c = np.argwhere((keep != keep[0]).any(axis=2).T)[0]
+                raise AssertionError(
+                    f"configs of one support class branch differently at (prev, cur) = "
+                    f"({None if prev[i] < 0 else prev[i]}, {vertex[i]}) on "
+                    f"{compiler.graphs[tree[i]]}: {configs[c]} against {configs[0]}"
+                )
+            # slot 0 is the restart child, back to the start; slot j + 1
+            # the move to succ[:, j]
+            parent, slot = np.nonzero(np.hstack((may_restart[:, None], keep[0])))
+            child = np.hstack((start[:, None], succ))[parent, slot].astype(vertex.dtype)
+            child_q = np.concatenate((np.full((len(q), len(vertex), 1), alpha or 0.0), q),
+                                     axis=2)[:, parent, slot]
+            level = TreeLevel(tree[parent], parent, child, slot == 0,
                               probs[:, parent] * child_q)
         last_vertex = vertex
         tree, vertex, flags, probs = level.tree, level.vertex, level.restart, level.probs
@@ -726,6 +789,21 @@ def leaf_walks(levels: Sequence[TreeLevel]) -> tuple[np.ndarray, np.ndarray]:
     return vertices, restarts
 
 
+def _ball(g: Graph, start: int, radius: int) -> list[int]:
+    """The vertices within ``radius`` of ``start``, nearest first and
+    ascending within a distance."""
+    if radius < 0:
+        return []
+    ball, layer, seen = [start], [start], {start}
+    for _ in range(radius):
+        layer = sorted({x for v in layer for x in g.adjacency[v]}.difference(seen))
+        if not layer:
+            break
+        seen.update(layer)
+        ball += layer
+    return ball
+
+
 def enumerate_walk_distribution(
     g: Graph, config: WalkConfig, start: int | None = None
 ) -> Iterator[tuple[Walk, float]]:
@@ -736,18 +814,21 @@ def enumerate_walk_distribution(
     bound exceeds ``ENUMERATION_GUARD`` sequences.  Walks come in
     depth-first order (see :func:`walk_tree_levels`), and each
     probability is the left-to-right product of its branch
-    probabilities.
+    probabilities.  The rows are compiled once, for the whole graph, or,
+    from a fixed start, for the ball the walks step from.
     """
     if start is not None:
         require_start(g, start)
     starts = list(range(g.n)) if start is None else [start]
     bound = check_enumeration_bound(g, config, len(starts))
     start_prob = 1.0 / g.n if start is None else 1.0
-    tables = [[StepTable(g, config)]]
+    # a walk steps from, and stands before a step at, at most length - 1 from its start
+    reach = None if start is None else [_ball(g, start, config.length - 1)]
+    compiler = _RowCompiler([g], [config], reach)
     group = max(1, LEAF_BUDGET * len(starts) // max(bound, 1))
     for i in range(0, len(starts), group):
-        levels = list(walk_tree_levels(tables, [(0, s, start_prob)
-                                                for s in starts[i:i + group]]))
+        levels = list(walk_tree_levels(compiler, [(0, s, start_prob)
+                                                  for s in starts[i:i + group]]))
         vertices, restarts = leaf_walks(levels)
         for vs, flags, prob in zip(vertices.tolist(), restarts.tolist(),
                                    levels[-1].probs[0].tolist()):

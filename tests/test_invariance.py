@@ -1,4 +1,5 @@
 """Relabeling-invariance machinery (the full grid runs in acceptance)."""
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from walklab import invariance, records
 from walklab.generators import gen_cycle, gen_lollipop
 from walklab.graphs import Permutation
 from walklab.records import LevelRecorder
-from walklab.walks import StepRow, StepTable, TreeLevel, Walk
+from walklab.walks import TreeLevel, Walk, _RowCompiler
 
 
 def test_connected_graph_counts():
@@ -114,18 +115,29 @@ def relabeled(monkeypatch):
     return graphs
 
 
+def _mutated_rows(monkeypatch, mutate):
+    # every row the enumeration reads passes through mutate(compiler,
+    # tree, probs) first, which may change probs in place
+    rows = _RowCompiler.rows
+
+    def mutated(self, tree, prev, cur):
+        succ, probs = rows(self, tree, prev, cur)
+        mutate(self, tree, probs)
+        return succ, probs
+
+    monkeypatch.setattr(_RowCompiler, "rows", mutated)
+
+
 def test_perturbed_relabeled_row_is_caught(monkeypatch, relabeled):
     # shift 1e-6 of probability between the first two successors of every
     # row on the relabeled graph only; the supports stay equal
-    class Perturbed(StepTable):
-        def row(self, prev, cur):
-            row = super().row(prev, cur)
-            if len(row.successors) < 2 or not any(self.g is pg for pg in relabeled):
-                return row
-            probs = [row.probs[0] + 1e-6, row.probs[1] - 1e-6, *row.probs[2:]]
-            return StepRow(row.successors, probs, row.cum)
+    def perturb(compiler, tree, probs):
+        for c, i in itertools.product(range(len(probs)), range(len(tree))):
+            slots = np.flatnonzero(probs[c, i])
+            if len(slots) >= 2 and any(compiler.graphs[tree[i]] is pg for pg in relabeled):
+                probs[c, i, slots[:2]] += (1e-6, -1e-6)
 
-    monkeypatch.setattr(invariance, "StepTable", Perturbed)
+    _mutated_rows(monkeypatch, perturb)
     with pytest.raises(AssertionError, match="probability gap"):
         run_invariance_suite(max_n=3, max_l=3)
 
@@ -138,22 +150,22 @@ def test_violations_would_raise():
 
 
 def _dropping_last_successor(drops):
-    # a StepTable whose rows lose their last successor where drops(table)
-    class Dropping(StepTable):
-        def row(self, prev, cur):
-            row = super().row(prev, cur)
-            if not drops(self):
-                return row
-            return StepRow(row.successors[:-1], row.probs[:-1], row.cum[:-1])
+    # rows that lose their last successor under config c on graph g
+    # where drops(c, g)
+    def drop(compiler, tree, probs):
+        for c, i in itertools.product(range(len(probs)), range(len(tree))):
+            slots = np.flatnonzero(probs[c, i])
+            if len(slots) and drops(compiler.configs[c], compiler.graphs[tree[i]]):
+                probs[c, i, slots[-1]] = 0.0
 
-    return Dropping
+    return drop
 
 
 def test_misgrouped_config_is_caught(monkeypatch):
     # node2vec loses its last successor on both graphs alike, so its own
     # walk counts still agree; only the class-support check can see it
-    monkeypatch.setattr(invariance, "StepTable", _dropping_last_successor(
-        lambda table: table.config.node2vec is not None))
+    _mutated_rows(monkeypatch, _dropping_last_successor(
+        lambda config, g: config.node2vec is not None))
     with pytest.raises(AssertionError, match="support class"):
         run_invariance_suite(max_n=3, max_l=2)
 
@@ -161,8 +173,8 @@ def test_misgrouped_config_is_caught(monkeypatch):
 def test_branch_dropped_on_relabeled_graphs_is_caught(monkeypatch, relabeled):
     # every config loses its last successor on the relabeled graph only,
     # so each tree is consistent within its class but the walk sets differ
-    monkeypatch.setattr(invariance, "StepTable", _dropping_last_successor(
-        lambda table: any(table.g is pg for pg in relabeled)))
+    _mutated_rows(monkeypatch, _dropping_last_successor(
+        lambda config, g: any(g is pg for pg in relabeled)))
     with pytest.raises(AssertionError, match="walk supports differ"):
         run_invariance_suite(max_n=3, max_l=2)
 
@@ -205,9 +217,32 @@ def test_grouped_pass_matches_one_pass_per_config():
         assert _checked(g, perm, classes) == _checked(g, perm, singletons)
 
 
+def _recorded_set_texts(walk, g):
+    # the rule both recorders replace, kept as their reference: a step
+    # records its edge, then announces the named neighbors whose edge is
+    # not yet recorded, ascending by id, and records those edges; a
+    # restart does neither
+    ids = {walk.vertices[0]: 1}
+    anon, named = ["1"], ["1"]
+    recorded = set()
+    for u, v, restart in zip(walk.vertices, walk.vertices[1:], walk.restart_flags[1:]):
+        i = ids.setdefault(v, len(ids) + 1)
+        anon.append(f";{i}" if restart else f"-{i}")
+        named.append(anon[-1])
+        if restart:
+            continue
+        recorded.add(frozenset((u, v)))
+        edges = {frozenset((x, v)): ids[x] for x in g.neighbors(v) if x in ids}
+        named.extend(f"#{i}" for e, i in sorted(edges.items(), key=lambda item: item[1])
+                     if e not in recorded)
+        recorded.update(edges)
+    return "".join(anon), "".join(named)
+
+
 def _record_mismatches(graphs, max_l):
     # every leaf of every class, all graphs in one batch: the vector
-    # recorder's texts against the one pass's for the same walk
+    # recorder's texts, and the recorded-set reference's, against the one
+    # pass's for the same walk
     found = []
     for cls in invariance.support_classes(suite_configs(max_l)):
         forest = invariance._Forest(graphs, cls)
@@ -216,9 +251,10 @@ def _record_mismatches(graphs, max_l):
             for vertices, flags, row in zip(forest.vertices[tree].tolist(),
                                             forest.restarts[tree].tolist(),
                                             forest.rows[tree]):
-                _, anon, named = records._record_walk(Walk(tuple(vertices), tuple(flags)), g)
+                walk = Walk(tuple(vertices), tuple(flags))
+                _, anon, named = records._record_walk(walk, g)
                 expected = (anon.text, named.text)
-                if forest.texts(row) != expected:
+                if forest.texts(row) != expected or _recorded_set_texts(walk, g) != expected:
                     found.append((g, vertices, flags, forest.texts(row), expected))
     return found
 
@@ -260,7 +296,7 @@ def _level_recorder(g, walks):
     restarts = np.array([w.restart_flags for w in walks])
     k = len(walks)
     tree, nodes, probs = np.zeros(k, dtype=np.intp), np.arange(k), np.ones((1, k))
-    recorder = LevelRecorder([g])
+    recorder = LevelRecorder(_RowCompiler([g], []))
     recorder.start(TreeLevel(tree, np.full(k, -1), vertices[:, 0], restarts[:, 0], probs))
     for t in range(1, vertices.shape[1]):
         level = TreeLevel(tree, nodes, vertices[:, t], restarts[:, t], probs)
@@ -271,12 +307,14 @@ def _level_recorder(g, walks):
 def test_vector_recorder_matches_the_one_pass_on_long_walks():
     # the tree leaves above are at most 7 steps long; the reconstruction
     # fuzz records walks of up to 4 n**2 steps.  Every walk rule of the
-    # fuzz grid, with and without restarts, on two graphs per size
+    # fuzz grid, with and without restarts, on two graphs per size: the
+    # vector recorder, the one pass and the recorded-set reference agree
     rng = rng_stream(20250819, 1)
     rules = [
         dict(conductance=cond, non_backtracking=nb, node2vec=n2v, restart=restart)
         for cond in (Constant(), MDLR())
-        for nb, n2v in ((False, None), (True, None), (False, Node2Vec(2.0, 1.0)))
+        for nb, n2v in ((False, None), (True, None), (False, Node2Vec(2.0, 1.0)),
+                        (False, Node2Vec(1.0, 2.0)))
         for restart in (None, RestartProb(0.2))
     ]
     found = []
@@ -289,6 +327,7 @@ def test_vector_recorder_matches_the_one_pass_on_long_walks():
             recorder = _level_recorder(g, walks)
             for w, row in zip(walks, recorder.rows):
                 _, anon, named = records._record_walk(w, g)
-                if recorder.texts(row) != (anon.text, named.text):
+                expected = _recorded_set_texts(w, g)
+                if recorder.texts(row) != expected or (anon.text, named.text) != expected:
                     found.append((g, w))
     assert found == []

@@ -7,9 +7,11 @@ over the sorted support, falling back to the last candidate.  Every
 sampler that reads the table must agree with it bit for bit.
 """
 import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from walklab import (
@@ -22,11 +24,13 @@ from walklab import (
     WalkConfig,
     build_graph,
     parse_edge_list,
+    random_connected_graph,
     rng_stream,
     sample_walk,
     step_distribution_second_order,
 )
-from walklab.walks import StepTable
+from walklab.generators import gen_lollipop, gen_path
+from walklab.walks import StepTable, _RowCompiler
 
 CONDUCTANCES = (
     Constant(),
@@ -165,6 +169,37 @@ def test_rows_off_the_arcs_come_from_the_reference():
                     if order == "nb" and prev == cur:
                         nb_differs += row.probs != table.row(None, cur).probs
     assert nb_differs > 0
+
+
+def test_compiled_rows_are_the_reference_rows():
+    # the row compiler against step_distribution_second_order, bit for
+    # bit: the reconstruction fuzz grid's graphs and walk rules plus a
+    # DegreeRule, at every (prev, cur) pair, the walk's start (prev -1),
+    # the arcs, the pairs off the arcs a restart leaves (prev == cur, or
+    # prev not a neighbor) and the backtracks out of degree-1 vertices
+    rng = rng_stream(20_250_819, 2)
+    graphs = [gen_lollipop(3), gen_path(4)]
+    graphs += [random_connected_graph(n, rng) for n in range(2, 13) for _ in range(2)]
+    rules = [
+        WalkConfig(length=0, conductance=kind, non_backtracking=nb, node2vec=n2v)
+        for kind in CONDUCTANCES
+        for nb, n2v in ((False, None), (True, None), (False, Node2Vec(2.0, 1.0)),
+                        (False, Node2Vec(1.0, 2.0)))
+    ]
+    lone = 0
+    for g in graphs:
+        pairs = [(-1, cur) for cur in range(g.n)] + list(itertools.product(range(g.n), repeat=2))
+        prev, cur = (np.array(column) for column in zip(*pairs))
+        tree = np.zeros(len(pairs), dtype=np.intp)
+        for config in rules:
+            succ, probs = _RowCompiler([g], [config]).rows(tree, prev, cur)
+            for i, (p, c) in enumerate(pairs):
+                ref = step_distribution_second_order(g, config, None if p < 0 else p, c)
+                got = [(int(x), probs[0, i, j].hex()) for j, x in enumerate(succ[i]) if x >= 0]
+                assert got == [(x, w.hex()) for x, w in sorted(ref.items())], (g, config, p, c)
+                assert not probs[0, i][succ[i] < 0].any()
+                lone += config.non_backtracking and list(ref) == [p] == list(g.neighbors(c))
+    assert lone > 0
 
 
 def test_padded_rows_mirror_the_table():

@@ -1,6 +1,12 @@
 """Walk laws: conductances, second-order rules, restarts, enumeration."""
 import gc
+import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
 import weakref
 
@@ -76,7 +82,9 @@ def test_first_order_distribution_is_normalized_public_conductance(kind):
     for g in graphs:
         for u in range(g.n):
             weights = {x: conductance(g, kind, u, x) for x in g.neighbors(u)}
-            total = sum(weights.values())
+            total = 0.0
+            for w in weights.values():
+                total += w
             expected = [(x, (w / total).hex()) for x, w in weights.items()]
             got = step_distribution_first_order(g, kind, u)
             assert [(x, p.hex()) for x, p in got.items()] == expected
@@ -341,6 +349,25 @@ def test_enumeration_guard_rejects_huge_state_space():
         list(enumerate_walk_distribution(gen_clique(10), WalkConfig(length=12)))
 
 
+def test_enumeration_guard_refuses_a_huge_length_at_once():
+    # the bound's product stops once past the guard, so a length of 10**12
+    # is refused as fast as a short one.  The run goes apart, under a
+    # memory cap, as the exact bound 2**(10**12) would not be done by the
+    # timeout
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [sys.executable, "-m", "walklab", "invariance", "--seed", "1", "--max-n", "2",
+            "--samples", "0", "--max-l", str(10**12)]
+    began = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_memory, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - began < 30
+    assert done.returncode == 2 and done.stdout == ""
+    assert "enumeration bound of about 10**301029995663.7 exceeds guard" in done.stderr
+
+
 def test_enumeration_from_one_start_stays_local():
     # a fixed start on a long path reaches five vertices; nothing may be
     # sized by the n**2 (prev, cur) states the graph has room for
@@ -359,17 +386,17 @@ def test_enumeration_from_one_start_stays_local():
 
 
 def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
-    """The table dies with the exhausted generator, not at the next gc pass."""
+    """The compiled rows die with the exhausted generator, not at the next gc pass."""
     import walklab.walks as walks
 
     tables = []
 
-    class TrackedTable(walks.StepTable):
+    class TrackedCompiler(walks._RowCompiler):
         def __init__(self, *args):
             super().__init__(*args)
             tables.append(weakref.ref(self))
 
-    monkeypatch.setattr(walks, "StepTable", TrackedTable)
+    monkeypatch.setattr(walks, "_RowCompiler", TrackedCompiler)
     config = WalkConfig(length=3, non_backtracking=True)
     gc.disable()
     try:
@@ -379,6 +406,55 @@ def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
         assert all(ref() is None for ref in tables)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("restart", [None, RestartProb(0.3), RestartPeriod(2), RestartPeriod(3)],
+                         ids=["none", "prob", "period-2", "period-3"])
+def test_leaf_probabilities_are_products_of_reference_rows(restart):
+    # each leaf's probability is its start's times, left to right, each
+    # step's branch: alpha for a restart in probability mode, nothing for
+    # one in period mode, and a move's reference probability, scaled by
+    # 1 - alpha where a restart could have been
+    alpha = restart.alpha if isinstance(restart, RestartProb) else None
+    graphs = [gen_lollipop(3), build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 4), gen_star(3)]
+    rules = [dict(non_backtracking=nb, node2vec=n2v)
+             for nb, n2v in ((False, None), (True, None), (False, Node2Vec(0.5, 2.0)))]
+    kinds = [Constant(), MDLR(), DegreeRule(lambda a, b: math.sqrt(a * b) + 0.1)]
+    for g, rule, kind in itertools.product(graphs, rules, kinds):
+        config = WalkConfig(length=4, conductance=kind, restart=restart, **rule)
+        for start in (None, 0, g.n - 1):
+            leaves = list(enumerate_walk_distribution(g, config, start))
+            for walk, prob in leaves:
+                expected = 1.0 if start is not None else 1.0 / g.n
+                vs, flags = walk.vertices, walk.restart_flags
+                for t in range(1, len(vs)):
+                    if flags[t]:
+                        expected *= 1.0 if alpha is None else alpha
+                        continue
+                    prev = None if t == 1 else vs[t - 2]
+                    p = step_distribution_second_order(g, config, prev, vs[t - 1])[vs[t]]
+                    if alpha is not None and t >= 2 and not flags[t - 1]:
+                        p = (1.0 - alpha) * p
+                    expected *= p
+                assert prob.hex() == expected.hex(), (g, config, walk)
+            assert math.isclose(sum(p for _, p in leaves), 1.0, abs_tol=1e-12)
+
+
+def test_rows_sum_left_to_right():
+    # out of vertex 0 the MDLR weights are 1, 1, 1/3 and 1/3, whose
+    # compensated sum (Python 3.12's sum()) rounds otherwise than the
+    # left-to-right fold every row is normalized by
+    g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (3, 5), (4, 5)], 6)
+    weights = [1.0, 1.0, 1 / 3, 1 / 3]
+    total = 0.0
+    for w in weights:
+        total += w
+    assert total != math.fsum(weights)
+    expected = [(w / total).hex() for w in weights]
+    assert [p.hex() for p in step_distribution_first_order(g, MDLR(), 0).values()] == expected
+    config = WalkConfig(length=1, conductance=MDLR())
+    leaves = {w.vertices[1]: p for w, p in enumerate_walk_distribution(g, config, start=0)}
+    assert [leaves[x].hex() for x in (1, 2, 3, 4)] == expected
 
 
 def test_enumeration_matches_sampling():
