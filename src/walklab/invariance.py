@@ -23,18 +23,26 @@ loudly; each leaf's probability under each config is the same
 left-to-right product :func:`~walklab.walks.enumerate_walk_distribution`
 forms.  A :class:`~walklab.records.LevelRecorder` follows the levels,
 reading the neighbors from the compiler, and leaves each walk's
-named-neighbor record as one integer row.  The walks
-of each relabeled tree are matched to the original's through their
-sorted keys (per position the vertex, mapped through the permutation,
-and the restart flag); each must have its counterpart, with the same
-record row and probabilities, and each config's record distribution,
-summed in the original's leaf order, must agree.
+named-neighbor record as one integer row.
 
-Failures raise immediately with the offending graph and walk; the
-report only summarizes how much was checked.
+Each pass is checked in one comparison (:func:`_check_forest`): the
+relabeled trees' walks are mapped back to the original labels, every
+leaf is sorted once by (tree, walk key), the key per position the
+vertex and the restart flag, and that order pairs each relabeled walk
+with its original.  Every probability and record row of every pair is
+compared at once, and each config's record distributions, the
+original's and the relabeled one, are summed with one ``bincount``
+over (pair, record) bins, in the original's leaf order, so each float
+is the one a comparison pair by pair would give.
+
+A failure raises with the offending graph and walk: the first failing
+(original, relabeled) pair of the pass, and its first fault in the
+order walk count, counterpart, probability or record, record
+distribution.  The report only summarizes how much was checked.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -49,9 +57,9 @@ from .walks import (
     Constant,
     Node2Vec,
     RestartProb,
-    TreeLevel,
     WalkConfig,
     _RowCompiler,
+    _check_depth,
     check_enumeration_bound,
     leaf_walks,
     rng_stream,
@@ -129,11 +137,6 @@ class InvarianceReport:
     max_probability_gap: float
 
 
-# a tree's records: per leaf its record's index, the first leaf of each
-# record, and per config each record's probability
-_Dists = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 class _Forest:
     """The walk trees of ``graphs`` under one support class, with records.
 
@@ -142,8 +145,10 @@ class _Forest:
     the graphs' vertices, with a
     :class:`~walklab.records.LevelRecorder` along, leaves each tree's
     walks as a contiguous run of leaves in depth-first order: per leaf
-    its positions and restart flags, its record row and, per config,
-    its probability.
+    its tree, positions and restart flags, its record row and, per
+    config, its probability.  Only the last level's probabilities are
+    kept; the levels above keep what :func:`~walklab.walks.leaf_walks`
+    reads.
     """
 
     def __init__(self, graphs: Sequence[Graph], configs: Sequence[WalkConfig]) -> None:
@@ -151,95 +156,162 @@ class _Forest:
         compiler = _RowCompiler(graphs, configs)
         roots = [(k, s, 1.0 / g.n) for k, g in enumerate(graphs) for s in range(g.n)]
         recorder = LevelRecorder(compiler)
-        levels: list[TreeLevel] = []
-        for level in walk_tree_levels(compiler, roots):
-            if levels:
-                recorder.step(level, levels[-1].vertex)
-            else:
-                recorder.start(level)
-            levels.append(level)
-        self.vertices, self.restarts = leaf_walks(levels)
+        self.vertices, self.restarts, last = leaf_walks(
+            recorder.follow(walk_tree_levels(compiler, roots)))
         self.rows, self.texts = recorder.rows, recorder.texts
-        self.probs = levels[-1].probs
-        ends = np.cumsum(np.bincount(levels[-1].tree, minlength=len(graphs))).tolist()
+        self.tree, self.probs = last.tree, last.probs
+        ends = np.cumsum(np.bincount(self.tree, minlength=len(graphs))).tolist()
         self.trees = [slice(a, b) for a, b in zip([0, *ends], ends)]
 
     def walk(self, k: int, i: int) -> tuple[int, ...]:
         """The positions of leaf ``i`` of tree ``k``."""
         return tuple(self.vertices[self.trees[k]][i].tolist())
 
-    def record_distributions(self, k: int) -> _Dists:
-        """Tree ``k``'s records, each record's probability summed in leaf order."""
-        rows = np.ascontiguousarray(self.rows[self.trees[k]])
-        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        # bincount adds the weights in index order, as a loop over the leaves would
-        sums = np.array([np.bincount(inverse, weights=p, minlength=len(first))
-                         for p in self.probs[:, self.trees[k]]])
-        return inverse, first, sums
 
+def _byte_order(tree: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The order of the rows of ``a`` by (``tree``, the row's bytes).
 
-def _compare_relabeled(forest: _Forest, k: int, dists: _Dists, j: int,
-                       mapping: tuple[int, ...], tol: float) -> float:
-    """Check tree ``j`` of ``forest``, tree ``k``'s graph relabeled by ``mapping``.
-
-    Both trees must hold as many walks, and each walk of tree ``k`` its
-    counterpart, found through the sorted walk keys, with the same
-    record and per config a probability within ``tol``; so must the
-    record distributions of tree ``k`` and the relabeled ones, summed in
-    tree ``k``'s leaf order.  Returns the worst gap; raises on any
-    mismatch.
+    Bytes compare unsigned, the first first: the order ``np.unique``
+    gives rows viewed as ``np.void``.  One byte per key lets ``lexsort``
+    sort each key by radix.
     """
-    a, b = forest.trees[k], forest.trees[j]
+    raw = np.ascontiguousarray(a).view(np.uint8).reshape(len(a), -1)
+    return np.lexsort((*raw.T[::-1], tree.astype(np.min_scalar_type(tree.max(initial=0)))))
+
+
+def _check_forest(forest: _Forest, own: np.ndarray, back: np.ndarray,
+                  tol: float) -> tuple[int, float]:
+    """Check every relabeled tree of ``forest`` against its original at once.
+
+    Tree ``j`` is the graph of tree ``own[j]`` relabeled, vertex ``v``
+    of ``j`` being ``back[j, v]`` of the original (tree ``j`` is an
+    original where ``own[j] == j``).  Each relabeled tree must hold as
+    many walks as its original, and each original walk its counterpart:
+    mapped back to the original labels, all walks are sorted once by
+    (tree, walk key), the key per position the vertex and the restart
+    flag, and the i-th walk of a relabeled tree in that order is the
+    counterpart of the i-th of its original.  Counterparts must have the
+    same record row and, per config, probabilities within ``tol``; and
+    each config's record distributions, the original's and the
+    relabeled one, both summed in the original's leaf order, must agree.
+    Returns the walks compared, over all configs, and the worst gap.
+    Raises for the first failing pair in tree order, naming its first
+    fault among: walk count, counterpart, probability or record, record
+    distribution.
+    """
+    tree, probs, rows = forest.tree, forest.probs, forest.rows
+    n_trees = len(own)
+    relabeled = own != np.arange(n_trees)
+    counts = np.bincount(tree, minlength=n_trees)
+    starts = np.cumsum(counts) - counts
+    paired = relabeled & (counts == counts[own])
+
+    # pair the walks: entry e matches leaf kleaf[e] of an original, in
+    # leaf order, with its counterpart jleaf[e] in relabeled tree pair[e]
+    keys = forest.restarts.astype(back.dtype)
+    for t, vertex in enumerate(forest.vertices.T):
+        keys[:, t] += back[tree, vertex] * 2
+    order = _byte_order(tree, keys)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    jpos = np.flatnonzero(paired[tree])
+    pair = tree[jpos]
+    shift = (starts - starts[own])[pair]
+    kleaf = jpos - shift
+    jleaf = order[rank[kleaf] + shift]
+    unmatched = (keys[kleaf] != keys[jleaf]).any(axis=1)
+
+    # record distributions: the originals' leaves sorted by (tree,
+    # record) give each record of an original a bin, and each pair has
+    # its own copy of its original's bins
+    leaves = np.flatnonzero(~relabeled[tree])
+    by_record = leaves[_byte_order(tree[leaves], rows[leaves])]
+    in_tree, row = tree[by_record], rows[by_record]
+    new = np.ones(len(leaves), dtype=bool)
+    new[1:] = (in_tree[1:] != in_tree[:-1]) | (row[1:] != row[:-1]).any(axis=1)
+    first = by_record[new]  # a leaf of each bin
+    record = np.empty(len(tree), dtype=np.intp)
+    record[by_record] = np.cumsum(new) - 1
+    bin_start = np.searchsorted(tree[first], np.arange(n_trees + 1))
+    n_bins = np.diff(bin_start)[own] * paired
+    bin_pair = np.repeat(np.arange(n_trees), n_bins)
+    index = record[kleaf] + (np.cumsum(n_bins) - n_bins - bin_start[own])[pair]
+
+    # per config: every pair's probabilities, and its record
+    # distributions, summed from the original's leaves and, apart, from
+    # their counterparts, in the original's leaf order (bincount adds
+    # the weights in index order)
+    wrong = (rows[kleaf] != rows[jleaf]).any(axis=1)
+    skewed = np.zeros(len(bin_pair), dtype=bool)
+    worst = 0.0
+    for prob in probs:
+        gaps = np.abs(prob[kleaf] - prob[jleaf])
+        dist_gaps = np.abs(np.bincount(index, prob[kleaf], len(bin_pair))
+                           - np.bincount(index, prob[jleaf], len(bin_pair)))
+        worst = max(worst, gaps.max(initial=0.0), dist_gaps.max(initial=0.0))
+        wrong |= gaps > tol
+        skewed |= dist_gaps > tol
+
+    failed = (relabeled & ~paired) | (np.bincount(np.concatenate(
+        (pair[unmatched | wrong], bin_pair[skewed])), minlength=n_trees) > 0)
+    if failed.any():
+        j = int(failed.argmax())
+        k, entries = int(own[j]), pair == j
+        _raise_fault(forest, k, j, keys, kleaf[entries], jleaf[entries],
+                     record[kleaf[entries]] - bin_start[k], first[bin_start[k]:bin_start[k + 1]],
+                     tol)
+    return int(counts[own[relabeled]].sum()) * len(probs), float(worst)
+
+
+def _raise_fault(forest: _Forest, k: int, j: int, keys: np.ndarray, kleaf: np.ndarray,
+                 jleaf: np.ndarray, record: np.ndarray, records: np.ndarray,
+                 tol: float) -> None:
+    """Raise the first fault of original tree ``k`` and its relabeled
+    tree ``j``, from their entries in :func:`_check_forest`: each
+    original leaf, in leaf order, its counterpart and its record's bin,
+    and a leaf of each bin's record."""
     g, pg, config = forest.graphs[k], forest.graphs[j], forest.configs[0]
+    a, b = forest.trees[k], forest.trees[j]
     if a.stop - a.start != b.stop - b.start:
         raise AssertionError(
             f"walk supports differ under relabeling: {a.stop - a.start} vs "
             f"{b.stop - b.start} walks on {g} with {config}"
         )
-    # a walk's key: per position its vertex (in pg's labels) and restart flag
-    keys = np.array(mapping)[forest.vertices[a]] * 2 + forest.restarts[a]
-    pkeys = forest.vertices[b].astype(np.intp) * 2 + forest.restarts[b]
-    order, porder = np.lexsort(keys.T[::-1]), np.lexsort(pkeys.T[::-1])
-    if (keys[order] != pkeys[porder]).any():
-        known = set(map(tuple, pkeys.tolist()))
-        i = next(i for i, key in enumerate(map(tuple, keys.tolist())) if key not in known)
+    if (keys[kleaf] != keys[jleaf]).any():
+        # the first original walk that the relabeled tree holds fewer
+        # times than the original holds it so far
+        left = collections.Counter(map(tuple, keys[b].tolist()))
+        for i, key in enumerate(map(tuple, keys[a].tolist())):
+            left[key] -= 1
+            if left[key] < 0:
+                break
         raise AssertionError(
             f"walk {forest.walk(k, i)} has no relabeled counterpart on {pg} with {config}"
         )
-    match = np.empty_like(order)
-    match[order] = porder  # leaf i of tree k is leaf match[i] of tree j
-    probs, pprobs = forest.probs[:, a], forest.probs[:, b][:, match]
-    rows, prows = forest.rows[a], forest.rows[b][match]
-    gaps = np.abs(probs - pprobs)
-    bad = (gaps > tol).any(axis=0) | (rows != prows).any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
+    probs, rows = forest.probs, forest.rows
+    gaps = np.abs(probs[:, kleaf] - probs[:, jleaf])
+    wrong = (gaps > tol).any(axis=0) | (rows[kleaf] != rows[jleaf]).any(axis=1)
+    if wrong.any():
+        e = int(wrong.argmax())
+        walk = forest.walk(k, int(kleaf[e]) - a.start)
         for c, config in enumerate(forest.configs):
-            if gaps[c, i] > tol:
+            if gaps[c, e] > tol:
                 raise AssertionError(
-                    f"probability gap {gaps[c, i]:.3e} for walk {forest.walk(k, i)} "
-                    f"under {config} on {g}"
+                    f"probability gap {gaps[c, e]:.3e} for walk {walk} under {config} on {g}"
                 )
         raise AssertionError(
-            f"records differ under relabeling for walk {forest.walk(k, i)}: "
-            f"{forest.texts(rows[i])} vs {forest.texts(prows[i])}"
+            f"records differ under relabeling for walk {walk}: "
+            f"{forest.texts(rows[kleaf[e]])} vs {forest.texts(rows[jleaf[e]])}"
         )
-    worst = float(gaps.max(initial=0.0))
-
-    # aggregate record-distribution equality (follows from the per-walk
-    # pairing, asserted anyway as the contract is stated over records)
-    inverse, first, sums = dists
-    for dist, pprob in zip(sums, pprobs):
-        gaps = np.abs(dist - np.bincount(inverse, weights=pprob, minlength=len(first)))
-        worst = max(worst, float(gaps.max(initial=0.0)))
-        if (gaps > tol).any():
-            r = int((gaps > tol).argmax())
+    for prob in probs:
+        dist_gaps = np.abs(np.bincount(record, prob[kleaf], len(records))
+                           - np.bincount(record, prob[jleaf], len(records)))
+        if (dist_gaps > tol).any():
+            r = int((dist_gaps > tol).argmax())
             raise AssertionError(
-                f"record-distribution gap {gaps[r]:.3e} for record "
-                f"{forest.texts(rows[first[r]])[0]!r}"
+                f"record-distribution gap {dist_gaps[r]:.3e} for record "
+                f"{forest.texts(rows[records[r]])[0]!r}"
             )
-    return worst
 
 
 def support_classes(configs: Sequence[WalkConfig]) -> list[list[WalkConfig]]:
@@ -301,30 +373,31 @@ def run_invariance_suite(
     configs = suite_configs(max_l)
     classes = support_classes(configs)
     # a relabeled tree has its original's bound; every (graph, class) is
-    # checked before anything is enumerated
+    # checked before anything is enumerated, the leaf bounds first
     trees = 1 + permutations_per_graph
     leaves = [trees * max(check_enumeration_bound(g, cls[0], g.n) for cls in classes)
               for g in graphs]
+    _check_depth(max(g.n for g in graphs), max(config.length for config in configs))
 
     walks_total = 0
     worst = 0.0
     for batch in _batches(leaves):
-        perms, forest_graphs = [], []
-        for gi in batch:
+        # each graph's tree, then one per relabeling; back[j, v] is the
+        # original label of vertex v of tree j
+        forest_graphs = [graphs[gi] for gi in batch for _ in range(trees)]
+        own = np.repeat(np.arange(0, len(forest_graphs), trees), trees)
+        n = max(g.n for g in forest_graphs)
+        back = np.tile(np.arange(n, dtype=np.min_scalar_type(2 * n + 1)), (len(forest_graphs), 1))
+        for k, gi in zip(own[::trees], batch):
             rng = rng_stream(seed, 10_000 + gi)
-            perms.append([Permutation(tuple(int(x) for x in rng.permutation(graphs[gi].n)))
-                          for _ in range(permutations_per_graph)])
-            forest_graphs.append(graphs[gi])
-            forest_graphs.extend(apply_permutation(graphs[gi], perm) for perm in perms[-1])
+            for j in range(k + 1, k + trees):
+                perm = Permutation(tuple(int(x) for x in rng.permutation(graphs[gi].n)))
+                forest_graphs[j] = apply_permutation(graphs[gi], perm)
+                back[j, :len(perm)] = np.argsort(perm.mapping)
         for configs_of_class in classes:
-            forest = _Forest(forest_graphs, configs_of_class)
-            for k, graph_perms in zip(range(0, len(forest_graphs), trees), perms):
-                dists = forest.record_distributions(k)
-                walks = forest.trees[k].stop - forest.trees[k].start
-                for j, perm in enumerate(graph_perms, start=k + 1):
-                    gap = _compare_relabeled(forest, k, dists, j, perm.mapping, tol)
-                    walks_total += walks * len(configs_of_class)
-                    worst = max(worst, gap)
+            walks, gap = _check_forest(_Forest(forest_graphs, configs_of_class), own, back, tol)
+            walks_total += walks
+            worst = max(worst, gap)
     return InvarianceReport(
         graphs=len(graphs),
         permutations=len(graphs) * permutations_per_graph,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -229,7 +229,8 @@ class LevelRecorder:
     It follows :func:`~walklab.walks.walk_tree_levels` over the trees of
     a row compiler built over all the vertices of its graphs, and reads
     their neighbors from the compiler's padded adjacency: :meth:`start`
-    takes depth 0 and :meth:`step` each level after it.  Per node it
+    takes depth 0 and :meth:`step` each level after it, or
+    :meth:`follow` runs both along the levels.  Per node it
     keeps an id row (``ids[i, v]`` is ``v``'s id, 0 while unnamed) and
     its record as one integer row (:attr:`rows`): ``1`` for the start,
     then per step a block of the step's id, negated for a restart, and
@@ -253,6 +254,19 @@ class LevelRecorder:
         self.ids[np.arange(k), level.vertex] = 1
         self.named = np.ones(k, dtype=self.dtype)
         self.rows = np.ones((k, 1), dtype=self.dtype)
+
+    def follow(self, levels: Iterable[TreeLevel]) -> Iterator[TreeLevel]:
+        """Record along ``levels``, depth 0 first, yielding each level
+        once its records are made; at the end only :attr:`rows` is kept."""
+        prev = None
+        for level in levels:
+            if prev is None:
+                self.start(level)
+            else:
+                self.step(level, prev)
+            prev = level.vertex
+            yield level
+        del self.ids, self.named
 
     def name(self, ids: np.ndarray, named: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per node, the id of its vertex ``v``, naming a new one next.

@@ -568,12 +568,27 @@ def check_enumeration_bound(g: Graph, config: WalkConfig, n_starts: int) -> int:
     return bound
 
 
+def _check_depth(n_starts: int, length: int) -> None:
+    """Refuse ``n_starts`` trees of ``length + 1`` levels, at least one
+    node each, past ``ENUMERATION_GUARD`` nodes.
+
+    :func:`check_enumeration_bound` misses these where no step branches:
+    on a graph of largest degree 1 its bound is ``n_starts`` at any
+    length.
+    """
+    if n_starts * (length + 1) > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration of {length + 1} levels from {n_starts} starts "
+                         f"exceeds guard {ENUMERATION_GUARD}")
+
+
 # enumerate_walk_distribution splits its starts, and the invariance suite
 # its graphs, into level-by-level passes whose check_enumeration_bound
 # bounds sum to at most this.  The bound takes the largest degree at every
 # step, so a pass holds fewer leaves than it counts: on the enum-invariance
-# workload the largest held about half, 1,782 of 4,096.
-LEAF_BUDGET = 1 << 12
+# workload the largest of its 12 passes held about a third, 5,550 of
+# 16,384.  A pass's memory grows with its leaves: the suite call's
+# tracemalloc peak there is 1.13 MB, and tests/test_invariance.py pins it.
+LEAF_BUDGET = 1 << 14
 
 
 class TreeLevel(NamedTuple):
@@ -762,31 +777,38 @@ def walk_tree_levels(
             # the move to succ[:, j]
             parent, slot = np.nonzero(np.hstack((may_restart[:, None], keep[0])))
             child = np.hstack((start[:, None], succ))[parent, slot].astype(vertex.dtype)
-            child_q = np.concatenate((np.full((len(q), len(vertex), 1), alpha or 0.0), q),
-                                     axis=2)[:, parent, slot]
+            child_q = q[:, parent, slot - 1]
+            if alpha is not None:
+                child_q[:, slot == 0] = alpha  # the restart children's
             level = TreeLevel(tree[parent], parent, child, slot == 0,
-                              probs[:, parent] * child_q)
+                              np.multiply(probs[:, parent], child_q, out=child_q))
+            del succ, q, keep, slot  # not held while the level is consumed
         last_vertex = vertex
         tree, vertex, flags, probs = level.tree, level.vertex, level.restart, level.probs
         start = start[level.parent]
         yield level
 
 
-def leaf_walks(levels: Sequence[TreeLevel]) -> tuple[np.ndarray, np.ndarray]:
-    """The walks ending at the last level's nodes, one row per walk.
+def leaf_walks(levels: Iterable[TreeLevel]) -> tuple[np.ndarray, np.ndarray, TreeLevel]:
+    """Consume ``levels`` and return the walks ending at the last level's nodes.
 
     Returns the positions and the restart flags, each of shape
-    ``(walks, len(levels))``.
+    ``(walks, len(levels))``, one row per walk, and the last level.  Of
+    each level above the last only the parents, positions and restart
+    flags are held, not its probabilities.
     """
-    node = np.arange(len(levels[-1].vertex))
-    vertices = np.empty((len(node), len(levels)), dtype=levels[-1].vertex.dtype)
-    restarts = np.empty((len(node), len(levels)), dtype=bool)
-    for t in range(len(levels) - 1, -1, -1):
-        level = levels[t]
-        vertices[:, t] = level.vertex[node]
-        restarts[:, t] = level.restart[node]
-        node = level.parent[node]
-    return vertices, restarts
+    kept = []
+    for last in levels:
+        kept.append((last.parent, last.vertex, last.restart))
+    node = np.arange(len(last.vertex))
+    vertices = np.empty((len(node), len(kept)), dtype=last.vertex.dtype)
+    restarts = np.empty((len(node), len(kept)), dtype=bool)
+    for t in range(len(kept) - 1, -1, -1):
+        parent, vertex, restart = kept[t]
+        vertices[:, t] = vertex[node]
+        restarts[:, t] = restart[node]
+        node = parent[node]
+    return vertices, restarts, last
 
 
 def _ball(g: Graph, start: int, radius: int) -> list[int]:
@@ -811,7 +833,8 @@ def enumerate_walk_distribution(
 
     The probabilities of the yielded walks sum to one.  ``start=None``
     averages over a uniform start.  Refuses instances whose branching
-    bound exceeds ``ENUMERATION_GUARD`` sequences.  Walks come in
+    bound exceeds ``ENUMERATION_GUARD`` sequences, or whose starts
+    times levels do (see :func:`_check_depth`).  Walks come in
     depth-first order (see :func:`walk_tree_levels`), and each
     probability is the left-to-right product of its branch
     probabilities.  The rows are compiled once, for the whole graph, or,
@@ -821,15 +844,15 @@ def enumerate_walk_distribution(
         require_start(g, start)
     starts = list(range(g.n)) if start is None else [start]
     bound = check_enumeration_bound(g, config, len(starts))
+    _check_depth(len(starts), config.length)
     start_prob = 1.0 / g.n if start is None else 1.0
     # a walk steps from, and stands before a step at, at most length - 1 from its start
     reach = None if start is None else [_ball(g, start, config.length - 1)]
     compiler = _RowCompiler([g], [config], reach)
     group = max(1, LEAF_BUDGET * len(starts) // max(bound, 1))
     for i in range(0, len(starts), group):
-        levels = list(walk_tree_levels(compiler, [(0, s, start_prob)
-                                                  for s in starts[i:i + group]]))
-        vertices, restarts = leaf_walks(levels)
+        vertices, restarts, last = leaf_walks(walk_tree_levels(
+            compiler, [(0, s, start_prob) for s in starts[i:i + group]]))
         for vs, flags, prob in zip(vertices.tolist(), restarts.tolist(),
-                                   levels[-1].probs[0].tolist()):
+                                   last.probs[0].tolist()):
             yield Walk(tuple(vs), tuple(flags)), prob

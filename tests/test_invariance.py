@@ -1,6 +1,7 @@
 """Relabeling-invariance machinery (the full grid runs in acceptance)."""
 import itertools
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from walklab import invariance, records
 from walklab.generators import gen_cycle, gen_lollipop
 from walklab.graphs import Permutation
 from walklab.records import LevelRecorder
-from walklab.walks import TreeLevel, Walk, _RowCompiler
+from walklab.walks import TreeLevel, Walk, _RowCompiler, check_enumeration_bound
 
 
 def test_connected_graph_counts():
@@ -117,12 +118,12 @@ def relabeled(monkeypatch):
 
 def _mutated_rows(monkeypatch, mutate):
     # every row the enumeration reads passes through mutate(compiler,
-    # tree, probs) first, which may change probs in place
+    # tree, succ, probs) first, which may change succ and probs in place
     rows = _RowCompiler.rows
 
     def mutated(self, tree, prev, cur):
         succ, probs = rows(self, tree, prev, cur)
-        mutate(self, tree, probs)
+        mutate(self, tree, succ, probs)
         return succ, probs
 
     monkeypatch.setattr(_RowCompiler, "rows", mutated)
@@ -131,7 +132,7 @@ def _mutated_rows(monkeypatch, mutate):
 def test_perturbed_relabeled_row_is_caught(monkeypatch, relabeled):
     # shift 1e-6 of probability between the first two successors of every
     # row on the relabeled graph only; the supports stay equal
-    def perturb(compiler, tree, probs):
+    def perturb(compiler, tree, succ, probs):
         for c, i in itertools.product(range(len(probs)), range(len(tree))):
             slots = np.flatnonzero(probs[c, i])
             if len(slots) >= 2 and any(compiler.graphs[tree[i]] is pg for pg in relabeled):
@@ -149,10 +150,26 @@ def test_violations_would_raise():
         run_invariance_suite(max_n=3, max_l=3, seed=0, tol=-1.0)
 
 
+def test_walk_held_twice_by_the_original_is_caught(monkeypatch, relabeled):
+    # rows of the original graphs only send their last successor's walks
+    # to the first: as many walks as the relabeled trees hold, but some
+    # twice and others not at all.  The walk held twice has no second
+    # counterpart
+    def redirect(compiler, tree, succ, probs):
+        for i in range(len(tree)):
+            slots = np.flatnonzero(probs[0, i])
+            if len(slots) >= 2 and not any(compiler.graphs[tree[i]] is pg for pg in relabeled):
+                succ[i, slots[-1]] = succ[i, slots[0]]
+
+    _mutated_rows(monkeypatch, redirect)
+    with pytest.raises(AssertionError, match=r"walk \(0, 1, 0\) has no relabeled counterpart"):
+        run_invariance_suite(max_n=3, max_l=2)
+
+
 def _dropping_last_successor(drops):
     # rows that lose their last successor under config c on graph g
     # where drops(c, g)
-    def drop(compiler, tree, probs):
+    def drop(compiler, tree, succ, probs):
         for c, i in itertools.product(range(len(probs)), range(len(tree))):
             slots = np.flatnonzero(probs[c, i])
             if len(slots) and drops(compiler.configs[c], compiler.graphs[tree[i]]):
@@ -179,29 +196,101 @@ def test_branch_dropped_on_relabeled_graphs_is_caught(monkeypatch, relabeled):
         run_invariance_suite(max_n=3, max_l=2)
 
 
-def _texts_by_record(forest, k, dists, c):
-    # tree k's record distribution under config c: texts -> float.hex
-    _, first, sums = dists
-    rows = forest.rows[forest.trees[k]]
-    return {forest.texts(rows[i]): prob.hex()
-            for i, prob in zip(first.tolist(), sums[c].tolist())}
+@pytest.mark.parametrize("faults", [
+    {"late": "perturb"},
+    {"late": "drop"},
+    {"late": "redirect"},
+    {"late": "creep"},
+    {"early": "creep", "late": "drop"},
+], ids=["late-gap", "late-support", "late-counterpart", "late-distribution",
+        "early-distribution-first"])
+def test_batched_pass_names_the_first_failing_graph(monkeypatch, faults):
+    # faults on the relabelings of graphs in one multi-graph pass: a
+    # perturbed row (a probability gap); a dropped last successor (the
+    # walk counts differ); a last successor redirected to the first (as
+    # many walks, some twice, others missing); or 6e-9 more on each
+    # row's first successor, which keeps every walk within the
+    # tolerance but not the sums of records that several walks share.
+    # The pass raises the message that a pass of the first faulty graph
+    # alone raises, which names that graph (a record distribution's
+    # names the record).  An earlier graph's fault comes first, even
+    # where a later graph's comes earlier in a pair's order of checks
+    graphs = invariance.suite_graphs(EXACT_N, 0, 0)
+    classes = invariance.support_classes(suite_configs(3))
+    leaves = [3 * max(check_enumeration_bound(g, cls[0], g.n) for cls in classes) for g in graphs]
+    batch = next(b for b in invariance._batches(leaves) if len(b) >= 20)
+    # the last graph is K4; the early one, K4 less an edge: dense enough
+    # that the extra 6e-9 keeps every walk within the tolerance
+    at = {"early": next(gi for gi in batch if graphs[gi].m == 5), "late": batch[-1]}
+    monkeypatch.setattr(invariance, "suite_graphs", lambda *args: graphs)
+    relabelings = {name: [] for name in faults}  # (relabeled graph, permutation)
+    real_apply = invariance.apply_permutation
+
+    def apply(g, perm):
+        pg = real_apply(g, perm)
+        for name in faults:
+            if g is graphs[at[name]]:
+                relabelings[name].append((pg, perm))
+        return pg
+
+    def mutate(compiler, tree, succ, probs):
+        for name, kind in faults.items():
+            on = np.array([any(g is pg for pg, _ in relabelings[name]) for g in compiler.graphs])
+            for c, i in itertools.product(range(len(probs)), np.flatnonzero(on[tree])):
+                slots = np.flatnonzero(probs[c, i])
+                if kind == "perturb" and len(slots) >= 2:
+                    probs[c, i, slots[:2]] += (1e-6, -1e-6)
+                elif kind == "drop" and len(slots):
+                    probs[c, i, slots[-1]] = 0.0
+                elif kind == "creep" and len(slots):
+                    probs[c, i, slots[0]] += 6e-9
+                elif kind == "redirect" and len(slots) >= 2:
+                    succ[i, slots[-1]] = succ[i, slots[0]]
+
+    monkeypatch.setattr(invariance, "apply_permutation", apply)
+    _mutated_rows(monkeypatch, mutate)
+    with pytest.raises(AssertionError) as batched:
+        run_invariance_suite(max_n=EXACT_N, max_l=3, seed=0)
+
+    first = "early" if "early" in faults else "late"
+    g = graphs[at[first]]
+    back = np.array([range(g.n), *(np.argsort(perm.mapping) for _, perm in relabelings[first])])
+    with pytest.raises(AssertionError) as alone:
+        for cls in classes:
+            forest = invariance._Forest([g, *(pg for pg, _ in relabelings[first])], cls)
+            invariance._check_forest(forest, np.zeros(3, dtype=np.intp), back, 1e-9)
+    assert str(batched.value) == str(alone.value)
+    message = {"perturb": f"probability gap .* on {re.escape(str(g))}$",
+               "drop": f"walk supports differ .* walks on {re.escape(str(g))} with ",
+               "redirect": r"walk \(.*\) has no relabeled counterpart on Graph",
+               "creep": "record-distribution gap "}[faults[first]]
+    assert re.match(message, str(alone.value))
+
+
+def _texts_by_record(forest, k, c):
+    # tree k's record distribution under config c, each record's
+    # probability summed in leaf order: texts -> float.hex
+    dist = {}
+    tree = forest.trees[k]
+    for row, prob in zip(forest.rows[tree], forest.probs[c, tree].tolist()):
+        texts = forest.texts(row)
+        dist[texts] = dist.get(texts, 0.0) + prob
+    return {texts: prob.hex() for texts, prob in dist.items()}
 
 
 def _checked(g, perm, classes):
     # per config: its walk count and both record distributions, each sum
     # as float.hex; and the worst gap over the classes
     pg = invariance.apply_permutation(g, perm)
+    own, back = np.zeros(2, dtype=np.intp), np.array([range(g.n), np.argsort(perm.mapping)])
     counts, dists, worst = [], [], 0.0
     for cls in classes:
         forest = invariance._Forest([g, pg], cls)
-        own, relabeled = forest.record_distributions(0), forest.record_distributions(1)
-        gap = invariance._compare_relabeled(forest, 0, own, 1, perm.mapping, 1e-9)
+        walks, gap = invariance._check_forest(forest, own, back, 1e-9)
         worst = max(worst, gap)
-        counts += [forest.trees[0].stop - forest.trees[0].start] * len(cls)
-        dists += [
-            (_texts_by_record(forest, 0, own, c), _texts_by_record(forest, 1, relabeled, c))
-            for c in range(len(cls))
-        ]
+        counts += [walks // len(cls)] * len(cls)
+        dists += [(_texts_by_record(forest, 0, c), _texts_by_record(forest, 1, c))
+                  for c in range(len(cls))]
     return counts, dists, worst.hex()
 
 
@@ -215,6 +304,20 @@ def test_grouped_pass_matches_one_pass_per_config():
     for g in graphs:
         perm = Permutation(tuple(int(x) for x in rng.permutation(g.n)))
         assert _checked(g, perm, classes) == _checked(g, perm, singletons)
+
+
+def test_suite_memory_is_pinned():
+    # the tracemalloc peak of the enum-invariance workload's suite call,
+    # 1.13 MB when pinned (at LEAF_BUDGET = 1 << 14); a larger budget, or
+    # a pass that holds more per leaf, cannot grow it unnoticed
+    run_invariance_suite(max_n=5, samples_per_n=10, seed=0)  # imports and caches
+    tracemalloc.start()
+    try:
+        run_invariance_suite(max_n=5, samples_per_n=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def _recorded_set_texts(walk, g):

@@ -45,6 +45,7 @@ from walklab import (
     transition_matrix,
     worst_start_cover_time,
 )
+from walklab.walks import ENUMERATION_GUARD, _check_depth
 
 
 def test_conductance_values():
@@ -366,6 +367,35 @@ def test_enumeration_guard_refuses_a_huge_length_at_once():
     assert time.perf_counter() - began < 30
     assert done.returncode == 2 and done.stdout == ""
     assert "enumeration bound of about 10**301029995663.7 exceeds guard" in done.stderr
+
+
+def test_enumeration_guard_refuses_a_long_walk_that_never_branches():
+    # on a graph of largest degree 1 the leaf bound is the start count at
+    # any length, so the levels are guarded too: 10**12 of them on one
+    # edge are refused at once, where enumerating them would run for
+    # days.  The run goes apart, under a memory cap, with a timeout
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    _check_depth(2, ENUMERATION_GUARD // 2 - 1)
+    with pytest.raises(ValueError, match=f"^enumeration of {ENUMERATION_GUARD // 2 + 1} "
+                       f"levels from 2 starts exceeds guard {ENUMERATION_GUARD}$"):
+        _check_depth(2, ENUMERATION_GUARD // 2)
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("from walklab import WalkConfig, enumerate_walk_distribution, gen_path\n"
+            "try:\n"
+            "    next(enumerate_walk_distribution(gen_path(2), WalkConfig(length=10**12)))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    began = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap_memory,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - began < 30
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (f"enumeration of {10**12 + 1} levels from 2 starts "
+                           f"exceeds guard {ENUMERATION_GUARD}\n")
 
 
 def test_enumeration_from_one_start_stays_local():
