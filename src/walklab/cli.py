@@ -11,7 +11,8 @@ Options may come from a key=value config file (--config); explicit
 flags override file values, file values pass the flags' type and range
 checks, and unknown file keys are rejected rather than ignored.
 
-Exit codes: 0 success, 1 failed assertion/check, 2 usage error.
+Exit codes: 0 success, 1 failed assertion/check, 2 usage error or out
+of memory.
 """
 from __future__ import annotations
 
@@ -706,6 +707,9 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message gives the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -578,7 +578,7 @@ def local_cover_time(
             f"period {config.restart.k} too short for radius {r} (need k >= r+1)"
         )
     ball = local_ball(g, v, r)
-    targets, arc_target = _targets(mode, ball.members, ball.edges_in_parent())
+    targets, arc_target = _targets(mode, ball.members, ball.edges)
     table = StepTable(g, config)
     out = np.full(trials, -1, dtype=np.int64)
     for i in range(trials):

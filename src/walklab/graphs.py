@@ -19,7 +19,6 @@ __all__ = [
     "build_graph",
     "apply_permutation",
     "local_ball",
-    "induced_subgraph",
     "parse_edge_list",
     "format_edge_list",
 ]
@@ -104,21 +103,14 @@ class Permutation:
 
 @dataclass(frozen=True)
 class LocalBall:
-    """The radius-``r`` ball around a center vertex.
+    """The radius-``r`` ball around a center vertex, in parent-graph labels.
 
-    ``members`` are vertex labels of the parent graph, sorted ascending.
-    ``induced`` is the connected subgraph they induce, relabeled
-    ``0..k-1`` in member order.
+    ``members`` are sorted ascending; ``edges`` are the edges they
+    induce, ``(u, v)`` with ``u < v``, in ``Graph.edges`` order.
     """
 
     members: tuple[int, ...]
-    induced: Graph
-
-    def edges_in_parent(self) -> Iterator[tuple[int, int]]:
-        """Induced edges, in parent-graph labels, ``(u, v)`` with ``u < v``."""
-        for a, b in self.induced.edges():
-            u, v = self.members[a], self.members[b]
-            yield (u, v) if u < v else (v, u)
+    edges: tuple[tuple[int, int], ...]
 
 
 def _adjacency_from_edge_set(n: int, edge_set: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -129,23 +121,30 @@ def _adjacency_from_edge_set(n: int, edge_set: set[tuple[int, int]]) -> tuple[tu
     return tuple(tuple(sorted(ns)) for ns in nbrs)
 
 
-def _components(n: int, adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
+def _reach(adjacency: Sequence[Sequence[int]], source: int,
+           radius: int | None = None) -> list[int]:
+    """The vertices within ``radius`` steps of ``source``, nearest first;
+    without a radius, its whole component."""
+    dist = {source: 0}
+    queue = collections.deque([source])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == radius:
             continue
-        comp = [s]
-        seen[s] = True
-        queue = collections.deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
+        for w in adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return list(dist)
+
+
+def _components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
+    comps: list[list[int]] = []
+    seen: set[int] = set()
+    for s in range(len(adjacency)):
+        if s not in seen:
+            comps.append(sorted(_reach(adjacency, s)))
+            seen.update(comps[-1])
     return comps
 
 
@@ -190,35 +189,12 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """
     edge_set = _normalize_edges(edges, n)
     adjacency = _adjacency_from_edge_set(n, edge_set)
-    comps = _components(n, adjacency)
+    comps = _components(adjacency)
     if len(comps) > 1:
         raise ValueError(
             f"graph is disconnected: {len(comps)} components {_listing(comps)}"
         )
     return Graph(n=n, adjacency=adjacency, m=len(edge_set))
-
-
-def induced_subgraph(g: Graph, members: Sequence[int]) -> Graph:
-    """Subgraph induced by ``members``, relabeled ``0..k-1`` in member order.
-
-    Raises ``ValueError`` on a member that is not a vertex of ``g``, and
-    unless the members induce a connected graph, the guarantee every
-    ``Graph`` carries.
-    """
-    members = sorted(set(members))
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError(f"member {v} is not a vertex of the graph (n={g.n})")
-    # from the members' own neighbors, O(sum of their degrees); the
-    # relabeling keeps order, so each neighbor tuple stays sorted
-    index = {v: i for i, v in enumerate(members)}
-    adjacency = tuple(
-        tuple(index[w] for w in g.adjacency[v] if w in index) for v in members
-    )
-    comps = _components(len(members), adjacency)
-    if len(comps) != 1:
-        raise ValueError(f"induced subgraph disconnected: {_listing(comps)}")
-    return Graph(n=len(members), adjacency=adjacency, m=sum(map(len, adjacency)) // 2)
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
@@ -231,27 +207,19 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 
 
 def local_ball(g: Graph, v: int, r: int) -> LocalBall:
-    """BFS ball of radius ``r`` around ``v``, with its induced subgraph.
+    """BFS ball of radius ``r`` around ``v``, with the edges it induces.
 
-    ``r = 0`` gives the singleton ball ``{v}`` with no edges.
+    ``r = 0`` gives the singleton ball ``{v}`` with no edges.  The ball
+    reads only its members' neighbor tuples.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"center {v} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    dist = {v: 0}
-    queue = collections.deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == r:
-            continue
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    members = tuple(sorted(dist))
-    induced = induced_subgraph(g, members)
-    return LocalBall(members=members, induced=induced)
+    members = tuple(sorted(_reach(g.adjacency, v, r)))
+    inside = set(members)
+    edges = tuple((u, w) for u in members for w in g.adjacency[u] if u < w and w in inside)
+    return LocalBall(members=members, edges=edges)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -79,6 +79,8 @@ __all__ = [
 ]
 
 EXACT_N = 4
+# the largest gap allowed between a walk's, or a record's, probabilities
+_TOL = 1e-9
 
 
 def connected_graphs_exact(n: int) -> list[Graph]:
@@ -94,13 +96,11 @@ def connected_graphs_exact(n: int) -> list[Graph]:
     return found
 
 
-def random_connected_graph(
-    n: int, rng: np.random.Generator, p: float = 0.5
-) -> Graph:
-    """Rejection-sample a connected G(n, p) graph."""
+def random_connected_graph(n: int, rng: np.random.Generator) -> Graph:
+    """Rejection-sample a connected G(n, 1/2) graph."""
     pairs = list(itertools.combinations(range(n), 2))
     while True:
-        mask = rng.random(len(pairs)) < p
+        mask = rng.random(len(pairs)) < 0.5
         edges = [e for e, keep in zip(pairs, mask) if keep]
         try:
             return build_graph(edges, n)
@@ -349,7 +349,6 @@ def run_invariance_suite(
     seed: int = 0,
     samples_per_n: int = 200,
     permutations_per_graph: int = 2,
-    tol: float = 1e-9,
 ) -> InvarianceReport:
     """Run the whole grid; raise on the first violation.
 
@@ -395,7 +394,7 @@ def run_invariance_suite(
                 forest_graphs[j] = apply_permutation(graphs[gi], perm)
                 back[j, :len(perm)] = np.argsort(perm.mapping)
         for configs_of_class in classes:
-            walks, gap = _check_forest(_Forest(forest_graphs, configs_of_class), own, back, tol)
+            walks, gap = _check_forest(_Forest(forest_graphs, configs_of_class), own, back, _TOL)
             walks_total += walks
             worst = max(worst, gap)
     return InvarianceReport(

@@ -3,6 +3,7 @@ import csv
 import io
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -286,6 +287,27 @@ def test_disconnected_graph_error_stays_short(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: graph is disconnected: 100000 components ")
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["mixing", "--family", "path", "--n", "30000", "--lengths", "1", "--trials", "1"],
+     "6.71 GiB"),
+    (["cover", "--family", "star", "--k", "20000", "--trials", "1"], "2.98 GiB"),
+], ids=["mixing-dense-P", "cover-padded-rows"])
+def test_running_out_of_memory_is_a_usage_error(argv, size):
+    # each run needs an array of several GiB; under a 1 GiB address-space
+    # cap numpy refuses it, and the refusal is one error line with its size
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = pathlib.Path(walklab.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "walklab", *argv, "--seed", "1"],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: out of memory: ")
+    assert size in done.stderr and done.stderr.count("\n") == 1
 
 
 def test_single_vertex_cover_is_zero(tmp_path, capsys):

@@ -20,7 +20,6 @@ from walklab import (
     gen_lollipop,
     gen_path,
     gen_star,
-    induced_subgraph,
     local_ball,
     parse_edge_list,
     random_connected_graph,
@@ -64,20 +63,12 @@ def test_disconnection_errors_list_at_most_three_components_of_eight():
     with pytest.raises(ValueError) as small:
         build_graph([(0, 1), (2, 3)], 5)
     assert str(small.value) == "graph is disconnected: 3 components [[0, 1], [2, 3], [4]]"
-    with pytest.raises(ValueError) as small:
-        induced_subgraph(gen_cycle(5), [0, 2])
-    assert str(small.value) == "induced subgraph disconnected: [[0], [1]]"
     path9 = [(v, v + 1) for v in range(8)]
     with pytest.raises(ValueError) as big:
         build_graph(path9, 12)
     assert str(big.value) == (
         "graph is disconnected: 4 components "
         "[[0, 1, 2, 3, 4, 5, 6, 7, ...], [9], [10], ...]"
-    )
-    with pytest.raises(ValueError) as big:
-        induced_subgraph(gen_path(20), [*range(9), 10, 12, 14])
-    assert str(big.value) == (
-        "induced subgraph disconnected: [[0, 1, 2, 3, 4, 5, 6, 7, ...], [9], [10], ...]"
     )
 
 
@@ -195,21 +186,20 @@ def test_apply_permutation_size_mismatch():
 def test_local_ball_radius_zero():
     b = local_ball(gen_path(5), 2, 0)
     assert b.members == (2,)
-    assert b.induced.n == 1 and b.induced.m == 0
-    assert list(b.edges_in_parent()) == []
+    assert b.edges == ()
 
 
 def test_local_ball_radius_one_on_path():
     b = local_ball(gen_path(5), 2, 1)
     assert b.members == (1, 2, 3)
-    assert list(b.edges_in_parent()) == [(1, 2), (2, 3)]
+    assert b.edges == ((1, 2), (2, 3))
 
 
 def test_local_ball_covers_whole_star():
     g = gen_star(4)
     b = local_ball(g, 0, 1)
     assert b.members == (0, 1, 2, 3, 4)
-    assert b.induced.m == g.m
+    assert b.edges == tuple(g.edges())
 
 
 def test_local_ball_validates_arguments():
@@ -226,10 +216,8 @@ def _ball_reference(g, v, r):
     for _ in range(r):
         frontier = {w for u in frontier for w in g.adjacency[u]} - members
         members |= frontier
-    members = sorted(members)
-    index = {u: i for i, u in enumerate(members)}
-    edges = [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
-    return tuple(members), build_graph(edges, len(members))
+    edges = [(a, b) for a, b in g.edges() if a in members and b in members]
+    return tuple(sorted(members)), tuple(edges)
 
 
 def test_local_ball_matches_a_build_graph_reference():
@@ -238,9 +226,8 @@ def test_local_ball_matches_a_build_graph_reference():
     cases += [(path, v, r) for v in (0, 1, 5000, 10000) for r in (0, 1, 2, 50)]
     cases += [(lollipop, v, r) for v in range(lollipop.n) for r in (1, 2, 5)]
     for g, v, r in cases:
-        members, induced = _ball_reference(g, v, r)
         ball = local_ball(g, v, r)
-        assert (ball.members, ball.induced) == (members, induced), (g, v, r)
+        assert (ball.members, ball.edges) == _ball_reference(g, v, r), (g, v, r)
 
 
 def test_local_ball_reads_only_the_members_adjacency(monkeypatch):
@@ -253,27 +240,7 @@ def test_local_ball_reads_only_the_members_adjacency(monkeypatch):
     monkeypatch.setattr(Graph, "edges", scan)
     ball = local_ball(g, 5000, 1)
     assert ball.members == (4999, 5000, 5001)
-    assert ball.induced.adjacency == ((1,), (0, 2), (1,)) and ball.induced.m == 2
-
-
-def test_induced_subgraph_relabels_in_member_order():
-    g = gen_cycle(5)
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert sub.n == 3
-    assert list(sub.edges()) == [(0, 1), (1, 2)]
-
-
-def test_induced_subgraph_connectivity_flag():
-    g = gen_cycle(5)
-    # vertices 0 and 2 are not adjacent on the cycle
-    with pytest.raises(ValueError, match="disconnected"):
-        induced_subgraph(g, [0, 2])
-
-
-@pytest.mark.parametrize("member", [99, -1])
-def test_induced_subgraph_rejects_a_member_outside_the_graph(member):
-    with pytest.raises(ValueError, match=f"member {member} is not a vertex"):
-        induced_subgraph(gen_cycle(5), [member])
+    assert ball.edges == ((4999, 5000), (5000, 5001))
 
 
 def test_parse_edge_list_roundtrip():

@@ -39,7 +39,7 @@ def test_connected_graph_counts():
 def test_random_connected_graph_is_connected_by_construction():
     rng = rng_stream(0, 1)
     for _ in range(20):
-        g = random_connected_graph(6, rng, p=0.3)
+        g = random_connected_graph(6, rng)
         assert g.n == 6
         assert g.m >= g.n - 1  # anything less could not have been connected
 
@@ -143,11 +143,12 @@ def test_perturbed_relabeled_row_is_caught(monkeypatch, relabeled):
         run_invariance_suite(max_n=3, max_l=3)
 
 
-def test_violations_would_raise():
+def test_violations_would_raise(monkeypatch):
     # the suite reports nothing unless every check passed; an impossible
     # tolerance proves the assertion path is wired up
+    monkeypatch.setattr(invariance, "_TOL", -1.0)
     with pytest.raises(AssertionError):
-        run_invariance_suite(max_n=3, max_l=3, seed=0, tol=-1.0)
+        run_invariance_suite(max_n=3, max_l=3, seed=0)
 
 
 def test_walk_held_twice_by_the_original_is_caught(monkeypatch, relabeled):

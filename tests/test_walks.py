@@ -415,6 +415,25 @@ def test_enumeration_from_one_start_stays_local():
     assert peak < 1 << 18
 
 
+def test_enumeration_of_length_zero_from_a_start_compiles_no_rows(monkeypatch):
+    # a walk of no steps reads no row, so a rule refusing every weight is
+    # never evaluated
+    import walklab.walks as walks
+
+    sizes = []
+
+    class TrackedCompiler(walks._RowCompiler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(len(self.adj))
+
+    monkeypatch.setattr(walks, "_RowCompiler", TrackedCompiler)
+    config = WalkConfig(length=0, conductance=DegreeRule(lambda a, b: -1.0))
+    dist = list(enumerate_walk_distribution(gen_path(5), config, start=2))
+    assert [(w.vertices, p) for w, p in dist] == [((2,), 1.0)]
+    assert sizes == [0]
+
+
 def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
     """The compiled rows die with the exhausted generator, not at the next gc pass."""
     import walklab.walks as walks
