@@ -96,7 +96,7 @@ GROUP_CHUNKS = 4
 TAIL_LANES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverStats:
     """Monte Carlo cover-time estimate.
 

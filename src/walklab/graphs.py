@@ -24,12 +24,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+class _WeakReferenceable:
+    # a slotted base that adds only a weak-reference slot: a slotted
+    # dataclass gets one through ``weakref_slot``, from Python 3.11 only
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Graph(_WeakReferenceable):
     """A simple connected undirected graph on vertices ``0..n-1``.
 
-    It holds these three fields and caches nothing on itself;
-    ``has_edge`` bisects the sorted neighbor tuple, O(log deg).
+    It holds these three fields in slots, with no instance dictionary,
+    so it caches nothing on itself; it can be weakly referenced and
+    pickled.  ``has_edge`` bisects the sorted neighbor tuple, O(log deg).
 
     Attributes
     ----------
@@ -70,7 +77,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A bijection on ``0..n-1``, stored as ``mapping[old] == new``."""
 
@@ -87,21 +94,14 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.mapping)
 
-    def apply_sequence(self, seq: Iterable[int]) -> tuple[int, ...]:
-        return tuple(self.mapping[v] for v in seq)
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.mapping)
         for old, new in enumerate(self.mapping):
             inv[new] = old
         return Permutation(tuple(inv))
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalBall:
     """The radius-``r`` ball around a center vertex, in parent-graph labels.
 
@@ -189,8 +189,8 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """
     edge_set = _normalize_edges(edges, n)
     adjacency = _adjacency_from_edge_set(n, edge_set)
-    comps = _components(adjacency)
-    if len(comps) > 1:
+    if len(_reach(adjacency, 0)) < n:  # one search settles a connected input
+        comps = _components(adjacency)
         raise ValueError(
             f"graph is disconnected: {len(comps)} components {_listing(comps)}"
         )

@@ -128,7 +128,7 @@ def suite_configs(max_l: int) -> list[WalkConfig]:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvarianceReport:
     graphs: int
     permutations: int

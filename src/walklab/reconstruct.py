@@ -27,7 +27,7 @@ __all__ = [
 ISOMORPHISM_GUARD = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedGraph:
     """A decoded record: record id ``k`` is vertex ``k - 1`` of ``graph``."""
 

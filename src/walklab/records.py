@@ -43,17 +43,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Restart:
     id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neighbor:
     id: int
 
@@ -70,8 +70,14 @@ def _token_text(tok: Token) -> str:
     return _SEPARATOR[type(tok)] + str(tok.id)
 
 
-@dataclass(frozen=True)
-class Record:
+class _TextSlot:
+    # the slot of the text a trusted record is built with; a slotted
+    # dataclass takes no slot that is not a field, so a base declares it
+    __slots__ = ("_text",)
+
+
+@dataclass(frozen=True, slots=True)
+class Record(_TextSlot):
     """A validated token sequence.
 
     The constructor enforces the record discipline: the first token is
@@ -137,14 +143,11 @@ class Record:
     @property
     def text(self) -> str:
         """Canonical text of the record; :func:`parse` inverts it."""
-        text = self.__dict__.get("_text")  # set by _trusted
-        if text is not None:
-            return text
-        first, *rest = self.tokens
-        return str(first.id) + "".join(map(_token_text, rest))
-
-    def max_id(self) -> int:
-        return max(tok.id for tok in self.tokens)
+        try:
+            return self._text  # set by _trusted
+        except AttributeError:
+            first, *rest = self.tokens
+            return str(first.id) + "".join(map(_token_text, rest))
 
     def __repr__(self) -> str:
         return f"Record({self.text!r})"
@@ -362,7 +365,7 @@ def record_named_neighbors(walk: Walk, g: Graph) -> Record:
     return _record_walk(walk, g)[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeProvider:
     """Per-vertex text for attributed records.
 

@@ -67,17 +67,17 @@ __all__ = [
 ENUMERATION_GUARD = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     """Unit conductance on every edge (the classic uniform walk)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MDLR:
     """Minimum-degree local rule: ``c(u, v) = 1 / min(deg(u), deg(v))``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeRule:
     """Conductance from an arbitrary rule on endpoint degrees.
 
@@ -91,7 +91,7 @@ class DegreeRule:
 ConductanceKind = Union[Constant, MDLR, DegreeRule]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node2Vec:
     """Return/in-out bias parameters for the second-order p/q walk."""
 
@@ -105,7 +105,7 @@ class Node2Vec:
                              f"reciprocals, got p={self.p}, q={self.q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartProb:
     """Restart with probability ``alpha`` per step (never twice in a row)."""
 
@@ -116,7 +116,7 @@ class RestartProb:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartPeriod:
     """Restart exactly at steps ``k, 2k, 3k, ...``."""
 
@@ -130,7 +130,7 @@ class RestartPeriod:
 RestartMode = Union[RestartProb, RestartPeriod]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkConfig:
     """Everything that determines a walk's law, plus the RNG seed.
 
@@ -155,7 +155,7 @@ class WalkConfig:
             raise TypeError(f"unknown conductance kind: {self.conductance!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
     """A sampled trajectory: positions and which steps were restarts.
 
@@ -817,7 +817,8 @@ def enumerate_walk_distribution(
     depth-first order (see :func:`walk_tree_levels`), and each
     probability is the left-to-right product of its branch
     probabilities.  The rows are compiled once, for the whole graph, or,
-    from a fixed start, for the ball the walks step from.
+    from a fixed start, for the ball the walks step from; walks of
+    length 0 compile none.
     """
     if start is not None:
         require_start(g, start)
@@ -826,9 +827,11 @@ def enumerate_walk_distribution(
     _check_depth(len(starts), config.length)
     start_prob = 1.0 / g.n if start is None else 1.0
     reach = None  # every vertex
-    if start is not None:
+    if not config.length:
+        reach = [[]]  # a walk of no steps reads no row
+    elif start is not None:
         # a walk steps from, and stands before a step at, at most length - 1 from its start
-        reach = [_reach(g.adjacency, start, config.length - 1) if config.length else []]
+        reach = [_reach(g.adjacency, start, config.length - 1)]
     compiler = _RowCompiler([g], [config], reach)
     group = max(1, LEAF_BUDGET * len(starts) // max(bound, 1))
     for i in range(0, len(starts), group):

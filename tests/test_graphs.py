@@ -1,4 +1,5 @@
 """Graph core: construction, relabeling, balls, edge-list I/O."""
+import dataclasses
 import gc
 import tracemalloc
 from itertools import repeat
@@ -141,7 +142,8 @@ def test_using_a_graph_does_not_grow_it():
         if not tracing:
             tracemalloc.stop()
     for g in graphs:
-        assert sorted(vars(g)) == ["adjacency", "m", "n"]
+        assert not hasattr(g, "__dict__")
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "adjacency", "m"]
     assert retained < bound
 
 
@@ -157,8 +159,6 @@ def test_permutation_roundtrip():
     p = Permutation((2, 0, 1))
     inv = p.inverse()
     assert [inv(p(v)) for v in range(3)] == [0, 1, 2]
-    assert p.apply_sequence((0, 1, 2)) == (2, 0, 1)
-    assert Permutation.identity(3)(1) == 1
 
 
 def test_permutation_rejects_non_bijection():

@@ -206,7 +206,7 @@ def _decoded_by_build_graph(rec):
             edges.append((pos - 1, tok.id - 1))
         if not isinstance(tok, Neighbor):
             pos = tok.id
-    return build_graph(edges, rec.max_id())
+    return build_graph(edges, max(tok.id for tok in rec.tokens))
 
 
 def _assert_decode_matches_build_graph(rec):

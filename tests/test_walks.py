@@ -432,6 +432,11 @@ def test_enumeration_of_length_zero_from_a_start_compiles_no_rows(monkeypatch):
     dist = list(enumerate_walk_distribution(gen_path(5), config, start=2))
     assert [(w.vertices, p) for w, p in dist] == [((2,), 1.0)]
     assert sizes == [0]
+    # nor from a uniform start
+    sizes.clear()
+    dist = list(enumerate_walk_distribution(gen_path(3), config))
+    assert [(w.vertices, p) for w, p in dist] == [((v,), 1 / 3) for v in range(3)]
+    assert sizes == [0]
 
 
 def test_enumeration_frees_its_table_without_the_cycle_collector(monkeypatch):
