@@ -195,7 +195,7 @@ _FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
 
 
 def _graph_from_args(args: argparse.Namespace) -> tuple[Graph, str]:
-    if getattr(args, "graph", None):
+    if getattr(args, "graph", None) is not None:
         with open(args.graph, encoding="utf-8") as fh:
             return parse_edge_list(fh.read()), args.graph
     family = getattr(args, "family", None)
@@ -235,7 +235,7 @@ def _walk_config_from_args(args: argparse.Namespace, length: int = 0) -> WalkCon
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -350,7 +350,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     if args.scheme == "attributed" and not args.attrs:
         raise UsageError("--scheme attributed requires --attrs FILE")
     g, _ = _graph_from_args(args)
-    if args.walks_file:
+    if args.walks_file is not None:
         with open(args.walks_file, encoding="utf-8") as fh:
             walk_lines = [l for l in fh.read().splitlines() if l.strip()]
     else:
@@ -371,9 +371,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    if args.text:
+    if args.text is not None:
         text = args.text.strip()
-    elif args.infile:
+    elif args.infile is not None:
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read().strip()
     else:
@@ -459,7 +459,7 @@ def _cmd_mixing(args: argparse.Namespace) -> int:
         for u in range(g.n):
             freqs = mixing_mod.mc_visit_frequencies(g, args.seed, u, l, args.trials, cell)
             cell += 1
-            row = mixing_mod._averaged_row(P, u, l)
+            row = mixing_mod.averaged_row(P, u, l)
             for v in range(g.n):
                 exact = float(row[v])
                 mc = float(freqs[v])

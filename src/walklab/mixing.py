@@ -28,6 +28,7 @@ __all__ = [
     "stationary",
     "expected_output",
     "jacobian_expectation",
+    "averaged_row",
     "mc_visit_frequencies",
     "mixing_suite",
 ]
@@ -97,24 +98,31 @@ def jacobian_expectation(P: np.ndarray, u: int, v: int, l: int) -> float:
     """Influence of input ``v`` on output ``u``: (1/(l+1)) [sum P^t]_{uv}.
 
     Equals the walk's expected visit frequency of ``v`` over positions
-    0..l starting from ``u``.  At ``l == 0`` that is ``u == v`` whatever
-    ``P`` holds, so ``P`` need only be square there: an edgeless graph's
-    transition matrix has zero rows.
+    0..l starting from ``u``; entry ``v`` of :func:`averaged_row`.
+    """
+    row = averaged_row(P, u, l)
+    if not 0 <= v < row.size:
+        raise ValueError(f"v={v} out of range for n={row.size}")
+    return float(row[v])
+
+
+def averaged_row(P: np.ndarray, u: int, l: int) -> np.ndarray:
+    """Row ``u`` of ``(1/(l+1)) sum_{t=0..l} P^t``.
+
+    Entry ``v`` is the walk's expected visit frequency of ``v`` over
+    positions 0..l starting from ``u``.  At ``l == 0`` the row is the
+    indicator of ``u`` whatever ``P`` holds, so ``P`` need only be square
+    there: an edgeless graph's transition matrix has zero rows.
     """
     P = _check_square(P)
     n = P.shape[0]
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"indices ({u}, {v}) out of range for n={n}")
+    if not 0 <= u < n:
+        raise ValueError(f"u={u} out of range for n={n}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     if l > 0:
         P = _check_transition_matrix(P)
-    return float(_averaged_row(P, u, l)[v])
-
-
-def _averaged_row(P: np.ndarray, u: int, l: int) -> np.ndarray:
-    """Row ``u`` of ``(1/(l+1)) sum_{t=0..l} P^t``, for a checked ``P``."""
-    row = np.zeros(P.shape[0])
+    row = np.zeros(n)
     row[u] = 1.0
     return _position_average(lambda cur: cur @ P, row, l)
 

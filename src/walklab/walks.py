@@ -37,7 +37,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .graphs import Graph, _reach
 __all__ = [
     "Constant",
     "MDLR",
-    "DegreeRule",
     "ConductanceKind",
     "Node2Vec",
     "RestartProb",
@@ -54,7 +53,6 @@ __all__ = [
     "RestartMode",
     "WalkConfig",
     "Walk",
-    "conductance",
     "step_distribution_first_order",
     "step_distribution_second_order",
     "transition_matrix",
@@ -77,18 +75,7 @@ class MDLR:
     """Minimum-degree local rule: ``c(u, v) = 1 / min(deg(u), deg(v))``."""
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeRule:
-    """Conductance from an arbitrary rule on endpoint degrees.
-
-    ``fn`` must be symmetric in its two arguments, strictly positive and
-    finite; both are checked where the rule is evaluated.
-    """
-
-    fn: Callable[[int, int], float]
-
-
-ConductanceKind = Union[Constant, MDLR, DegreeRule]
+ConductanceKind = Union[Constant, MDLR]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +138,7 @@ class WalkConfig:
             raise ValueError(f"length must be >= 0, got {self.length}")
         if self.non_backtracking and self.node2vec is not None:
             raise ValueError("non_backtracking and node2vec cannot be combined")
-        if not isinstance(self.conductance, (Constant, MDLR, DegreeRule)):
+        if not isinstance(self.conductance, (Constant, MDLR)):
             raise TypeError(f"unknown conductance kind: {self.conductance!r}")
 
 
@@ -183,25 +170,12 @@ class Walk:
         return len(self.vertices)
 
 
-def conductance(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
-    """Conductance of the edge ``(u, v)``; the edge must exist."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    return _weight(g, kind, u, v)
-
-
 def _weight(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
     # conductance of an edge the caller knows exists
     if isinstance(kind, Constant):
         return 1.0
     if isinstance(kind, MDLR):
         return 1.0 / min(g.degree(u), g.degree(v))
-    if isinstance(kind, DegreeRule):
-        w = kind.fn(g.degree(u), g.degree(v))
-        if not 0 < w < math.inf:
-            why = "non-finite" if w > 0 else "nonpositive"
-            raise ValueError(f"degree rule gave {why} weight {w} on ({u}, {v})")
-        return float(w)
     raise TypeError(f"unknown conductance kind: {kind!r}")
 
 
@@ -223,8 +197,6 @@ def step_distribution_first_order(
     """Transition distribution out of ``u``: neighbor -> probability."""
     weights = {x: _weight(g, kind, u, x) for x in g.neighbors(u)}
     total = _fold(weights.values())
-    if total == math.inf:
-        raise ValueError(f"edge weights out of vertex {u} sum to inf")
     return {x: w / total for x, w in weights.items()}
 
 
@@ -621,11 +593,7 @@ class _RowCompiler:
     padding.  :meth:`rows` derives the second-order rows of any number
     of nodes from them in a few array operations.  Every sum is left to
     right (``cumsum``), so each float is the one
-    :func:`step_distribution_second_order` gives.  ``DegreeRule``
-    weights, which may be refused, come from
-    :func:`step_distribution_first_order` a vertex at a time, in row
-    order, so a refusal names the lowest faulty vertex of the first tree
-    that has one; the others cannot fail and are computed at once.
+    :func:`step_distribution_second_order` gives.
     """
 
     def __init__(self, graphs: Sequence[Graph], configs: Sequence[WalkConfig],
@@ -647,19 +615,11 @@ class _RowCompiler:
 
         self.first = np.zeros((len(configs), *real.shape))
         for c, config in enumerate(configs):
-            kind = config.conductance
-            if isinstance(kind, DegreeRule):
-                continue
             w = real * 1.0
-            if isinstance(kind, MDLR):
+            if isinstance(config.conductance, MDLR):
                 far = [len(graphs[k].adjacency[x]) for k, xs in zip(tree, nbrs) for x in xs]
                 w[real] = 1.0 / np.minimum(np.repeat(degree, degree), far)
             np.divide(w, _row_sums(w)[:, None], out=self.first[c], where=real)
-        rules = [c for c, config in enumerate(configs) if isinstance(config.conductance, DegreeRule)]
-        for i, (k, v) in enumerate(zip(tree, vertex) if rules else ()):
-            for c in rules:
-                row = step_distribution_first_order(graphs[k], configs[c].conductance, v)
-                self.first[c, i, :len(row)] = list(row.values())
 
     def index(self, tree, v):
         """The row of vertex ``v`` of tree ``tree`` (scalars or arrays)."""

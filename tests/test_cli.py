@@ -54,6 +54,34 @@ def test_bad_record_is_a_usage_error(capsys):
     assert "bad record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,stdin,why", [
+    (["decode", "--text", ""], "1-2-3\n", "bad record: malformed record text: ''"),
+    (["decode", "--in", ""], "1-2\n", "[Errno 2] No such file or directory: ''"),
+    (["record", "--family", "path", "--n", "3", "--walks-file", ""], "0 1 2\n",
+     "[Errno 2] No such file or directory: ''"),
+    (["gen", "--family", "path", "--n", "3", "--out", ""], "",
+     "[Errno 2] No such file or directory: ''"),
+    (["gen", "--graph", "", "--family", "path", "--n", "2"], "",
+     "[Errno 2] No such file or directory: ''"),
+], ids=["decode-text", "decode-in", "record-walks-file", "gen-out", "gen-graph"])
+def test_an_empty_string_option_is_not_an_absent_one(argv, stdin, why, capsys, monkeypatch):
+    # an empty text or path is refused, not read as stdin, stdout or the family
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {why}\n"
+
+
+def test_an_empty_config_value_is_an_empty_option(tmp_path, capsys):
+    cfg = tmp_path / "gen.conf"
+    cfg.write_text("family = path\nn = 3\nout =\n")
+    assert run(["gen", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_missing_graph_spec_is_a_usage_error(capsys):
     assert run(["walk", "--length", "3", "--seed", "1"]) == 2
 

@@ -16,6 +16,7 @@ from walklab import (
     Constant,
     MDLR,
     WalkConfig,
+    averaged_row,
     build_graph,
     expected_output,
     gen_barbell,
@@ -137,6 +138,22 @@ def test_jacobian_validation():
         jacobian_expectation(P, 0, 3, 1)
     with pytest.raises(ValueError):
         jacobian_expectation(P, 0, 0, -1)
+
+
+def test_averaged_row_holds_every_jacobian_entry_and_checks_its_inputs():
+    P = transition_matrix(gen_barbell(5), Constant())
+    for l in (0, 5, 20):
+        for u in range(P.shape[0]):
+            row = averaged_row(P, u, l)
+            assert [x.hex() for x in row.tolist()] == [
+                jacobian_expectation(P, u, v, l).hex() for v in range(P.shape[0])]
+    for args, why in [((P[:3], 0, 1), "must be square"), ((P, 10, 1), "^u=10 out of range"),
+                      ((P, -1, 1), "^u=-1 out of range"), ((P, 0, -1), "^l must be >= 0"),
+                      ((P * 2, 0, 1), "rows must sum to 1")]:
+        with pytest.raises(ValueError, match=why):
+            averaged_row(*args)
+    with pytest.raises(ValueError, match="^v=-1 out of range for n=10$"):
+        jacobian_expectation(P, 0, -1, 1)
 
 
 def test_jacobian_at_length_zero_needs_no_stochastic_rows():

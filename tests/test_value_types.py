@@ -17,7 +17,6 @@ from walklab import (
     Constant,
     CoverStats,
     DecodedGraph,
-    DegreeRule,
     Graph,
     InvarianceReport,
     LocalBall,
@@ -51,7 +50,6 @@ def _examples():
         LocalBall: local_ball(g, 0, 1),
         Constant: Constant(),
         MDLR: MDLR(),
-        DegreeRule: DegreeRule(max),
         Node2Vec: Node2Vec(2.0, 0.5),
         RestartProb: RestartProb(0.3),
         RestartPeriod: RestartPeriod(4),

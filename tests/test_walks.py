@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from walklab import (
     Constant,
-    DegreeRule,
     MDLR,
     Node2Vec,
     RestartPeriod,
@@ -25,7 +24,6 @@ from walklab import (
     WalkConfig,
     batch_cover_samples,
     build_graph,
-    conductance,
     enumerate_walk_distribution,
     estimate_cover_time,
     gen_clique,
@@ -49,82 +47,44 @@ from walklab.walks import ENUMERATION_GUARD, _check_depth
 
 
 def test_conductance_values():
+    # min degree rule on P4: deg(0)=1, deg(1)=2, deg(2)=2, so the leaf
+    # edges weigh 1 and the inner edge (1, 2) weighs 1/2 from either end
     g = gen_path(4)
-    assert conductance(g, Constant(), 0, 1) == 1.0
-    # min degree rule: deg(0)=1, deg(1)=2, deg(2)=2
-    assert conductance(g, MDLR(), 0, 1) == 1.0
-    assert conductance(g, MDLR(), 1, 2) == 0.5
-    assert conductance(g, MDLR(), 2, 1) == 0.5
+    assert step_distribution_first_order(g, Constant(), 1) == {0: 0.5, 2: 0.5}
+    assert step_distribution_first_order(g, MDLR(), 0) == {1: 1.0}
+    assert step_distribution_first_order(g, MDLR(), 1) == {0: 1.0 / 1.5, 2: 0.5 / 1.5}
+    assert step_distribution_first_order(g, MDLR(), 2) == {1: 0.5 / 1.5, 3: 1.0 / 1.5}
 
 
-def test_conductance_requires_edge():
-    with pytest.raises(ValueError, match="not an edge"):
-        conductance(gen_path(4), Constant(), 0, 2)
-
-
-def test_degree_rule_positivity_enforced():
-    g = gen_path(3)
-    rule = DegreeRule(lambda a, b: a + b - 3.0)  # zero on the (1,2)-degree edge
-    with pytest.raises(ValueError, match="nonpositive"):
-        conductance(g, rule, 0, 1)
-
-
-@pytest.mark.parametrize(
-    "kind", [Constant(), MDLR(), DegreeRule(lambda a, b: 1.0 / (a + 2 * b))],
-    ids=["constant", "mdlr", "degree-rule"],
-)
+@pytest.mark.parametrize("kind", [Constant(), MDLR()], ids=["constant", "mdlr"])
 def test_first_order_distribution_is_normalized_public_conductance(kind):
-    """Same floats as weighting each neighbor by ``conductance``, which
-    still refuses every non-edge."""
+    """Same floats as weighting each edge by the rule's conductance: 1, or
+    1 / min(deg u, deg v), normalized by the left-to-right sum."""
     rng = rng_stream(8, 0)
     graphs = [gen_lollipop(5), gen_star(4)] + [
         random_connected_graph(int(rng.integers(2, 9)), rng) for _ in range(20)
     ]
     for g in graphs:
         for u in range(g.n):
-            weights = {x: conductance(g, kind, u, x) for x in g.neighbors(u)}
+            weights = {x: 1.0 if isinstance(kind, Constant) else 1 / min(g.degree(u), g.degree(x))
+                       for x in g.neighbors(u)}
             total = 0.0
             for w in weights.values():
                 total += w
             expected = [(x, (w / total).hex()) for x, w in weights.items()]
             got = step_distribution_first_order(g, kind, u)
             assert [(x, p.hex()) for x, p in got.items()] == expected
-            for v in set(range(g.n)) - set(g.neighbors(u)):
-                with pytest.raises(ValueError, match="not an edge"):
-                    conductance(g, kind, u, v)
 
 
-def test_degree_rule_finiteness_enforced():
-    rule = DegreeRule(lambda a, b: math.inf)
-    with pytest.raises(ValueError, match="non-finite weight inf on \\(0, 1\\)"):
-        conductance(gen_path(3), rule, 0, 1)
-    with pytest.raises(ValueError, match="non-finite weight"):
-        step_distribution_first_order(gen_path(3), rule, 1)
-
-
-def test_degree_rule_weights_whose_sum_overflows_are_refused():
-    # each weight is finite, but their sum is not: the center's row would
-    # be all zeros, and its walks would always take the last leaf
-    g, rule = gen_star(3), DegreeRule(lambda a, b: 1e308)
-    why = "^edge weights out of vertex 0 sum to inf$"
-    with pytest.raises(ValueError, match=why):
-        step_distribution_first_order(g, rule, 0)
-    with pytest.raises(ValueError, match=why):
-        sample_walk(g, WalkConfig(length=6, conductance=rule, seed=1), start=0)
-    with pytest.raises(ValueError, match=why):
-        transition_matrix(g, rule)
-
-
-def test_degree_rule_weights_with_a_finite_sum_still_sample():
-    g, rule = gen_star(3), DegreeRule(lambda a, b: 1e307)
-    dist = step_distribution_first_order(g, rule, 0)
-    assert dist == pytest.approx({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
-    config = WalkConfig(length=6, conductance=rule, seed=1)
-    leaves = {
-        v for i in range(20)
-        for v in sample_walk(g, config, start=0, walk_index=i).vertices[1::2]
-    }
-    assert leaves == {1, 2, 3}
+def test_a_conductance_kind_other_than_the_two_rules_is_refused():
+    g = gen_path(3)
+    why = "^unknown conductance kind: <built-in function max>$"
+    with pytest.raises(TypeError, match=why):
+        WalkConfig(length=1, conductance=max)
+    with pytest.raises(TypeError, match=why):
+        step_distribution_first_order(g, max, 1)
+    with pytest.raises(TypeError, match=why):
+        transition_matrix(g, max)
 
 
 @pytest.mark.parametrize("p,q", [
@@ -143,12 +103,6 @@ def test_walk_on_the_one_vertex_graph_is_refused_unless_empty():
         for start in (None, 0):
             with pytest.raises(ValueError, match="^vertex 0 has no neighbor to step to$"):
                 sample_walk(g, config, start=start)
-
-
-def test_first_order_distribution_refuses_a_zero_degree_rule_weight():
-    rule = DegreeRule(lambda a, b: a + b - 3.0)  # zero on the (1,2)-degree edge
-    with pytest.raises(ValueError, match="nonpositive weight 0.0 on \\(1, 0\\)"):
-        step_distribution_first_order(gen_path(3), rule, 1)
 
 
 def test_first_order_distribution_mdlr_oracle():
@@ -416,8 +370,7 @@ def test_enumeration_from_one_start_stays_local():
 
 
 def test_enumeration_of_length_zero_from_a_start_compiles_no_rows(monkeypatch):
-    # a walk of no steps reads no row, so a rule refusing every weight is
-    # never evaluated
+    # a walk of no steps reads no row
     import walklab.walks as walks
 
     sizes = []
@@ -428,7 +381,7 @@ def test_enumeration_of_length_zero_from_a_start_compiles_no_rows(monkeypatch):
             sizes.append(len(self.adj))
 
     monkeypatch.setattr(walks, "_RowCompiler", TrackedCompiler)
-    config = WalkConfig(length=0, conductance=DegreeRule(lambda a, b: -1.0))
+    config = WalkConfig(length=0, conductance=MDLR())
     dist = list(enumerate_walk_distribution(gen_path(5), config, start=2))
     assert [(w.vertices, p) for w, p in dist] == [((2,), 1.0)]
     assert sizes == [0]
@@ -473,7 +426,7 @@ def test_leaf_probabilities_are_products_of_reference_rows(restart):
     graphs = [gen_lollipop(3), build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 4), gen_star(3)]
     rules = [dict(non_backtracking=nb, node2vec=n2v)
              for nb, n2v in ((False, None), (True, None), (False, Node2Vec(0.5, 2.0)))]
-    kinds = [Constant(), MDLR(), DegreeRule(lambda a, b: math.sqrt(a * b) + 0.1)]
+    kinds = [Constant(), MDLR()]
     for g, rule, kind in itertools.product(graphs, rules, kinds):
         config = WalkConfig(length=4, conductance=kind, restart=restart, **rule)
         for start in (None, 0, g.n - 1):
