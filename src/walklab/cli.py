@@ -199,7 +199,7 @@ def _graph_from_args(args: argparse.Namespace) -> tuple[Graph, str]:
         with open(args.graph, encoding="utf-8") as fh:
             return parse_edge_list(fh.read()), args.graph
     family = getattr(args, "family", None)
-    if not family:
+    if family is None:
         raise UsageError("need --graph FILE or --family NAME")
     if family not in _FAMILIES:
         raise UsageError(f"unknown family {family!r} (choices: {sorted(_FAMILIES)})")
@@ -347,7 +347,7 @@ def _read_attrs(path: str) -> AttributeProvider:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    if args.scheme == "attributed" and not args.attrs:
+    if args.scheme == "attributed" and args.attrs is None:
         raise UsageError("--scheme attributed requires --attrs FILE")
     g, _ = _graph_from_args(args)
     if args.walks_file is not None:

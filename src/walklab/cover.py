@@ -1,20 +1,16 @@
 """Cover-time estimation: global, local under restarts, and the bounds.
 
 Every sampler here reads one :class:`~walklab.walks.StepTable`, built
-per call.  A scalar path steps one trial at a time by
-:meth:`~walklab.walks.StepTable.steps`, under its draw contract, for
-every walk configuration, restarts included; a trial with nothing to
-cover at its start (as on the one-vertex graph) returns 0 unstepped.  A
-lockstep path advances groups of chunks of restart-free trials at once
-through the table's padded numpy view; it exists because edge-cover
-tails on the larger lollipops make the scalar path impractical.
-``sample_cover_time`` and ``local_cover_time`` take the scalar path,
-``estimate_cover_time``, ``worst_start_cover_time``,
-``batch_cover_samples`` and the experiments the lockstep one.  Both
-paths implement the same chain; the test suite cross-checks them on
-small graphs.
+per call.  Global cover (``estimate_cover_time``,
+``worst_start_cover_time``, ``batch_cover_samples`` and the
+experiments) takes the lockstep path, which advances groups of chunks
+of restart-free trials at once through the table's padded numpy view.
+Local cover under restarts, ``local_cover_time``, steps one trial at a
+time by :meth:`~walklab.walks.StepTable.steps`, under its draw contract.
+The test suite keeps a scalar global sampler as a reference and
+cross-checks the two paths on small graphs.
 
-Reproducibility contract: scalar trial ``i`` uses the Philox stream
+Reproducibility contract: local-cover trial ``i`` uses the Philox stream
 ``(seed, i)``.  Lockstep samplers, here and in :mod:`walklab.mixing`,
 share one chunk runner, :func:`chunk_groups`: it carves each cell's
 trials into fixed chunks of ``CHUNK_TRIALS``, gives chunk ``j`` of
@@ -72,7 +68,6 @@ from .walks import (
 
 __all__ = [
     "CoverStats",
-    "sample_cover_time",
     "estimate_cover_time",
     "worst_start_cover_time",
     "batch_cover_samples",
@@ -143,88 +138,6 @@ def _checked_seed(
     if start is not None:
         require_start(g, start)
     return require_seed(config)
-
-
-# ---------------------------------------------------------------------------
-# scalar path
-
-
-def _targets(
-    mode: str, vertices: Iterable[int], edges: Iterable[tuple[int, int]]
-) -> tuple[frozenset, dict[tuple[int, int], tuple[int, int]] | None]:
-    """What a mode covers: ``(targets, arc_target)``.
-
-    Vertex mode targets the vertices and needs no arc map.  The edge
-    modes map each arc to the target its traversal covers: the pair
-    ``(u, v)``, ``u < v``, from either direction in "edge" mode, the
-    arc itself in "edge-strict" mode.  ``edges`` come as ``u < v``.
-    """
-    if mode == "vertex":
-        return frozenset(vertices), None
-    strict = mode == "edge-strict"
-    arc_target = {}
-    for u, v in edges:
-        arc_target[(u, v)] = (u, v)
-        arc_target[(v, u)] = (v, u) if strict else (u, v)
-    return frozenset(arc_target.values()), arc_target
-
-
-def _cover_time_scalar(
-    table: StepTable,
-    start: int,
-    rng: np.random.Generator,
-    targets: frozenset,
-    arc_target: dict[tuple[int, int], tuple[int, int]] | None,
-    budget: int,
-) -> int | None:
-    """Steps until every target is covered (None = censored).
-
-    Without ``arc_target`` the targets are vertices, covered by visits
-    (the start counts).  Otherwise they are edges, and traversing arc
-    ``a`` covers ``arc_target[a]``; restart jumps visit their landing
-    vertex but traverse no edge.
-    """
-    need = set(targets)
-    if arc_target is None:
-        need.discard(start)
-    if not need:
-        return 0
-    prev = start
-    t = 0
-    for v, was_restart in table.steps(start, rng):
-        t += 1
-        if arc_target is None:
-            need.discard(v)
-        elif not was_restart:
-            need.discard(arc_target.get((prev, v)))
-        if not need:
-            return t
-        if t >= budget:
-            return None
-        prev = v
-
-
-def sample_cover_time(
-    g: Graph,
-    config: WalkConfig,
-    start: int,
-    mode: str,
-    walk_index: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> int | None:
-    """One global cover-time sample; None when the budget censored it.
-
-    Vertex mode runs until every vertex is visited, edge mode until
-    every edge is traversed in at least one direction, edge-strict mode
-    until both directions of every edge are traversed.  The walk must be
-    restart-free.
-    """
-    _check_mode(mode)
-    rng = rng_stream(_checked_seed(g, config, 1, start, budget), walk_index)
-    targets, arc_target = _targets(mode, range(g.n), g.edges())
-    return _cover_time_scalar(
-        StepTable(g, config), start, rng, targets, arc_target, budget
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +481,12 @@ def local_cover_time(
     The walk starts at the center and must carry a restart mode (that
     is what makes these times finite on unbounded graphs); in period
     mode the period must be at least ``r + 1``.  Vertex mode covers the
-    ball's members, edge mode the edges they induce.
+    ball's members, visited (the center at the start), edge mode the
+    edges they induce, traversed (in either direction, or in both for
+    "edge-strict"); a restart jump visits its landing vertex but
+    traverses no edge.  Trial ``i`` steps by
+    :meth:`~walklab.walks.StepTable.steps` on stream ``(seed, i)``; a
+    trial with nothing to cover takes no step.
     """
     _check_mode(mode)
     # local_ball checks the center
@@ -578,15 +496,38 @@ def local_cover_time(
             f"period {config.restart.k} too short for radius {r} (need k >= r+1)"
         )
     ball = local_ball(g, v, r)
-    targets, arc_target = _targets(mode, ball.members, ball.edges)
+    vertex = mode == "vertex"
+    if vertex:
+        targets = frozenset(ball.members) - {v}
+    else:
+        # the target each arc's traversal covers: the edge (a, b), a < b,
+        # or in strict mode the arc itself
+        strict = mode == "edge-strict"
+        arc_target = {}
+        for a, b in ball.edges:
+            arc_target[(a, b)] = (a, b)
+            arc_target[(b, a)] = (b, a) if strict else (a, b)
+        targets = frozenset(arc_target.values())
+    if not targets:
+        return _stats(np.zeros(trials, dtype=np.int64), mode)
     table = StepTable(g, config)
     out = np.full(trials, -1, dtype=np.int64)
     for i in range(trials):
-        got = _cover_time_scalar(
-            table, v, rng_stream(seed, i), targets, arc_target, budget
-        )
-        if got is not None:
-            out[i] = got
+        need = set(targets)
+        prev = v
+        t = 0
+        for x, was_restart in table.steps(v, rng_stream(seed, i)):
+            t += 1
+            if vertex:
+                need.discard(x)
+            elif not was_restart:
+                need.discard(arc_target.get((prev, x)))
+            if not need:
+                out[i] = t
+                break
+            if t >= budget:
+                break
+            prev = x
     return _stats(out, mode)
 
 

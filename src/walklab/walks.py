@@ -170,15 +170,6 @@ class Walk:
         return len(self.vertices)
 
 
-def _weight(g: Graph, kind: ConductanceKind, u: int, v: int) -> float:
-    # conductance of an edge the caller knows exists
-    if isinstance(kind, Constant):
-        return 1.0
-    if isinstance(kind, MDLR):
-        return 1.0 / min(g.degree(u), g.degree(v))
-    raise TypeError(f"unknown conductance kind: {kind!r}")
-
-
 def _fold(values: Iterable[float]) -> float:
     """The left-to-right sum of ``values``, as ``np.cumsum`` adds a row.
 
@@ -194,8 +185,18 @@ def _fold(values: Iterable[float]) -> float:
 def step_distribution_first_order(
     g: Graph, kind: ConductanceKind, u: int
 ) -> dict[int, float]:
-    """Transition distribution out of ``u``: neighbor -> probability."""
-    weights = {x: _weight(g, kind, u, x) for x in g.neighbors(u)}
+    """Transition distribution out of ``u``: neighbor -> probability.
+
+    Each edge weighs its conductance: 1, or 1 / min(deg u, deg x).
+    """
+    # the kind is checked before any edge, so a vertex without one refuses it too
+    if isinstance(kind, MDLR):
+        du = g.degree(u)
+        weights = {x: 1.0 / min(du, g.degree(x)) for x in g.neighbors(u)}
+    elif isinstance(kind, Constant):
+        weights = dict.fromkeys(g.neighbors(u), 1.0)
+    else:
+        raise TypeError(f"unknown conductance kind: {kind!r}")
     total = _fold(weights.values())
     return {x: w / total for x, w in weights.items()}
 

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, config merging, CSV output."""
+import ast
 import csv
 import io
 import os
@@ -63,9 +64,16 @@ def test_bad_record_is_a_usage_error(capsys):
      "[Errno 2] No such file or directory: ''"),
     (["gen", "--graph", "", "--family", "path", "--n", "2"], "",
      "[Errno 2] No such file or directory: ''"),
-], ids=["decode-text", "decode-in", "record-walks-file", "gen-out", "gen-graph"])
+    (["record", "--family", "path", "--n", "3", "--scheme", "attributed", "--attrs", ""],
+     "0 1 2\n", "[Errno 2] No such file or directory: ''"),
+    (["gen", "--family", "", "--n", "3"], "",
+     "unknown family '' (choices: ['barbell', 'clique', 'csl', 'cycle', 'lollipop', "
+     "'path', 'rook4x4', 'shrikhande', 'star'])"),
+], ids=["decode-text", "decode-in", "record-walks-file", "gen-out", "gen-graph",
+        "record-attrs", "gen-family"])
 def test_an_empty_string_option_is_not_an_absent_one(argv, stdin, why, capsys, monkeypatch):
-    # an empty text or path is refused, not read as stdin, stdout or the family
+    # an empty text, path or family is refused, not read as stdin, stdout,
+    # the family or a missing flag
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -622,6 +630,37 @@ def test_record_checks_each_walk_line_once(scheme, tmp_path, capsys, monkeypatch
     assert record_cycle4(lines, scheme, tmp_path, monkeypatch) == 0
     assert len(out_of(capsys).splitlines()) == 3
     assert [w.vertices for w in calls] == [(0, 1, 2, 3), (1, 0, 3, 0, 1), (2,)]
+
+
+def private_package_names(source):
+    """The private names a module takes from its package: imported
+    (``from .records import _x``) or read off an imported module
+    (``cover_mod._x``)."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_cli_reads_one_private_name_of_the_package():
+    planted = "from . import cover as cover_mod\nfrom .walks import _fold, rng_stream\n" \
+              "x = cover_mod._stats\n"
+    assert private_package_names(planted) == ["_fold", "cover_mod._stats"]
+    # record --scheme anon checks each walk against the graph, then records
+    # it with _record_walk: the public record_anonymized would check it a
+    # second time, without the graph
+    source = pathlib.Path(cli_mod.__file__).read_text(encoding="utf-8")
+    assert private_package_names(source) == ["_record_walk"]
 
 
 # -- cover, mixing, experiments --------------------------------------------------

@@ -21,11 +21,12 @@ from walklab import (
     gen_path,
     local_cover_time,
     parse_edge_list,
-    sample_cover_time,
     theorem2_bound,
     worst_start_cover_time,
 )
 from walklab.walks import StepTable
+
+from reference import sample_cover_time
 
 
 def cfg(seed=1, **kw):
@@ -33,7 +34,8 @@ def cfg(seed=1, **kw):
 
 
 def scalar_estimate(g, config, mode, trials, start):
-    """Mean and standard error of scalar trials 0..trials-1 from ``start``.
+    """Mean and standard error of reference scalar trials 0..trials-1 from
+    ``start``.
 
     Trial ``i`` draws from stream ``(seed, i)``, which the lockstep path
     never reads, so the two paths' estimates are independent.
@@ -44,50 +46,36 @@ def scalar_estimate(g, config, mode, trials, start):
 
 
 # -- exact single-sample oracles ---------------------------------------------
+# each runs 200 lanes, more than TAIL_LANES, so the kernel's vector steps run
 
 
 def test_k2_vertex_cover_is_one_step():
-    g = gen_clique(2)
-    for i in range(20):
-        assert sample_cover_time(g, cfg(), 0, "vertex", walk_index=i) == 1
+    t_v, _ = batch_cover_samples(gen_clique(2), cfg(), 200, 0, track_edges=False)
+    assert (t_v == 1).all()
 
 
 def test_k2_edge_cover_one_direction_vs_strict():
     g = gen_clique(2)
-    for i in range(20):
-        assert sample_cover_time(g, cfg(), 0, "edge", walk_index=i) == 1
-        assert sample_cover_time(g, cfg(), 0, "edge-strict", walk_index=i) == 2
+    _, plain = batch_cover_samples(g, cfg(), 200, 0)
+    _, strict = batch_cover_samples(g, cfg(), 200, 0, strict_edges=True)
+    assert (plain == 1).all()
+    assert (strict == 2).all()
 
 
 def test_triangle_nb_vertex_cover_is_two_steps():
     """Non-backtracking on a triangle must see the third vertex at t=2."""
-    g = gen_cycle(3)
     c = cfg(non_backtracking=True)
-    for i in range(20):
-        assert sample_cover_time(g, c, 1, "vertex", walk_index=i) == 2
-
-
-def test_sample_cover_time_validation():
-    g = gen_clique(2)
-    with pytest.raises(ValueError):
-        sample_cover_time(g, cfg(), 0, "edges")
-    with pytest.raises(ValueError):
-        sample_cover_time(g, cfg(), 5, "vertex")
-    with pytest.raises(ValueError):
-        sample_cover_time(g, cfg(restart=RestartProb(0.3)), 0, "vertex")
-    with pytest.raises(ValueError):
-        sample_cover_time(g, WalkConfig(length=0), 0, "vertex")
+    t_v, _ = batch_cover_samples(gen_cycle(3), c, 200, 1, track_edges=False)
+    assert (t_v == 2).all()
 
 
 def test_cover_time_lower_bounds():
     g = gen_lollipop(3)
-    for i in range(10):
-        t_v = sample_cover_time(g, cfg(), 0, "vertex", walk_index=i)
-        t_e = sample_cover_time(g, cfg(), 0, "edge", walk_index=i)
-        t_s = sample_cover_time(g, cfg(), 0, "edge-strict", walk_index=i)
-        assert t_v >= g.n - 1
-        assert t_e >= g.m
-        assert t_s >= 2 * g.m
+    t_v, t_e = batch_cover_samples(g, cfg(), 200, 0)
+    _, t_s = batch_cover_samples(g, cfg(), 200, 0, strict_edges=True)
+    assert (t_v >= g.n - 1).all()
+    assert (t_e >= g.m).all()
+    assert (t_s >= 2 * g.m).all()
 
 
 # -- estimators ----------------------------------------------------------------
@@ -113,13 +101,18 @@ def test_estimate_scalar_and_batch_agree():
 def test_single_vertex_cover_is_zero_on_both_paths():
     g = parse_edge_list("1 0\n")
     for mode in ("vertex", "edge", "edge-strict"):
-        assert sample_cover_time(g, cfg(), 0, mode) == 0
         st = estimate_cover_time(g, cfg(), mode, 8, start=None)
+        assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
+        # the scalar path: the ball around the only vertex is the graph
+        st = local_cover_time(g, 0, 1, cfg(restart=RestartProb(0.5)), mode, 8)
         assert (st.mean, st.std_err, st.censored) == (0.0, 0.0, 0)
 
 
 def test_estimate_validation():
     g = gen_cycle(3)
+    why = "^mode must be 'vertex', 'edge' or 'edge-strict', got 'edges'$"
+    with pytest.raises(ValueError, match=why):
+        estimate_cover_time(g, cfg(), "edges", 5, 0)
     with pytest.raises(ValueError):
         estimate_cover_time(g, cfg(), "vertex", 0, 0)
     with pytest.raises(ValueError):
@@ -179,8 +172,6 @@ def test_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="budget"):
         estimate_cover_time(g, cfg(), "vertex", 5, 0, budget=budget)
     with pytest.raises(ValueError, match="budget"):
-        sample_cover_time(g, cfg(), 0, "vertex", budget=budget)
-    with pytest.raises(ValueError, match="budget"):
         local_cover_time(g, 0, 1, cfg(restart=RestartProb(0.5)), "vertex", 5,
                          budget=budget)
 
@@ -189,8 +180,6 @@ def _cover_samplers():
     """Each cover sampler as ``(call(config, trials, budget), restart_free)``."""
     g = gen_cycle(4)
     return {
-        "sample_cover_time": (
-            lambda c, t, b: sample_cover_time(g, c, 0, "vertex", budget=b), True),
         "batch_cover_samples": (
             lambda c, t, b: batch_cover_samples(g, c, t, 0, budget=b), True),
         "estimate_cover_time": (
@@ -206,8 +195,6 @@ def _cover_samplers():
     (name, fault)
     for name in _cover_samplers()
     for fault in ("trials", "budget", "restart")
-    # sample_cover_time draws one sample and takes no trials
-    if (name, fault) != ("sample_cover_time", "trials")
 ])
 def test_cover_samplers_refuse_the_same_faults_alike(name, fault):
     call, restart_free = _cover_samplers()[name]
@@ -235,13 +222,13 @@ def test_batch_cover_samples_are_paired():
 
 
 def test_strict_edges_dominate_plain_per_trajectory():
-    # scalar trial i replays stream (seed, i), so the strict time extends
-    # the exact same walk the plain time stopped on
+    # a one-trial call as cell i is one lane on stream (seed, i, 0), so
+    # the strict time extends the exact same walk the plain time stopped on
     g = gen_cycle(4)
     for i in range(200):
-        plain = sample_cover_time(g, cfg(), 0, "edge", walk_index=i)
-        strict = sample_cover_time(g, cfg(), 0, "edge-strict", walk_index=i)
-        assert strict >= plain
+        _, plain = batch_cover_samples(g, cfg(), 1, 0, cell=i)
+        _, strict = batch_cover_samples(g, cfg(), 1, 0, cell=i, strict_edges=True)
+        assert strict[0] >= plain[0] >= 0
 
 
 def test_batch_strict_edges_shift_the_mean():
@@ -274,8 +261,6 @@ def test_starts_off_the_graph_are_refused(start):
         batch_cover_samples(g, cfg(), 5, start=start)
     with pytest.raises(ValueError, match=why):
         estimate_cover_time(g, cfg(), "vertex", 5, start)
-    with pytest.raises(ValueError, match=why):
-        sample_cover_time(g, cfg(), start, "vertex")
 
 
 def test_batch_second_order_matches_scalar_law():

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from test_cover_kernel import double_star
 from walklab import (
     MDLR,
@@ -138,19 +139,19 @@ N2V = WalkConfig(length=0, conductance=MDLR(), node2vec=Node2Vec(2.0, 0.5), seed
 
 
 def scalar_stats(g, config, mode, trials, start):
-    """Scalar cover estimate: trial ``i`` on stream ``(seed, i)``.
+    """Reference scalar cover estimate: trial ``i`` on stream ``(seed, i)``.
 
     With ``start`` None a trial draws its start from its stream first;
-    with a vertex, trial ``i`` is ``sample_cover_time`` at
+    with a vertex, trial ``i`` is ``reference.sample_cover_time`` at
     ``walk_index=i``.
     """
     table = StepTable(g, config)
-    targets, arc_target = cover._targets(mode, range(g.n), g.edges())
+    targets, arc_target = reference.cover_targets(mode, range(g.n), g.edges())
     out = np.full(trials, -1, dtype=np.int64)
     for i in range(trials):
         rng = rng_stream(config.seed, i)
         v = start if start is not None else int(rng.integers(g.n))
-        got = cover._cover_time_scalar(
+        got = reference.cover_time(
             table, v, rng, targets, arc_target, cover.DEFAULT_BUDGET
         )
         if got is not None:

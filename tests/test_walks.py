@@ -36,7 +36,6 @@ from walklab import (
     mc_visit_frequencies,
     random_connected_graph,
     rng_stream,
-    sample_cover_time,
     sample_walk,
     step_distribution_first_order,
     step_distribution_second_order,
@@ -85,6 +84,11 @@ def test_a_conductance_kind_other_than_the_two_rules_is_refused():
         step_distribution_first_order(g, max, 1)
     with pytest.raises(TypeError, match=why):
         transition_matrix(g, max)
+
+
+def test_a_bad_conductance_kind_is_refused_at_a_vertex_without_neighbors():
+    with pytest.raises(TypeError, match="^unknown conductance kind: <built-in function max>$"):
+        step_distribution_first_order(build_graph([], 1), max, 0)
 
 
 @pytest.mark.parametrize("p,q", [
@@ -189,7 +193,6 @@ def test_every_sampler_names_the_missing_seed_alike():
     g, unseeded = gen_path(3), WalkConfig(length=2)
     samplers = (
         lambda: sample_walk(g, unseeded),
-        lambda: sample_cover_time(g, unseeded, 0, "vertex"),
         lambda: batch_cover_samples(g, unseeded, 4, None),
         lambda: estimate_cover_time(g, unseeded, "edge", 4, 0),
         lambda: worst_start_cover_time(g, unseeded, "edge", 4),
@@ -206,7 +209,6 @@ def test_every_sampler_names_a_bad_start_alike():
     g, config = gen_path(3), WalkConfig(length=2, seed=1)
     samplers = (
         lambda s: sample_walk(g, config, start=s),
-        lambda s: sample_cover_time(g, config, s, "vertex"),
         lambda s: batch_cover_samples(g, config, 4, s),
         lambda s: estimate_cover_time(g, config, "edge", 4, s),
         lambda s: mc_visit_frequencies(g, 1, s, 2, 4),
