@@ -69,6 +69,19 @@ def test_triangle_nb_vertex_cover_is_two_steps():
     assert (t_v == 2).all()
 
 
+def test_sample_cover_time_validation():
+    """The reference scalar sampler refuses what the package samplers do."""
+    g = gen_clique(2)
+    with pytest.raises(ValueError):
+        sample_cover_time(g, cfg(), 0, "edges")
+    with pytest.raises(ValueError):
+        sample_cover_time(g, cfg(), 5, "vertex")
+    with pytest.raises(ValueError):
+        sample_cover_time(g, cfg(restart=RestartProb(0.3)), 0, "vertex")
+    with pytest.raises(ValueError):
+        sample_cover_time(g, WalkConfig(length=0), 0, "vertex")
+
+
 def test_cover_time_lower_bounds():
     g = gen_lollipop(3)
     t_v, t_e = batch_cover_samples(g, cfg(), 200, 0)
