@@ -88,9 +88,6 @@ class Permutation:
         if sorted(self.mapping) != list(range(n)):
             raise ValueError("mapping is not a permutation of 0..n-1")
 
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
-
     def __len__(self) -> int:
         return len(self.mapping)
 

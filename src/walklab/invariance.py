@@ -45,20 +45,20 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, Permutation, apply_permutation, build_graph
 from .records import LevelRecorder
 from .walks import (
-    LEAF_BUDGET,
     MDLR,
     Constant,
     Node2Vec,
     RestartProb,
     WalkConfig,
     _RowCompiler,
+    _batches,
     _check_depth,
     check_enumeration_bound,
     leaf_walks,
@@ -392,7 +392,7 @@ def run_invariance_suite(
             for j in range(k + 1, k + trees):
                 perm = Permutation(tuple(int(x) for x in rng.permutation(graphs[gi].n)))
                 forest_graphs[j] = apply_permutation(graphs[gi], perm)
-                back[j, :len(perm)] = np.argsort(perm.mapping)
+                back[j, :len(perm)] = perm.inverse().mapping
         for configs_of_class in classes:
             walks, gap = _check_forest(_Forest(forest_graphs, configs_of_class), own, back, _TOL)
             walks_total += walks
@@ -405,17 +405,3 @@ def run_invariance_suite(
         max_probability_gap=worst,
     )
 
-
-def _batches(leaves: Sequence[int]) -> Iterator[list[int]]:
-    """Consecutive graph indices whose leaf bounds sum to at most
-    ``LEAF_BUDGET``, one graph at least."""
-    batch: list[int] = []
-    total = 0
-    for gi, count in enumerate(leaves):
-        if batch and total + count > LEAF_BUDGET:
-            yield batch
-            batch, total = [], 0
-        batch.append(gi)
-        total += count
-    if batch:
-        yield batch

@@ -154,7 +154,7 @@ def mc_visit_frequencies(
     if l < 0 or trials < 1:
         raise ValueError("need l >= 0 and trials >= 1")
     if l > 0 and g.m == 0:
-        raise ValueError("a walk cannot step on a graph without edges")
+        raise ValueError(f"vertex {u} has no neighbor to step to")
 
     rows = StepTable(g, config).padded()
     per_state = np.zeros(rows.position.size, dtype=np.int64)

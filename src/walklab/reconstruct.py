@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .graphs import Graph
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .graphs import build_graph  # noqa: F401
-from .records import Record, Restart, Step, record_named_neighbors
+from .records import Record, Restart, Step, _record_walk
 from .walks import WalkConfig, sample_walk
 
 __all__ = [
@@ -141,7 +141,11 @@ def check_reconstruction(g: Graph, config: WalkConfig, trials: int) -> float:
 
     Each covering walk is recorded with named neighbors, decoded, and
     asserted isomorphic to ``g``; a failure there is a bug, not a
-    statistic, so it raises.
+    statistic, so it raises.  The walks are the package's own draws
+    from :func:`~walklab.walks.sample_walk`, so they are recorded
+    without :func:`~walklab.records.check_walk`'s re-check: a covering
+    walk that steps off an edge decodes to a graph with an edge too many,
+    so a sampler bug fails the assertion rather than being refused.
     """
     if g.n > ISOMORPHISM_GUARD:
         raise ValueError(
@@ -154,7 +158,7 @@ def check_reconstruction(g: Graph, config: WalkConfig, trials: int) -> float:
         walk = sample_walk(g, config, start=None, walk_index=i)
         if len(set(walk.vertices)) == g.n:
             covered += 1
-            got = decode(record_named_neighbors(walk, g))
+            got = decode(_record_walk(walk, g)[2])
             if not is_isomorphic(got.graph, g):
                 raise AssertionError(
                     f"covering walk failed to reconstruct the graph "

@@ -162,10 +162,6 @@ class Walk:
         if self.restart_flags[0]:
             raise ValueError("the start position is not a restart")
 
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -548,14 +544,30 @@ def _check_depth(n_starts: int, length: int) -> None:
                          f"exceeds guard {ENUMERATION_GUARD}")
 
 
-# enumerate_walk_distribution splits its starts, and the invariance suite
-# its graphs, into level-by-level passes whose check_enumeration_bound
-# bounds sum to at most this.  The bound takes the largest degree at every
-# step, so a pass holds fewer leaves than it counts: on the enum-invariance
-# workload the largest of its 12 passes held about a third, 5,550 of
-# 16,384.  A pass's memory grows with its leaves: the suite call's
-# tracemalloc peak there is 1.13 MB, and tests/test_invariance.py pins it.
+# _batches cuts the trees of an enumeration, one per start of
+# enumerate_walk_distribution or one per graph of the invariance suite,
+# into level-by-level passes whose check_enumeration_bound bounds sum to
+# at most this.  The bound takes the largest degree at every step, so a
+# pass holds fewer leaves than it counts: on the enum-invariance workload
+# the largest of its 12 passes held about a third, 5,550 of 16,384.  A
+# pass's memory grows with its leaves: the suite call's tracemalloc peak
+# there is 1.13 MB, and tests/test_invariance.py pins it.
 LEAF_BUDGET = 1 << 14
+
+
+def _batches(leaves: Sequence[int]) -> Iterator[list[int]]:
+    """Consecutive indices whose leaf bounds sum to at most
+    ``LEAF_BUDGET``, one index at least."""
+    batch: list[int] = []
+    total = 0
+    for i, count in enumerate(leaves):
+        if batch and total + count > LEAF_BUDGET:
+            yield batch
+            batch, total = [], 0
+        batch.append(i)
+        total += count
+    if batch:
+        yield batch
 
 
 class TreeLevel(NamedTuple):
@@ -794,10 +806,9 @@ def enumerate_walk_distribution(
         # a walk steps from, and stands before a step at, at most length - 1 from its start
         reach = [_reach(g.adjacency, start, config.length - 1)]
     compiler = _RowCompiler([g], [config], reach)
-    group = max(1, LEAF_BUDGET * len(starts) // max(bound, 1))
-    for i in range(0, len(starts), group):
+    for batch in _batches([bound // len(starts)] * len(starts)):
         vertices, restarts, last = leaf_walks(walk_tree_levels(
-            compiler, [(0, s, start_prob) for s in starts[i:i + group]]))
+            compiler, [(0, starts[i], start_prob) for i in batch]))
         for vs, flags, prob in zip(vertices.tolist(), restarts.tolist(),
                                    last.probs[0].tolist()):
             yield Walk(tuple(vs), tuple(flags)), prob

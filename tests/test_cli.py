@@ -13,6 +13,7 @@ import pytest
 import walklab
 
 from walklab import (
+    Node2Vec,
     WalkConfig,
     estimate_cover_time,
     experiment_fig3,
@@ -256,6 +257,17 @@ def test_bad_flag_value_names_the_flag(sub, key, value, tmp_path, capsys, monkey
     assert f"argument --{key}: " in captured.err
 
 
+@pytest.mark.parametrize("value", ["1,0", "-1,2", "inf,1", "1e-320,1"])
+def test_bad_node2vec_shows_its_own_refusal(value, capsys):
+    # the flag passes Node2Vec's wording on rather than stating the rule again
+    with pytest.raises(ValueError) as refused:
+        Node2Vec(*(float(x) for x in value.split(",")))
+    assert run(_bad_value_argv("walk", [f"--node2vec={value}"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"argument --node2vec: {refused.value}\n")
+
+
 @pytest.mark.parametrize("sub,key,value", BAD_WALK_VALUES)
 def test_bad_config_value_names_the_flag(sub, key, value, tmp_path, capsys,
                                          monkeypatch):
@@ -370,7 +382,7 @@ def test_single_vertex_mixing_at_length_zero(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("lengths", ["1", "0,3"])
+@pytest.mark.parametrize("lengths", ["1", "0,3", "5,0"])
 def test_single_vertex_mixing_cannot_step(tmp_path, capsys, lengths):
     gfile = tmp_path / "one.txt"
     gfile.write_text("1 0\n")
@@ -378,8 +390,7 @@ def test_single_vertex_mixing_cannot_step(tmp_path, capsys, lengths):
               "--seed", "1"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "vertex 0 has no neighbor to step to" in captured.err
-    assert captured.out == ""
+    assert (captured.out, captured.err) == ("", "error: vertex 0 has no neighbor to step to\n")
 
 
 # -- gen / walk / record / decode pipeline --------------------------------------

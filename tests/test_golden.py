@@ -38,7 +38,7 @@ from walklab import (
 )
 from walklab import cover
 from walklab.cli import run
-from walklab.walks import StepTable
+from walklab.walks import LEAF_BUDGET, StepTable, check_enumeration_bound
 
 CLI_CASES = {
     "walk-mdlr": (
@@ -271,6 +271,19 @@ def test_enumeration_bytes_are_pinned():
             texts.append(f"{w.vertices}{w.restart_flags}{p!r}")
     assert sha256("\n".join(texts)) == (
         "cf2e98cac63b2f73385773a41fad0d1ee7065e28d001e4c70f20db29870fe22f"
+    )
+
+
+def test_enumeration_bytes_are_pinned_across_passes():
+    # 8 starts of 4 * 4**5 bound leaves each: twice LEAF_BUDGET, so the
+    # starts run in two passes, and the walks still come in start order
+    g, config = gen_csl(8, 3), WalkConfig(length=6)
+    assert check_enumeration_bound(g, config, g.n) == 2 * LEAF_BUDGET
+    texts = [f"{w.vertices}{w.restart_flags}{p!r}"
+             for w, p in enumerate_walk_distribution(g, config)]
+    assert len(texts) == 8 * 4 ** 6
+    assert sha256("\n".join(texts)) == (
+        "3e2b7396c4851489b2a8d390d058e93c20aab0ba7d181037db81bf45bf70b013"
     )
 
 

@@ -158,7 +158,7 @@ def test_edges_yields_each_once_ordered():
 def test_permutation_roundtrip():
     p = Permutation((2, 0, 1))
     inv = p.inverse()
-    assert [inv(p(v)) for v in range(3)] == [0, 1, 2]
+    assert [inv.mapping[p.mapping[v]] for v in range(3)] == [0, 1, 2]
 
 
 def test_permutation_rejects_non_bijection():

@@ -354,12 +354,12 @@ def test_attributed_prose_is_invariant_under_relabeling(gw, rnd, directed):
         }
     attrs = AttributeProvider(texts, directions, labels or None)
     moved = AttributeProvider(
-        {p(v): t for v, t in texts.items()},
+        {mapping[v]: t for v, t in texts.items()},
         None if directions is None
-        else {(p(u), p(v)): d for (u, v), d in directions.items()},
-        {p(v): c for v, c in labels.items()} or None,
+        else {(mapping[u], mapping[v]): d for (u, v), d in directions.items()},
+        {mapping[v]: c for v, c in labels.items()} or None,
     )
-    relabeled = Walk(tuple(p.mapping[v] for v in w.vertices), w.restart_flags)
+    relabeled = Walk(tuple(mapping[v] for v in w.vertices), w.restart_flags)
     assert (record_attributed(relabeled, apply_permutation(g, p), moved)
             == record_attributed(w, g, attrs))
 

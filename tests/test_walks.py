@@ -181,7 +181,7 @@ def test_walk_validation():
     with pytest.raises(ValueError):
         Walk((0, 1), (True, False))
     w = Walk((2, 1), (False, False))
-    assert w.start == 2 and len(w) == 2
+    assert w.vertices[0] == 2 and len(w) == 2
 
 
 def test_sample_walk_requires_seed():
@@ -527,6 +527,6 @@ def test_sampled_walks_live_on_edges(gc, walk_index):
     assert len(w) == cfg.length + 1
     for t in range(1, len(w)):
         if w.restart_flags[t]:
-            assert w.vertices[t] == w.start
+            assert w.vertices[t] == w.vertices[0]
         else:
             assert g.has_edge(w.vertices[t - 1], w.vertices[t])
