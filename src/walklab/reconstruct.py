@@ -145,7 +145,7 @@ def check_reconstruction(g: Graph, config: WalkConfig, trials: int) -> float:
     from :func:`~walklab.walks.sample_walk`, so they are recorded
     without :func:`~walklab.records.check_walk`'s re-check: a covering
     walk that steps off an edge decodes to a graph with an edge too many,
-    so a sampler bug fails the assertion rather than being refused.
+    and a sampler bug fails the assertion rather than being refused.
     """
     if g.n > ISOMORPHISM_GUARD:
         raise ValueError(
