@@ -503,7 +503,8 @@ def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nb", action="store_true", help="non-backtracking steps")
     sub.add_argument("--node2vec", type=_node2vec_pair, metavar="P,Q",
                      help="return and in-out bias: P and Q positive and finite, with "
-                          "finite reciprocals (exclusive with --nb)")
+                          "finite reciprocals (exclusive with --nb); write a value "
+                          "that starts with '-' as --node2vec=P,Q")
     sub.add_argument("--restart-prob", type=_open_unit_interval, dest="restart_prob",
                      help="restart probability per step, in (0, 1)")
     sub.add_argument("--restart-period", type=_at_least(1), dest="restart_period",

@@ -1,12 +1,12 @@
 """Cover-time estimation: global, local under restarts, and the bounds.
 
-Every sampler here reads one :class:`~walklab.walks.StepTable`, built
-per call.  Global cover (``estimate_cover_time``,
-``worst_start_cover_time``, ``batch_cover_samples`` and the
-experiments) takes the lockstep path, which advances groups of chunks
-of restart-free trials at once through the table's padded numpy view.
-Local cover under restarts, ``local_cover_time``, steps one trial at a
-time by :meth:`~walklab.walks.StepTable.steps`, under its draw contract.
+Every sampler here compiles the walk's step law once per call.  Global
+cover (``estimate_cover_time``, ``worst_start_cover_time``,
+``batch_cover_samples`` and the experiments) takes the lockstep path,
+which advances groups of chunks of restart-free trials at once through
+the padded arrays of :meth:`~walklab.walks.PaddedRows.compile`.  Local
+cover under restarts, ``local_cover_time``, steps one trial at a time by
+:meth:`~walklab.walks.StepTable.steps`, under its draw contract.
 The test suite keeps a scalar global sampler as a reference and
 cross-checks the two paths on small graphs.
 
@@ -396,7 +396,7 @@ def batch_cover_samples(
     restart-free.
     """
     seed = _checked_seed(g, config, trials, start, budget)
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     entered = (rows.arc if strict_edges else rows.edge) if track_edges else None
     return _lockstep_samples(g, rows, seed, trials, {cell: start}, budget, entered)
 
@@ -454,7 +454,7 @@ def worst_start_cover_time(
     """
     _check_mode(mode)
     seed = _checked_seed(g, config, trials, None, budget)
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     entered = {"vertex": None, "edge": rows.edge, "edge-strict": rows.arc}[mode]
     t_v, t_e = _lockstep_samples(
         g, rows, seed, trials, {v: v for v in range(g.n)}, budget, entered

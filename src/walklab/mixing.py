@@ -22,7 +22,7 @@ import numpy as np
 from .cover import chunk_groups, joined_random
 from .generators import gen_barbell, gen_cycle, gen_lollipop
 from .graphs import Graph, build_graph
-from .walks import StepTable, WalkConfig, require_seed, require_start
+from .walks import PaddedRows, WalkConfig, require_seed, require_start
 
 __all__ = [
     "stationary",
@@ -156,7 +156,7 @@ def mc_visit_frequencies(
     if l > 0 and g.m == 0:
         raise ValueError(f"vertex {u} has no neighbor to step to")
 
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     per_state = np.zeros(rows.position.size, dtype=np.int64)
     for group in chunk_groups(seed, [cell], trials):
         draws = [(rng, lanes) for _, rng, lanes in group]

@@ -20,10 +20,12 @@ it for every scalar sampler (its docstring gives the draw contract):
 
 The step law is compiled twice over, to the same bits.
 :class:`StepTable` compiles one row at a time in Python, on demand, for
-the scalar walk; :class:`_RowCompiler` compiles the rows of many states
+the scalar walk, as lists over the vertex's neighbor tuple, which
+``Graph`` keeps ascending; :func:`step_distribution_second_order` reads
+the same rule.  :class:`_RowCompiler` compiles the rows of many states
 at once as arrays, for the exhaustive enumeration
 (:func:`walk_tree_levels`), the lockstep samplers' padded table
-(:meth:`StepTable.padded`) and :func:`transition_matrix`.  Both sum
+(:meth:`PaddedRows.compile`) and :func:`transition_matrix`.  Both sum
 every row left to right.  The scalar walk keeps its lazy rows because
 it reads few of a graph's rows: in a prototype that read whole-graph
 compiler rows instead, with the same bytes, 2,500 reconstruction-fuzz
@@ -34,7 +36,7 @@ path --n 100000 --length 10 --walks 20`` took 3.0 s against 0.29 s
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -53,7 +55,6 @@ __all__ = [
     "RestartMode",
     "WalkConfig",
     "Walk",
-    "step_distribution_first_order",
     "step_distribution_second_order",
     "transition_matrix",
     "sample_walk",
@@ -166,35 +167,19 @@ class Walk:
         return len(self.vertices)
 
 
-def _fold(values: Iterable[float]) -> float:
-    """The left-to-right sum of ``values``, as ``np.cumsum`` adds a row.
+def _normalized(weights: list[float]) -> list[float]:
+    """``weights`` divided by their left-to-right sum, as ``np.cumsum`` adds a row.
 
     From Python 3.12 on, ``sum()`` of floats is compensated and may round
     otherwise, which would tie the rows' bits to the Python version.
     """
     total = 0.0
-    for w in values:
+    for w in weights:
         total += w
-    return total
-
-
-def step_distribution_first_order(
-    g: Graph, kind: ConductanceKind, u: int
-) -> dict[int, float]:
-    """Transition distribution out of ``u``: neighbor -> probability.
-
-    Each edge weighs its conductance: 1, or 1 / min(deg u, deg x).
-    """
-    # the kind is checked before any edge, so a vertex without one refuses it too
-    if isinstance(kind, MDLR):
-        du = g.degree(u)
-        weights = {x: 1.0 / min(du, g.degree(x)) for x in g.neighbors(u)}
-    elif isinstance(kind, Constant):
-        weights = dict.fromkeys(g.neighbors(u), 1.0)
-    else:
-        raise TypeError(f"unknown conductance kind: {kind!r}")
-    total = _fold(weights.values())
-    return {x: w / total for x, w in weights.items()}
+    probs = []
+    for w in weights:
+        probs.append(w / total)
+    return probs
 
 
 def step_distribution_second_order(
@@ -203,7 +188,8 @@ def step_distribution_second_order(
     """Transition distribution out of ``cur`` given the previous position.
 
     ``prev is None`` means there is no history (the walk's first step)
-    and the distribution is plainly first-order.  With
+    and the distribution is plainly first-order: each edge weighs its
+    conductance, 1 or 1 / min(deg cur, deg x).  With
     ``non_backtracking`` the previous vertex is excluded and the rest
     renormalized; when it was the only neighbor the walker backtracks
     anyway (probability one).  With ``node2vec`` each candidate's
@@ -213,11 +199,12 @@ def step_distribution_second_order(
     after a restart) the step falls back to first-order, since the
     bias is defined over the configured edge move that never happened.
     """
-    return StepTable(g, config)._distribution(prev, cur)
+    return dict(zip(*StepTable(g, config).law(prev, cur)))
 
 
 class PaddedRows:
-    """A :class:`StepTable` as rectangular arrays, for lockstep kernels.
+    """The step law of one (graph, config) as rectangular arrays, for
+    lockstep kernels; :meth:`compile` builds them.
 
     States ``0..n-1`` are the walk's start vertices, stepping under the
     rows ``(None, v)``.  After any move the state is the arc just
@@ -273,6 +260,56 @@ class PaddedRows:
         self._bins = bins
         self._guide = np.repeat(slots.astype(np.int32).ravel(), spans.ravel())
 
+    @classmethod
+    def compile(cls, g: Graph, config: WalkConfig) -> PaddedRows:
+        """Every state's row of ``g`` under ``config``.
+
+        The rows come from :class:`_RowCompiler`, the compiler the
+        enumeration reads.
+        """
+        n = g.n
+        second_order = config.non_backtracking or config.node2vec is not None
+        compiler = _RowCompiler([g], [config])
+        real = compiler.adj >= 0
+        degree = real.sum(axis=1)
+        tails, heads = np.repeat(np.arange(n), degree), compiler.adj[real]
+        # a first-order row depends on the head alone, so only the start
+        # states' rows are compiled and the arc states copy them
+        prev, cur = np.full(n, -1), np.arange(n)
+        if second_order:
+            prev, cur = np.concatenate((prev, tails)), np.concatenate((cur, heads))
+        succ, probs = compiler.rows(np.zeros(len(cur), dtype=np.intp), prev, cur)
+        cum = probs[0]
+        # slot j of cur's row moves along arc j of cur
+        first_arc = np.cumsum(degree) - degree
+        nxt = n + first_arc[cur][:, None] + np.arange(succ.shape[1])
+        if config.non_backtracking:
+            # a row without prev moves its successors to the left, in order
+            order = np.argsort(succ < 0, axis=1, kind="stable")
+            succ, cum, nxt = (np.take_along_axis(a, order, axis=1) for a in (succ, cum, nxt))
+        kept = succ >= 0
+        del succ, probs  # the guide below is the peak; hold no more than it needs
+        np.cumsum(cum, axis=1, out=cum)
+        count = kept.sum(axis=1)
+        stepping = np.flatnonzero(count)
+        cum[stepping, count[stepping] - 1] = 1.0  # the last sum is forced to 1.0
+        cum[~kept] = 2.0
+        nxt[~kept] = 0
+        if not second_order:
+            cum, nxt = np.concatenate((cum, cum[heads])), np.concatenate((nxt, nxt[heads]))
+        # edges are the arcs (u, v) with u < v, in arc order
+        forward = tails < heads
+        edge = np.searchsorted(tails[forward] * n + heads[forward],
+                               np.minimum(tails, heads) * n + np.maximum(tails, heads))
+        unset = np.full(n, -1)  # no move enters a start state
+        return cls(
+            cum=cum,
+            next=nxt.astype(np.int64, copy=False),
+            position=np.concatenate((np.arange(n), heads)).astype(np.int64),
+            arc=np.concatenate((unset, np.arange(len(heads)))).astype(np.int64),
+            edge=np.concatenate((unset, edge)).astype(np.int64),
+        )
+
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of lanes at ``state`` given their uniforms ``u`` in [0, 1)."""
         bins, cum = self._bins, self.cum
@@ -296,10 +333,10 @@ class StepTable:
     when the walker's previous position was ``prev``.  First-order
     configs ignore ``prev``, so their rows, like every walk's opening
     step, are keyed ``(None, cur)``.  A row is compiled from
-    :func:`step_distribution_second_order` the first time it is asked
-    for, so positions reached by a restart (where ``prev`` need not be
-    a neighbor of ``cur``) get exactly the reference law.  A table
-    serves one sampler call; nothing caches it beyond that.
+    :meth:`law` the first time it is asked for, so a position reached by
+    a restart (where ``prev`` need not be a neighbor of ``cur``, or may
+    be ``cur`` itself) gets its row like any other.  A table serves one
+    sampler call; nothing caches it beyond that.
 
     A row is ``(successors, cum)``: the successors ascending, and the
     sequential sums of their probabilities with the last forced to 1.0,
@@ -313,57 +350,56 @@ class StepTable:
         self.config = config
         self.second_order = config.non_backtracking or config.node2vec is not None
         self._rows: dict[tuple[int | None, int], tuple[list[int], list[float]]] = {}
-        self._first: dict[int, dict[int, float]] = {}
+        self._first: dict[int, tuple[list[int], list[float]]] = {}
 
     def row(self, prev: int | None, cur: int) -> tuple[list[int], list[float]]:
         key = (prev if self.second_order else None, cur)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = self._compile(*key)
+            successors, probs = self.law(*key)
+            cum = list(accumulate(probs))
+            if cum:
+                cum[-1] = 1.0
+            row = self._rows[key] = (successors, cum)
         return row
 
-    def _distribution(self, prev: int | None, cur: int) -> dict[int, float]:
-        # the rule of step_distribution_second_order on cur's first-order
-        # distribution, computed once per table and never modified
+    def law(self, prev: int | None, cur: int) -> tuple[list[int], list[float]]:
+        """Row ``(prev, cur)`` of :func:`step_distribution_second_order` as
+        ``(successors, probabilities)`` lists over ``cur``'s ascending
+        neighbor tuple; ``cur``'s first-order row is computed once per table."""
         first = self._first.get(cur)
         if first is None:
-            first = self._first[cur] = step_distribution_first_order(
-                self.g, self.config.conductance, cur)
+            g = self.g
+            successors = list(g.adjacency[cur])
+            du = len(successors)
+            weights = [1.0] * du
+            if isinstance(self.config.conductance, MDLR):
+                for i, x in enumerate(successors):
+                    weights[i] = 1.0 / min(du, len(g.adjacency[x]))
+            first = self._first[cur] = (successors, _normalized(weights))
+        successors, probs = first
         if prev is None:
             return first
 
         if self.config.non_backtracking:
-            trimmed = {x: w for x, w in first.items() if x != prev}
-            if not trimmed:
-                return {prev: 1.0}
-            total = _fold(trimmed.values())
-            return {x: w / total for x, w in trimmed.items()}
+            # prev is dropped where it is a neighbor; the rest is renormalized
+            # even where it is not (after a restart)
+            i = bisect_left(successors, prev)
+            if successors[i:i + 1] == [prev]:
+                successors, probs = successors[:i] + successors[i + 1:], probs[:i] + probs[i + 1:]
+            return (successors, _normalized(probs)) if successors else ([prev], [1.0])
 
-        if self.config.node2vec is not None:
-            if prev == cur or not self.g.has_edge(prev, cur):
-                return first
-            p, q = self.config.node2vec.p, self.config.node2vec.q
-            near = set(self.g.neighbors(prev))
-            weighted = {}
-            for x, w in first.items():
-                if x == prev:
-                    weighted[x] = w / p
-                elif x in near:
-                    weighted[x] = w
-                else:
-                    weighted[x] = w / q
-            total = _fold(weighted.values())
-            return {x: w / total for x, w in weighted.items()}
-
-        return first
-
-    def _compile(self, prev: int | None, cur: int) -> tuple[list[int], list[float]]:
-        dist = self._distribution(prev, cur)
-        successors = sorted(dist)
-        cum = list(accumulate(dist[x] for x in successors))
-        if cum:
-            cum[-1] = 1.0
-        return successors, cum
+        node2vec = self.config.node2vec
+        if node2vec is None:
+            return first
+        near = set(self.g.adjacency[prev])
+        if cur not in near:  # prev is no neighbor of cur (nor cur itself)
+            return first
+        p, q = node2vec.p, node2vec.q
+        weights = []
+        for x, w in zip(successors, probs):
+            weights.append(w / p if x == prev else w if x in near else w / q)
+        return successors, _normalized(weights)
 
     def steps(self, start: int, rng: np.random.Generator) -> Iterator[tuple[int, bool]]:
         """Open-ended walk from ``start``: ``(vertex, was_restart)`` for t = 1, 2, ...
@@ -399,54 +435,6 @@ class StepTable:
                 successors, cum = self.row(prev, cur)
                 prev, cur = cur, successors[bisect_right(cum, uniform())]
             yield cur, was_restart
-
-    def padded(self) -> PaddedRows:
-        """Every state's row as arrays; see :class:`PaddedRows`.
-
-        The rows come from :class:`_RowCompiler`, the compiler the
-        enumeration reads, not through the row cache.
-        """
-        g, n = self.g, self.g.n
-        compiler = _RowCompiler([g], [self.config])
-        real = compiler.adj >= 0
-        degree = real.sum(axis=1)
-        tails, heads = np.repeat(np.arange(n), degree), compiler.adj[real]
-        # a first-order row depends on the head alone, so only the start
-        # states' rows are compiled and the arc states copy them
-        prev, cur = np.full(n, -1), np.arange(n)
-        if self.second_order:
-            prev, cur = np.concatenate((prev, tails)), np.concatenate((cur, heads))
-        succ, probs = compiler.rows(np.zeros(len(cur), dtype=np.intp), prev, cur)
-        cum = probs[0]
-        # slot j of cur's row moves along arc j of cur
-        first_arc = np.cumsum(degree) - degree
-        nxt = n + first_arc[cur][:, None] + np.arange(succ.shape[1])
-        if self.config.non_backtracking:
-            # a row without prev moves its successors to the left, in order
-            order = np.argsort(succ < 0, axis=1, kind="stable")
-            succ, cum, nxt = (np.take_along_axis(a, order, axis=1) for a in (succ, cum, nxt))
-        kept = succ >= 0
-        del succ, probs  # the guide below is the peak; hold no more than it needs
-        np.cumsum(cum, axis=1, out=cum)
-        count = kept.sum(axis=1)
-        stepping = np.flatnonzero(count)
-        cum[stepping, count[stepping] - 1] = 1.0  # the last sum is forced to 1.0
-        cum[~kept] = 2.0
-        nxt[~kept] = 0
-        if not self.second_order:
-            cum, nxt = np.concatenate((cum, cum[heads])), np.concatenate((nxt, nxt[heads]))
-        # edges are the arcs (u, v) with u < v, in arc order
-        forward = tails < heads
-        edge = np.searchsorted(tails[forward] * n + heads[forward],
-                               np.minimum(tails, heads) * n + np.maximum(tails, heads))
-        unset = np.full(n, -1)  # no move enters a start state
-        return PaddedRows(
-            cum=cum,
-            next=nxt.astype(np.int64, copy=False),
-            position=np.concatenate((np.arange(n), heads)).astype(np.int64),
-            arc=np.concatenate((unset, np.arange(len(heads)))).astype(np.int64),
-            edge=np.concatenate((unset, edge)).astype(np.int64),
-        )
 
 
 def transition_matrix(g: Graph, kind: ConductanceKind) -> np.ndarray:
@@ -674,10 +662,12 @@ class _RowCompiler:
             keys = self.index(tree[near], prev[near])[:, None] * self._stride + succ[near]
             adjacent = self._arcs.take(np.searchsorted(self._arcs, keys), mode="clip") == keys
             for c in biased:
-                p, q = self.configs[c].node2vec.p, self.configs[c].node2vec.q
-                w = probs[c, near]
-                w = np.where(back, w / p, np.where(adjacent, w, w / q))
-                probs[c, near] = w / _row_sums(w)[:, None]
+                # one divisor per slot, 1.0 where adjacent (w / 1.0 is w)
+                factor = np.where(adjacent, 1.0, self.configs[c].node2vec.q)
+                factor[back] = self.configs[c].node2vec.p
+                w = np.divide(probs[c, near], factor, out=factor)
+                w /= _row_sums(w)[:, None]
+                probs[c, near] = w
         return succ, probs
 
 

@@ -268,6 +268,24 @@ def test_bad_node2vec_shows_its_own_refusal(value, capsys):
     assert captured.err.endswith(f"argument --node2vec: {refused.value}\n")
 
 
+@pytest.mark.parametrize("flag,why", [
+    (["--node2vec", "-1,2"], "expected one argument"),
+    (["--node2vec=-1,2"], "p and q must be positive and finite, with finite reciprocals, "
+                          "got p=-1.0, q=2.0"),
+], ids=["bare", "joined"])
+def test_negative_node2vec_value_needs_the_joined_form(flag, why):
+    # argparse reads a bare value that starts with '-' as a flag, so only
+    # --node2vec=P,Q reaches Node2Vec's refusal; either way one error line
+    src = pathlib.Path(walklab.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "walklab", *_bad_value_argv("walk", flag)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert errors == [f"walklab walk: error: argument --node2vec: {why}"]
+
+
 @pytest.mark.parametrize("sub,key,value", BAD_WALK_VALUES)
 def test_bad_config_value_names_the_flag(sub, key, value, tmp_path, capsys,
                                          monkeypatch):

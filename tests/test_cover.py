@@ -24,7 +24,7 @@ from walklab import (
     theorem2_bound,
     worst_start_cover_time,
 )
-from walklab.walks import StepTable
+from walklab.walks import PaddedRows
 
 from reference import sample_cover_time
 
@@ -145,13 +145,13 @@ def test_censoring_reported_not_averaged():
 
 def test_worst_over_starts_compiles_the_table_once(monkeypatch):
     calls = []
-    padded = StepTable.padded
+    compile_rows = PaddedRows.compile
 
-    def counting_padded(self):
-        calls.append(self)
-        return padded(self)
+    def counting_compile(g, config):
+        calls.append(g)
+        return compile_rows(g, config)
 
-    monkeypatch.setattr(StepTable, "padded", counting_padded)
+    monkeypatch.setattr(PaddedRows, "compile", counting_compile)
     g = gen_lollipop(3)
     stats = worst_start_cover_time(g, cfg(), "edge", 8)
     assert len(calls) == 1

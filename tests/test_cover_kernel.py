@@ -39,7 +39,7 @@ from walklab.cover import (
     _cover_group,
     chunk_groups,
 )
-from walklab.walks import PaddedRows, StepTable
+from walklab.walks import PaddedRows
 
 
 def reference_draw(cum_rows, u):
@@ -170,7 +170,7 @@ def test_kernel_matches_reference(case):
     g = random_graph(rnd)
     # every walk order meets both kinds of start
     config = random_config(rnd, ("first-order", "nb", "node2vec")[case % 3], 1000 + case)
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     start = None if case // 3 % 2 else rnd.randrange(g.n)
     budgets_seen = set()
     for track, strict in EDGE_MODES:
@@ -202,7 +202,7 @@ def test_kernel_budget_one_and_censoring_in_both_phases():
     while g.n < 7:
         g = random_graph(rnd, max_n=9)
     config = WalkConfig(length=0, conductance=MDLR(), seed=5)
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     for budget in (1, 2, 5):
         assert_same(*both(g, rows, (5, budget), 1024, None, budget, True, False))
     # censored counts on either side of the tail threshold
@@ -232,7 +232,7 @@ def test_batch_strict_edges_untracked_are_vertex_only():
 @pytest.mark.parametrize("track", [False, True])
 def test_kernel_single_vertex(start, track):
     g = parse_edge_list("1 0\n")
-    rows = StepTable(g, WalkConfig(length=0, seed=3)).padded()
+    rows = PaddedRows.compile(g, WalkConfig(length=0, seed=3))
     for lanes in (1, TAIL_LANES, 1024):
         assert_same(*both(g, rows, (3, lanes), lanes, start, 10, track, False))
 
@@ -259,7 +259,7 @@ def test_group_kernel_matches_reference_per_chunk(size, kind):
     g = random_graph(rnd)
     kinds = ("first-order", "nb", "node2vec")
     config = random_config(rnd, kinds[size % 3], 2000 + case)
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     track, strict = EDGE_MODES[(size + len(kind)) % len(EDGE_MODES)]
     short = 1 + rnd.randrange(CHUNK_TRIALS)
     chunks = group_chunks(kind, size, config.seed, case, g.n, short)
@@ -304,7 +304,7 @@ def test_group_chunks_end_in_different_phases():
     ends = list(np.cumsum(lanes))
     for seed in range(4):
         config = WalkConfig(length=0, conductance=MDLR(), seed=seed)
-        rows = StepTable(g, config).padded()
+        rows = PaddedRows.compile(g, config)
         chunks = [((seed, c, 0), k, None) for c, k in enumerate(lanes)]
         _, t_e = reference_group(g, rows, chunks, LONG_BUDGET, True, False)
         life = np.where(t_e < 0, LONG_BUDGET, t_e)
@@ -384,7 +384,7 @@ def test_guide_draw_matches_padded_count(name):
     for conductance in (Constant(), MDLR()):
         for kwargs in ({}, {"non_backtracking": True}, {"node2vec": Node2Vec(1.0, 2.0)}):
             config = WalkConfig(length=0, conductance=conductance, **kwargs)
-            assert_guide_matches_padded_count(StepTable(g, config).padded().cum, extra)
+            assert_guide_matches_padded_count(PaddedRows.compile(g, config).cum, extra)
 
 
 def test_guide_draw_on_hand_built_rows():

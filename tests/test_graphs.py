@@ -17,18 +17,25 @@ from walklab import (
     build_graph,
     decode,
     format_edge_list,
+    gen_barbell,
+    gen_clique,
+    gen_csl,
     gen_cycle,
     gen_lollipop,
     gen_path,
+    gen_rook4x4,
+    gen_shrikhande,
     gen_star,
+    generators,
     local_ball,
     parse_edge_list,
     random_connected_graph,
+    record_anonymized,
     record_named_neighbors,
     rng_stream,
     sample_walk,
 )
-from walklab.walks import StepTable
+from walklab.walks import PaddedRows
 
 
 def test_build_graph_dedups_edges():
@@ -42,6 +49,39 @@ def test_build_graph_sorts_neighbors():
     assert g.neighbors(0) == (1, 2, 3)
     assert g.degree(0) == 3
     assert g.max_degree() == 3
+
+
+GENERATED = {
+    "gen_path": lambda: gen_path(5),
+    "gen_cycle": lambda: gen_cycle(6),
+    "gen_clique": lambda: gen_clique(5),
+    "gen_star": lambda: gen_star(4),
+    "gen_lollipop": lambda: gen_lollipop(4),
+    "gen_barbell": lambda: gen_barbell(4),
+    "gen_csl": lambda: gen_csl(11, 3),
+    "gen_rook4x4": gen_rook4x4,
+    "gen_shrikhande": gen_shrikhande,
+}
+
+
+def test_every_graph_source_keeps_neighbor_tuples_ascending():
+    # the scalar step law, has_edge's bisect and _RowCompiler all read a
+    # neighbor tuple as strictly ascending; every way a Graph is made
+    # must keep it so
+    assert set(GENERATED) == set(generators.__all__)
+    graphs = [make() for make in GENERATED.values()]
+    graphs.append(build_graph([(3, 0), (2, 0), (3, 1), (1, 0), (3, 0)], 4))
+    graphs.append(parse_edge_list("4 4\n3 0\n0 2\n1 3\n0 1\n"))
+    rng = rng_stream(35, 0)
+    for n in range(2, 13):
+        g = random_connected_graph(n, rng)
+        perm = Permutation(tuple(int(x) for x in rng.permutation(n)))
+        walk = sample_walk(g, WalkConfig(length=4 * n * n, seed=n))
+        graphs += [g, apply_permutation(g, perm), decode(record_named_neighbors(walk, g)).graph,
+                   decode(record_anonymized(walk)).graph]
+    for g in graphs:
+        for u, nbrs in enumerate(g.adjacency):
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (g, u, nbrs)
 
 
 def test_build_graph_rejects_self_loop():
@@ -133,7 +173,7 @@ def test_using_a_graph_does_not_grow_it():
             for u in range(g.n):
                 for v in range(g.n):
                     g.has_edge(u, v)
-            StepTable(g, node2vec).padded()
+            PaddedRows.compile(g, node2vec)
             record_named_neighbors(sample_walk(g, walk, start=0), g)
             local_ball(g, 0, 1)
         gc.collect()

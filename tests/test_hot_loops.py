@@ -5,8 +5,11 @@ reads becomes a cell, and every access to it then goes through the cell
 instead of the fast local slot.  Cells that crept into the recorder's
 step once made it measurably slower, so the per-step functions (the
 one-pass recorder, ``records._record_walk``, and the local-cover trial
-loop, ``cover.local_cover_time``, among them), and the check every
-outside walk passes step by step, write such code as plain loops.
+loop, ``cover.local_cover_time``, among them), the check every outside
+walk passes step by step, and the scalar walk's row law
+(``StepTable.law`` and ``walks._normalized``, run once per compiled
+row, tens of thousands of times per reconstruction-fuzz pass) write
+such code as plain loops.
 The walk-tree enumeration runs no Python per node: its rows are compiled
 a level at a time as arrays.
 """
@@ -14,11 +17,11 @@ import pytest
 
 from walklab.cover import _cover_group, local_cover_time
 from walklab.records import _record_walk, check_walk
-from walklab.walks import PaddedRows, StepTable
+from walklab.walks import PaddedRows, StepTable, _normalized
 
 HOT = [
-    _record_walk, check_walk, StepTable.steps, PaddedRows.draw, _cover_group,
-    local_cover_time,
+    _record_walk, check_walk, StepTable.steps, StepTable.law, _normalized,
+    PaddedRows.draw, _cover_group, local_cover_time,
 ]
 
 

@@ -31,7 +31,7 @@ from walklab import (
     stationary,
     transition_matrix,
 )
-from walklab.walks import StepTable
+from walklab.walks import PaddedRows
 
 
 def _degree_share(g):
@@ -185,7 +185,7 @@ def test_mc_visit_frequencies_match_exact_identity():
 
 
 def reference_visit_frequencies(g, config, u, l, trials, cell):
-    rows = StepTable(g, config).padded()
+    rows = PaddedRows.compile(g, config)
     visits = np.zeros(g.n, dtype=np.int64)
     for j in range(math.ceil(trials / CHUNK_TRIALS)):
         lanes = min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS)

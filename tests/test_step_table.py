@@ -1,7 +1,7 @@
 """The compiled step table against the reference step distributions.
 
-``reference_walk`` is the sampler spelled out without the table: each
-step's distribution comes straight from
+``reference_walk`` is the sampler spelled out without the table's rows:
+each step's distribution comes straight from
 ``step_distribution_second_order`` and is inverted by a sequential CDF
 over the sorted support, falling back to the last candidate.  Every
 sampler that reads the table must agree with it bit for bit.
@@ -28,7 +28,7 @@ from walklab import (
     step_distribution_second_order,
 )
 from walklab.generators import gen_lollipop, gen_path
-from walklab.walks import StepTable, _RowCompiler
+from walklab.walks import PaddedRows, StepTable, _RowCompiler
 
 CONDUCTANCES = (Constant(), MDLR())
 
@@ -202,7 +202,7 @@ def test_padded_rows_mirror_the_table():
         g = random_graph(rnd)
         config = random_config(rnd, 0)
         table = StepTable(g, config)
-        rows = table.padded()
+        rows = PaddedRows.compile(g, config)
         arcs = [(u, v) for u in range(g.n) for v in g.neighbors(u)]
         edges = list(g.edges())
         states = [(None, v) for v in range(g.n)] + arcs
@@ -227,7 +227,7 @@ def test_single_vertex_rows_are_empty():
     config = WalkConfig(length=3, non_backtracking=True, seed=1)
     table = StepTable(g, config)
     assert table.row(None, 0) == ([], [])
-    assert table.padded().cum.shape == (1, 0)
+    assert PaddedRows.compile(g, config).cum.shape == (1, 0)
     assert sample_walk(g, WalkConfig(length=0, seed=1)).vertices == (0,)
     with pytest.raises(ValueError, match="no neighbor"):
         sample_walk(g, config)

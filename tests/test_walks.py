@@ -37,7 +37,6 @@ from walklab import (
     random_connected_graph,
     rng_stream,
     sample_walk,
-    step_distribution_first_order,
     step_distribution_second_order,
     transition_matrix,
     worst_start_cover_time,
@@ -45,14 +44,19 @@ from walklab import (
 from walklab.walks import ENUMERATION_GUARD, _check_depth
 
 
+def first_order(g, kind, u):
+    """The law out of ``u`` under ``kind`` with no history: the first-order law."""
+    return step_distribution_second_order(g, WalkConfig(length=0, conductance=kind), None, u)
+
+
 def test_conductance_values():
     # min degree rule on P4: deg(0)=1, deg(1)=2, deg(2)=2, so the leaf
     # edges weigh 1 and the inner edge (1, 2) weighs 1/2 from either end
     g = gen_path(4)
-    assert step_distribution_first_order(g, Constant(), 1) == {0: 0.5, 2: 0.5}
-    assert step_distribution_first_order(g, MDLR(), 0) == {1: 1.0}
-    assert step_distribution_first_order(g, MDLR(), 1) == {0: 1.0 / 1.5, 2: 0.5 / 1.5}
-    assert step_distribution_first_order(g, MDLR(), 2) == {1: 0.5 / 1.5, 3: 1.0 / 1.5}
+    assert first_order(g, Constant(), 1) == {0: 0.5, 2: 0.5}
+    assert first_order(g, MDLR(), 0) == {1: 1.0}
+    assert first_order(g, MDLR(), 1) == {0: 1.0 / 1.5, 2: 0.5 / 1.5}
+    assert first_order(g, MDLR(), 2) == {1: 0.5 / 1.5, 3: 1.0 / 1.5}
 
 
 @pytest.mark.parametrize("kind", [Constant(), MDLR()], ids=["constant", "mdlr"])
@@ -71,7 +75,7 @@ def test_first_order_distribution_is_normalized_public_conductance(kind):
             for w in weights.values():
                 total += w
             expected = [(x, (w / total).hex()) for x, w in weights.items()]
-            got = step_distribution_first_order(g, kind, u)
+            got = first_order(g, kind, u)
             assert [(x, p.hex()) for x, p in got.items()] == expected
 
 
@@ -81,14 +85,12 @@ def test_a_conductance_kind_other_than_the_two_rules_is_refused():
     with pytest.raises(TypeError, match=why):
         WalkConfig(length=1, conductance=max)
     with pytest.raises(TypeError, match=why):
-        step_distribution_first_order(g, max, 1)
-    with pytest.raises(TypeError, match=why):
         transition_matrix(g, max)
 
 
 def test_a_bad_conductance_kind_is_refused_at_a_vertex_without_neighbors():
     with pytest.raises(TypeError, match="^unknown conductance kind: <built-in function max>$"):
-        step_distribution_first_order(build_graph([], 1), max, 0)
+        first_order(build_graph([], 1), max, 0)
 
 
 @pytest.mark.parametrize("p,q", [
@@ -111,12 +113,12 @@ def test_walk_on_the_one_vertex_graph_is_refused_unless_empty():
 
 def test_first_order_distribution_mdlr_oracle():
     """P4 from the second vertex: the leaf edge has twice the weight."""
-    dist = step_distribution_first_order(gen_path(4), MDLR(), 1)
+    dist = first_order(gen_path(4), MDLR(), 1)
     assert dist == pytest.approx({0: 2 / 3, 2: 1 / 3})
 
 
 def test_first_order_distribution_uniform():
-    dist = step_distribution_first_order(gen_star(3), Constant(), 0)
+    dist = first_order(gen_star(3), Constant(), 0)
     assert dist == pytest.approx({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
 
 
@@ -142,12 +144,12 @@ def test_node2vec_oracle_on_square():
 def test_node2vec_falls_back_first_order_without_valid_prev():
     g = gen_cycle(4)
     cfg = WalkConfig(length=1, node2vec=Node2Vec(2.0, 1.0))
-    first = step_distribution_first_order(g, Constant(), 1)
+    first = first_order(g, Constant(), 1)
     assert step_distribution_second_order(g, cfg, 1, 1) == pytest.approx(first)
     # prev not adjacent to cur (as after a restart jump)
     assert step_distribution_second_order(g, cfg, 2, 1) != pytest.approx(first)
     assert step_distribution_second_order(g, cfg, 0, 2) == pytest.approx(
-        step_distribution_first_order(g, Constant(), 2)
+        first_order(g, Constant(), 2)
     )
 
 
@@ -460,7 +462,7 @@ def test_rows_sum_left_to_right():
         total += w
     assert total != math.fsum(weights)
     expected = [(w / total).hex() for w in weights]
-    assert [p.hex() for p in step_distribution_first_order(g, MDLR(), 0).values()] == expected
+    assert [p.hex() for p in first_order(g, MDLR(), 0).values()] == expected
     config = WalkConfig(length=1, conductance=MDLR())
     leaves = {w.vertices[1]: p for w, p in enumerate_walk_distribution(g, config, start=0)}
     assert [leaves[x].hex() for x in (1, 2, 3, 4)] == expected
